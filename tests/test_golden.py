@@ -1,0 +1,62 @@
+"""Golden outputs: sha256 of the CLI's stdout for fixed commands.
+
+The digests were recorded before the cusp-width closed form and the
+module re-layering; any change to what these commands print is a
+regression, not a reason to re-record.
+"""
+
+import hashlib
+import io
+import json
+
+import pytest
+
+from cuspforge.cli import run
+
+F_SPEC = {"level": 20, "exponents": {"2": 1, "4": 2, "6": 2, "1": -2, "8": -1, "9": -2}}
+
+GOLDEN = {
+    # the README's CLI examples
+    "genus --level 20 --gamma1":
+        "36f4c9287965bf8b837382abe289e73bdd62a7e88d444b72f85aef7f0401c607",
+    "genus --level 20 --delta 9":
+        "e73235576c10a80d8f97a92c0eda8a91aca10f928556d66f9da7b679eb868a62",
+    "cusps --level 20 --gamma1":
+        "cdd69a597369ba959febd55d7f23441d650c596555fce4f5cbef9cec846a0902",
+    "orbits --level 20":
+        "cd843a079ce9aacbf241aac3efb4a505249e8488c4b020a3be0cf4756be6e3b8",
+    "verdict x1 --level 18 --d 3":
+        "4282377a63617bb98fec063b044fd9c2f6d7ef2e639fa259cea0d89d9ca220fd",
+    "verdict x0 --p 2 --m 16":
+        "540bd63f4f48fdc19b7930143da5e421bb3f8b51c0cef78bab9fc96b6717ee3c",
+    "survey x1 --max 300 --format tsv --jobs 4":
+        "8983ad3c639ac387dda61c952eaac73d2dc4ba29146014d6886c3070755cebb7",
+    "eta series --level 20 --r 1 --terms 12":
+        "7d9d65603057dce752988cc9951f648fbe171a9150e8488366d722b7c2f9ff35",
+    "eta div --spec f.json":
+        "1d90b086679cadac259d12f8278fd415600abddb8e57e332f3853faf49472219",
+    "certify x1-20":
+        "457fb6611ae81399389bb3b5c7bbcd64dcf0cd11ea7f871906f148de69e44297",
+    # the eta certificate inside the verdict pipeline
+    "verdict x1 --level 20 --d 2":
+        "290791c96bcaa39ae2312c0371378ff64843a46aad88a25071c5418772b904be",
+    # the irregular cusp (1 : 2) of X_1(4), whose width is 1
+    "cusps --level 4 --gamma1":
+        "e25fc4066796b5762ec9f4eae6844e5997ece7964add90ff346bd1c651ea1b25",
+    # large atlases with widths
+    "cusps --level 720 --gamma1":
+        "276e983839054eeb90284f99a07865df08d9efdb9c56b0642178e2faba3af38c",
+    "cusps --level 5040 --gamma0":
+        "ba637970e66ee18763cfdd71f711cea40367655cdf201cf4ada67d605f33a699",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_output(command, tmp_path, monkeypatch):
+    (tmp_path / "f.json").write_text(json.dumps(F_SPEC))
+    monkeypatch.chdir(tmp_path)
+    buf = io.StringIO()
+    code = run(command.split(), stdout=buf)
+    assert code == 0, buf.getvalue()
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == GOLDEN[command]
