@@ -25,7 +25,6 @@ from .cusps import (
     ramification_x0_tower,
     ramification_x1_to_delta,
     width_and_stabilizer_sign,
-    x1_equivalent,
 )
 from .criteria import (
     NOT_WEIERSTRASS,
@@ -37,6 +36,7 @@ from .criteria import (
     Verdict,
     al_divisor_orbit,
     atkin_lehner_reduce,
+    certify_x1_20,
     fricke_reduce,
     gap_sequence_from_nongaps,
     lemma_cusp_inequality,
@@ -52,7 +52,6 @@ from .etaq import (
     EtaQuotient,
     QSeries,
     bernoulli2,
-    certify_x1_20,
     divisor,
     eta_series,
     ord_at_cusp,

@@ -106,14 +106,8 @@ class DeltaSubgroup:
                     raise ValueError("element set is not multiplicatively closed")
         object.__setattr__(self, "elements", tuple(sorted(elems)))
 
-    def __contains__(self, a: int) -> bool:
-        return normalize_residue(a, self.level) in set(self.elements)
-
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __le__(self, other: "DeltaSubgroup") -> bool:
-        return self.level == other.level and set(self.elements) <= set(other.elements)
 
 
 def subgroup_generated(n: int, gens=()) -> DeltaSubgroup:

@@ -13,10 +13,10 @@ import sys
 
 from . import __version__
 from .arith import full_units, pm_one, subgroup_generated
-from .criteria import survey_x1, x0_verdict, x1_verdict
+from .criteria import certify_x1_20, survey_x1, x0_verdict, x1_verdict
 from .cusps import GAMMA0, GAMMA1, atlas, atlas_delta
-from .errors import BadFlag, DomainError, UnknownCommand
-from .etaq import EtaQuotient, certify_x1_20, divisor, eta_series, quotient_series
+from .errors import BadFlag, BadSpec, DomainError, NotPositive, UnknownCommand
+from .etaq import EtaQuotient, divisor, eta_series, quotient_series
 from .genus import genus_delta
 from .symmetry import cusp_orbits_x1
 
@@ -77,7 +77,10 @@ def _delta_for(args, n: int):
     if args.gamma0:
         return full_units(n), GAMMA0
     if args.delta:
-        gens = tuple(int(t) for t in args.delta.split(",") if t.strip())
+        try:
+            gens = tuple(int(t) for t in args.delta.split(",") if t.strip())
+        except ValueError:
+            raise BadFlag(f"--delta takes comma-separated integers, got {args.delta!r}")
         return subgroup_generated(n, gens), "delta"
     return pm_one(n), GAMMA1
 
@@ -88,9 +91,31 @@ def _require(args, names):
             raise BadFlag(f"--{name} is required here")
 
 
+def _positive_level(level: int) -> int:
+    if level < 1:
+        raise NotPositive(f"level must be at least 1, got {level}")
+    return level
+
+
+def _read_spec(path: str) -> EtaQuotient:
+    try:
+        with open(path) as fh:
+            spec = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise BadSpec(f"cannot read {path}: {exc}")
+    try:
+        level = int(spec["level"])
+        exponents = {int(r): int(k) for r, k in spec["exponents"].items()}
+    except (LookupError, TypeError, AttributeError, ValueError) as exc:
+        raise BadSpec(f'{path} is not {{"level": N, "exponents": {{r: k}}}}: {exc!r}')
+    return EtaQuotient.make(_positive_level(level), exponents)
+
+
 def _dispatch(args) -> tuple[dict, dict, str | None]:
     """Returns (params, result, raw_text); raw_text bypasses the envelope."""
     cmd = args.command
+    if getattr(args, "level", None) is not None:
+        _positive_level(args.level)
     if cmd == "genus":
         delta, tag = _delta_for(args, args.level)
         profile = genus_delta(args.level, delta)
@@ -157,9 +182,7 @@ def _dispatch(args) -> tuple[dict, dict, str | None]:
                 None,
             )
         _require(args, ["spec"])
-        with open(args.spec) as fh:
-            spec = json.load(fh)
-        quot = EtaQuotient.make(int(spec["level"]), spec["exponents"])
+        quot = _read_spec(args.spec)
         div = divisor(quot)
         series = quotient_series(quot, args.terms)
         return (
@@ -227,3 +250,7 @@ def run(argv, stdout=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -3,8 +3,9 @@
 The X_1(N) pipeline tries, in order: reduce d across the Fricke duality,
 the arithmetic cusp-count inequality phi(d)phi(N/d) >= 8 + 4/(e-1), the
 quotient-genus inequality g_1(N) - e*g_{Delta_d}(N) >= e, and finally a
-small certified fact table (N = 16, 18) or the recomputed eta-quotient
-certificate (N = 20).  The X_0(p^2 M) verdicts encode the classification
+small certified fact table (N = 16, 18) or the eta-quotient certificate
+(N = 20), which `certify_x1_20` recomputes here from the quotients F and
+G of `etaq`.  The X_0(p^2 M) verdicts encode the classification
 theorems for the cusps equivalent to (1 : p); cases those theorems leave
 open stay Unknown.
 """
@@ -19,6 +20,7 @@ from itertools import product
 from math import gcd
 
 from .arith import delta_d, divisors, factorize, is_prime, totient
+from .cusps import GAMMA1, atlas, canonicalize_x1
 from .errors import (
     BadGenus,
     DomainError,
@@ -26,16 +28,17 @@ from .errors import (
     InconsistentGapCount,
     NotADivisor,
     NotIrregular,
+    NotPositive,
     NotPrime,
 )
+from .etaq import F_EXPONENTS, G_EXPONENTS, EtaQuotient, divisor
 from .genus import g0, g1, genus_delta
+from .symmetry import act_atkin_lehner, build_atkin_lehner
 
 WEIERSTRASS = "Weierstrass"
 NOT_WEIERSTRASS = "NotWeierstrass"
 UNKNOWN = "Unknown"
 
-RULE_SCHOENEBERG = "SchoenebergFixedPoint"
-RULE_LEWITTES = "Lewittes"
 RULE_LEMMA_GENUS = "LemmaGenus"
 RULE_LEMMA_CUSP = "LemmaCuspIneq"
 RULE_FRICKE = "FrickeDualityReduction"
@@ -122,7 +125,7 @@ def lemma_genus_check(n: int, d: int) -> bool:
         raise NotIrregular(f"(N, d) = ({n}, {d}) has e = 1")
     if g1(n) < 2:
         raise GenusTooSmall(f"g_1({n}) = {g1(n)} < 2")
-    return g1(n) - e * genus_delta(n, delta_d(n, d)).g >= e
+    return schoeneberg(g1(n), e, genus_delta(n, delta_d(n, d)).g)
 
 
 def fricke_reduce(n: int, d: int) -> int:
@@ -194,6 +197,57 @@ def gap_sequence_from_nongaps(nongaps, g: int) -> GapSequence:
 
 
 # ---------------------------------------------------------------------------
+# The level-20 certificate
+
+
+def certify_x1_20() -> tuple[GapSequence, Verdict]:
+    """Recompute the gap sequence 1, 2, 5 at the cusp (1 : 10) of X_1(20)
+    and propagate weight 2 to all four irregular cusps via W_4, W_20, W_5."""
+    n = 20
+    s = canonicalize_x1(n, 1, 10)
+    f = EtaQuotient.make(n, F_EXPONENTS)
+    g = EtaQuotient.make(n, G_EXPONENTS)
+
+    div_f, div_g = divisor(f), divisor(g)
+    if div_f.pole_part() != {s: -3}:
+        raise RuntimeError(f"pole part of f is {div_f.pole_part()}, expected 3*(1:10)")
+    if div_g.pole_part() != {s: -4}:
+        raise RuntimeError(f"pole part of g is {div_g.pole_part()}, expected 4*(1:10)")
+
+    genus = g1(n)
+    if genus != 3:
+        raise RuntimeError(f"g_1(20) = {genus}, expected 3")
+    gapseq = gap_sequence_from_nongaps({3, 4}, genus)
+
+    images = {}
+    for q_ in (4, 20, 5):
+        images[q_] = act_atkin_lehner(build_atkin_lehner(n, q_), s)
+    expected = {
+        4: canonicalize_x1(n, 3, 10),
+        20: canonicalize_x1(n, 1, 2),
+        5: canonicalize_x1(n, 1, 6),
+    }
+    if images != expected:
+        raise RuntimeError(f"Atkin-Lehner images {images} != {expected}")
+    cusps = {s} | set(images.values())
+    if cusps != set(atlas(n, GAMMA1).irregular()):
+        raise RuntimeError("propagated cusps are not exactly the irregular ones")
+
+    step = CertStep(
+        RULE_ETA,
+        {
+            "pole_orders": [3, 4],
+            "gaps": list(gapseq.gaps),
+            "weight": gapseq.weight,
+            "base_cusp": s.key(),
+            "images": {f"W_{q_}": c.key() for q_, c in images.items()},
+        },
+    )
+    verdict = Verdict(WEIERSTRASS, gapseq.weight, (step,))
+    return gapseq, verdict
+
+
+# ---------------------------------------------------------------------------
 # X_1(N) verdicts
 
 # Imported classifications of the two hyperelliptic levels whose irregular
@@ -247,20 +301,12 @@ def x1_verdict(n: int, d: int) -> Verdict:
         )
         return Verdict(WEIERSTRASS, None, tuple(steps))
     if n == 20:
-        from .etaq import certify_x1_20
-
-        gapseq, _ = certify_x1_20()
+        _, cert = certify_x1_20()
+        data = cert.certificate[0].data
         steps.append(
-            CertStep(
-                RULE_ETA,
-                {
-                    "pole_orders": [3, 4],
-                    "gaps": list(gapseq.gaps),
-                    "weight": gapseq.weight,
-                },
-            )
+            CertStep(RULE_ETA, {k: data[k] for k in ("pole_orders", "gaps", "weight")})
         )
-        return Verdict(WEIERSTRASS, gapseq.weight, tuple(steps))
+        return Verdict(WEIERSTRASS, cert.weight, tuple(steps))
     if n in _X1_FACTS:
         status, source = _X1_FACTS[n]
         steps.append(CertStep(RULE_FACT, {"level": n, "source": source}))
@@ -436,11 +482,9 @@ def survey_x1(max_n: int, jobs: int | None = None) -> SurveyReport:
         raise DomainError("survey needs max_n >= 13")
     levels = list(range(13, max_n + 1))
     if jobs is None:
-        try:
-            jobs = int(os.environ.get("CUSPFORGE_JOBS", ""))
-        except ValueError:
-            jobs = 0
-        jobs = jobs or (os.cpu_count() or 1)
+        jobs = os.cpu_count() or 1
+    elif jobs < 1:
+        raise NotPositive(f"jobs must be at least 1, got {jobs}")
     if jobs > 1 and len(levels) > 32:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_survey_level, levels, chunksize=16))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .arith import delta_d, divisors, normalize_residue, inv_mod
+from .arith import delta_d, divisors, inv_mod, is_prime, normalize_residue
 from .errors import (
     LevelMismatch,
     NotADivisor,
@@ -26,7 +26,6 @@ from .errors import (
 
 GAMMA0 = "gamma0"
 GAMMA1 = "gamma1"
-GAMMA_DELTA = "gamma_delta"
 
 
 @dataclass(frozen=True, order=True)
@@ -66,7 +65,7 @@ def canonicalize_x1(n: int, x: int, y: int) -> CuspClass:
     Minimizes y over the sign choice (y normalized into 1..N, so the
     infinity-type classes carry y = N), then x over the translation
     orbit x + dZ; equals the minimum of the scanned congruence test
-    (x', y') = +-(x + j*y, y), which x1_equivalent implements literally.
+    (x', y') = +-(x + j*y, y).
     """
     if n < 1:
         raise ValueError("level must be positive")
@@ -84,18 +83,6 @@ def canonicalize_x1(n: int, x: int, y: int) -> CuspClass:
         xc = min(x % d, (-x) % d)
     e = gcd(d, n // d)
     return CuspClass(n, GAMMA1, d, y, xc, e, e > 1)
-
-
-def x1_equivalent(n: int, p: tuple[int, int], q: tuple[int, int]) -> bool:
-    """Literal congruence test: q = +-(p.x + j*p.y, p.y) mod n for some j."""
-    x, y = p[0] % n, p[1] % n
-    u, v = q[0] % n, q[1] % n
-    for s in (1, n - 1):
-        if (s * y - v) % n == 0:
-            for j in range(n):
-                if (s * (x + j * y) - u) % n == 0:
-                    return True
-    return False
 
 
 def _class_x0(n: int, x0: int, d: int) -> CuspClass:
@@ -134,16 +121,17 @@ def x0_class_of_pair(n: int, a: int, c: int) -> CuspClass:
     return _class_x0(n, a * u, d)
 
 
-def x1_class_of_pair(n: int, a: int, c: int) -> CuspClass:
-    return canonicalize_x1(n, a, c)
-
-
 def diamond_image_x1(c: CuspClass, a: int) -> CuspClass:
     """The [a]-image (a*x : a^-1*y) of a Gamma_1 cusp class."""
     n = c.level
     if gcd(a, n) != 1:
         raise NotCoprime(f"{a} is not a unit mod {n}")
     return canonicalize_x1(n, a * c.x, inv_mod(a, n) * c.y)
+
+
+def _diamond_orbit(c: CuspClass, delta) -> set[CuspClass]:
+    """The orbit {[a]c : a in Delta} of a Gamma_1 cusp class."""
+    return {diamond_image_x1(c, a) for a in delta.elements}
 
 
 @dataclass(frozen=True)
@@ -227,7 +215,7 @@ def atlas_delta(n: int, delta) -> tuple[DeltaOrbit, ...]:
     for c in atlas(n, GAMMA1):
         if c in seen:
             continue
-        orbit = {diamond_image_x1(c, a) for a in delta.elements}
+        orbit = _diamond_orbit(c, delta)
         seen |= orbit
         members = tuple(sorted(orbit))
         orbits.append(DeltaOrbit(members[0], members))
@@ -247,68 +235,24 @@ def lift_to_coprime(n: int, x: int, y: int) -> tuple[int, int]:
     return a, c
 
 
-def _scaling_matrix(a: int, c: int) -> tuple[int, int, int, int]:
-    """Some (a, b; c, d) in SL2(Z) sending infinity to a/c."""
-    if gcd(a, c) != 1:
-        raise NotCoprime("pair is not coprime")
-    # extended gcd: a*s + c*t = 1
-    s, t = _egcd(a, c)
-    return a, -t, c, s
-
-
-def _egcd(a: int, b: int) -> tuple[int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
-
-
-def mat_mul(m1, m2):
-    a, b, c, d = m1
-    p, q, r, s = m2
-    return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
-
-
-def _in_group(m, n: int, group: str, delta=None) -> bool:
-    a, _, c, _ = m
-    if c % n != 0:
-        return False
-    if group == GAMMA0:
-        return True
-    if group == GAMMA1:
-        return a % n == 1 % n
-    if group == GAMMA_DELTA:
-        return normalize_residue(a, n) in set(delta.elements)
-    raise ValueError(f"unknown group tag {group!r}")
-
-
-@lru_cache(maxsize=None)
-def width_and_stabilizer_sign(n: int, group: str, c: CuspClass, delta=None):
+def width_and_stabilizer_sign(n: int, group: str, c: CuspClass) -> tuple[int, bool]:
     """Width h of the cusp and whether sigma T^h sigma^-1 lies in the group
     itself (True) or only as minus a group element (False).
 
-    h is the least h > 0 with sigma T^h sigma^-1 in +-Gamma; it always
-    divides N because Gamma(N) is contained in every group here.
+    With d = gcd(y, N), h = N/gcd(d^2, N) on Gamma_0(N) and h = N/d on
+    Gamma_1(N).  The one exception is the classically irregular cusp
+    (1 : 2) of X_1(4): width 1, with sigma T sigma^-1 in -Gamma_1(4) only
+    (Diamond-Shurman, GTM 228, section 3.8).
     """
     if c.level != n:
         raise LevelMismatch(f"cusp lives at level {c.level}, not {n}")
-    a0, c0 = lift_to_coprime(n, c.x, c.y)
-    sa, sb, sc, sd = _scaling_matrix(a0, c0)
-    inv = (sd, -sb, -sc, sa)
-    for h in divisors(n):
-        m = mat_mul(mat_mul((sa, sb, sc, sd), (1, h, 0, 1)), inv)
-        neg = tuple(-v for v in m)
-        plus = _in_group(m, n, group, delta)
-        if plus or _in_group(neg, n, group, delta):
-            return h, plus
-    raise RuntimeError("width not found below N; broken conjugation")
+    if group == GAMMA0:
+        return n // gcd(c.d * c.d, n), True
+    if group != GAMMA1:
+        raise ValueError(f"unknown group tag {group!r}")
+    if n == 4 and c.d == 2:
+        return 1, False
+    return n // c.d, True
 
 
 # ---------------------------------------------------------------------------
@@ -323,19 +267,13 @@ def ramification_x1_to_delta(n: int, d: int) -> int:
     if gcd(d, n // d) == 1:
         raise NotIrregular(f"cusps with d = {d} at level {n} are regular")
     delta = delta_d(n, d)
-    worst = 0
-    for c in atlas(n, GAMMA1).with_d(d):
-        orbit = {diamond_image_x1(c, a) for a in delta.elements}
-        worst = max(worst, len(orbit))
-    return worst
+    return max(len(_diamond_orbit(c, delta)) for c in atlas(n, GAMMA1).with_d(d))
 
 
 def ramification_x0_tower(p: int, m: int, x: int) -> int:
     """Number of distinct Gamma_0(p^2 M) classes among the p coset images
     of the cusp x/p; 1 means the degree-p map X_0(p^2 M) -> X_0(pM) is
     totally ramified there."""
-    from .arith import is_prime
-
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if m % p != 0:

@@ -82,6 +82,14 @@ class BadFlag(DomainError):
     pass
 
 
+class NotPositive(DomainError):
+    """A level or worker count below 1."""
+
+
+class BadSpec(DomainError):
+    """An eta-quotient spec file that is missing, not JSON, or malformed."""
+
+
 class NonIntegralGenus(RuntimeError):
     """Genus formula returned a non-integer: implementation bug, not bad input."""
 

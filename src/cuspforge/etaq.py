@@ -16,7 +16,8 @@ The order of E_r at a cusp (x : y) of X_1(N), in the local parameter, is
 with B2~ the 1-periodic extension of B.  The formula is cross-validated
 three ways (product expansion at the infinity cusp, degree-0 divisors,
 and the pinned pole orders at level 20); a mismatch raises instead of
-being patched over.
+being patched over.  The level-20 certificate built from F_EXPONENTS and
+G_EXPONENTS lives in `criteria`, which sits above this module.
 """
 
 from __future__ import annotations
@@ -26,15 +27,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 
-from .criteria import (
-    RULE_ETA,
-    WEIERSTRASS,
-    CertStep,
-    GapSequence,
-    Verdict,
-    gap_sequence_from_nongaps,
-)
-from .cusps import GAMMA1, CuspClass, atlas, canonicalize_x1, width_and_stabilizer_sign
+from .cusps import GAMMA1, CuspClass, atlas, width_and_stabilizer_sign
 from .errors import (
     DomainError,
     LevelMismatch,
@@ -42,8 +35,6 @@ from .errors import (
     RCongruentZero,
     TruncationTooSmall,
 )
-from .genus import g1
-from .symmetry import act_atkin_lehner, build_atkin_lehner
 
 
 def bernoulli2(x) -> Fraction:
@@ -308,54 +299,8 @@ def divisor(q: EtaQuotient) -> CuspDivisor:
 
 
 # ---------------------------------------------------------------------------
-# The level-20 certificate
+# The level-20 certificate's eta quotients: F and G have poles of order 3
+# and 4 at the cusp (1 : 10) of X_1(20) and nowhere else.
 
 F_EXPONENTS = {2: 1, 4: 2, 6: 2, 1: -2, 8: -1, 9: -2}
 G_EXPONENTS = {3: 1, 4: 2, 5: 1, 6: 1, 7: 1, 1: -2, 8: -2, 9: -1, 10: -1}
-
-
-def certify_x1_20() -> tuple[GapSequence, Verdict]:
-    """Recompute the gap sequence 1, 2, 5 at the cusp (1 : 10) of X_1(20)
-    and propagate weight 2 to all four irregular cusps via W_4, W_20, W_5."""
-    n = 20
-    s = canonicalize_x1(n, 1, 10)
-    f = EtaQuotient.make(n, F_EXPONENTS)
-    g = EtaQuotient.make(n, G_EXPONENTS)
-
-    div_f, div_g = divisor(f), divisor(g)
-    if div_f.pole_part() != {s: -3}:
-        raise RuntimeError(f"pole part of f is {div_f.pole_part()}, expected 3*(1:10)")
-    if div_g.pole_part() != {s: -4}:
-        raise RuntimeError(f"pole part of g is {div_g.pole_part()}, expected 4*(1:10)")
-
-    genus = g1(n)
-    if genus != 3:
-        raise RuntimeError(f"g_1(20) = {genus}, expected 3")
-    gapseq = gap_sequence_from_nongaps({3, 4}, genus)
-
-    images = {}
-    for q_ in (4, 20, 5):
-        images[q_] = act_atkin_lehner(build_atkin_lehner(n, q_), s)
-    expected = {
-        4: canonicalize_x1(n, 3, 10),
-        20: canonicalize_x1(n, 1, 2),
-        5: canonicalize_x1(n, 1, 6),
-    }
-    if images != expected:
-        raise RuntimeError(f"Atkin-Lehner images {images} != {expected}")
-    cusps = {s} | set(images.values())
-    if cusps != set(atlas(n, GAMMA1).irregular()):
-        raise RuntimeError("propagated cusps are not exactly the irregular ones")
-
-    step = CertStep(
-        RULE_ETA,
-        {
-            "pole_orders": [3, 4],
-            "gaps": list(gapseq.gaps),
-            "weight": gapseq.weight,
-            "base_cusp": s.key(),
-            "images": {f"W_{q_}": c.key() for q_, c in images.items()},
-        },
-    )
-    verdict = Verdict(WEIERSTRASS, gapseq.weight, (step,))
-    return gapseq, verdict

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import unit_group_generators
+from .arith import divisors, unit_group_generators
 from .cusps import (
     GAMMA0,
     GAMMA1,
@@ -114,8 +114,6 @@ def fixed_cusps(op: DiamondOp, group: str = GAMMA1) -> tuple[CuspClass, ...]:
 
 
 def exact_divisors(n: int) -> list[int]:
-    from .arith import divisors
-
     return [q for q in divisors(n) if gcd(q, n // q) == 1]
 
 

@@ -121,3 +121,56 @@ def bf_g1(n):
     g = 1 + mu / 12 - nu2 / 4 - nu3 / 3 - nuinf / 2
     assert g.denominator == 1
     return int(g)
+
+
+def x1_equivalent(n, p, q):
+    """Literal congruence test: q = +-(p.x + j*p.y, p.y) mod n for some j."""
+    x, y = p[0] % n, p[1] % n
+    u, v = q[0] % n, q[1] % n
+    for s in (1, n - 1):
+        if (s * y - v) % n == 0:
+            for j in range(n):
+                if (s * (x + j * y) - u) % n == 0:
+                    return True
+    return False
+
+
+def _bf_egcd(a, b):
+    """(s, t) with a*s + b*t = gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_s, old_t = -old_s, -old_t
+    return old_s, old_t
+
+
+def _bf_mat_mul(m1, m2):
+    a, b, c, d = m1
+    p, q, r, s = m2
+    return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+
+
+def bf_width_and_sign(n, group, x, y):
+    """Width of the cusp (x : y) on Gamma_0(n) ("gamma0") or Gamma_1(n)
+    ("gamma1") by scanning: the least divisor h of n with
+    sigma T^h sigma^-1 in +-Gamma, sigma in SL2(Z) sending infinity to the
+    cusp, and whether the plus sign already lies in Gamma."""
+    c = y % n or n
+    a = x % n
+    while gcd(a, c) != 1:
+        a += n
+    s, t = _bf_egcd(a, c)
+    sigma, sigma_inv = (a, -t, c, s), (s, t, -c, a)
+    for h in bf_divisors(n):
+        m = _bf_mat_mul(_bf_mat_mul(sigma, (1, h, 0, 1)), sigma_inv)
+        for sign in (1, -1):
+            top_left, _, bottom_left, _ = (sign * v for v in m)
+            if bottom_left % n == 0 and (group == "gamma0" or top_left % n == 1 % n):
+                return h, sign == 1
+    raise AssertionError(f"no width below {n} for ({x} : {y})")

@@ -10,6 +10,7 @@ from cuspforge.criteria import (
     NOT_WEIERSTRASS,
     UNKNOWN,
     WEIERSTRASS,
+    certify_x1_20,
     survey_x1,
     x0_verdict,
     x1_verdict,
@@ -26,7 +27,6 @@ from cuspforge.etaq import (
     EtaQuotient,
     F_EXPONENTS,
     G_EXPONENTS,
-    certify_x1_20,
     divisor,
     ord_at_cusp_exact,
     quotient_series,

@@ -1,7 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from cuspforge.cli import run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _run(argv):
@@ -130,3 +138,42 @@ def test_missing_required_flag():
 def test_unknown_command():
     code, text = _run(["frobnicate"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, spec, error",
+    [
+        (["genus", "--level", "0", "--gamma1"], None, "NotPositive"),
+        (["cusps", "--level", "0", "--gamma1"], None, "NotPositive"),
+        (["orbits", "--level", "0"], None, "NotPositive"),
+        (["genus", "--level", "-4", "--gamma1"], None, "NotPositive"),
+        (["genus", "--level", "20", "--delta", "x"], None, "BadFlag"),
+        (["eta", "div", "--spec", "missing.json"], None, "BadSpec"),
+        (["eta", "div", "--spec", "spec.json"], '{"level": 20}', "BadSpec"),
+        (["eta", "div", "--spec", "spec.json"], '{"exponents": {"1": 1}}', "BadSpec"),
+        (["eta", "div", "--spec", "spec.json"], "level 20", "BadSpec"),
+        (["eta", "div", "--spec", "spec.json"], '{"level": 0, "exponents": {}}', "NotPositive"),
+        (["survey", "x1", "--max", "40", "--jobs", "0"], None, "NotPositive"),
+        (["survey", "x1", "--max", "40", "--jobs", "-3"], None, "NotPositive"),
+    ],
+)
+def test_invalid_input_exits_2(argv, spec, error, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if spec is not None:
+        (tmp_path / "spec.json").write_text(spec)
+    code, text = _run(argv)
+    assert code == 2
+    assert json.loads(text)["error"]["type"] == error
+
+
+def test_module_entry_point():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuspforge.cli", "genus", "--level", "20", "--gamma1"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["g"] == 3

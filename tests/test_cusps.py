@@ -14,7 +14,6 @@ from cuspforge.cusps import (
     ramification_x0_tower,
     ramification_x1_to_delta,
     width_and_stabilizer_sign,
-    x1_equivalent,
 )
 from cuspforge.arith import delta_d, divisors, pm_one
 from cuspforge.errors import (
@@ -27,7 +26,13 @@ from cuspforge.errors import (
 from cuspforge.genus import genus_delta, mu
 from cuspforge.arith import full_units
 
-from oracles import bf_counts_by_d, bf_x0_orbits, bf_x1_orbits
+from oracles import (
+    bf_counts_by_d,
+    bf_width_and_sign,
+    bf_x0_orbits,
+    bf_x1_orbits,
+    x1_equivalent,
+)
 
 
 def test_canonicalize_x1_pinned_cusp():
@@ -166,6 +171,15 @@ def test_width_gamma1_4_classically_irregular():
     # the lone classical (stabilizer-sign) irregular cusp
     h, plus = width_and_stabilizer_sign(4, GAMMA1, canonicalize_x1(4, 1, 2))
     assert (h, plus) == (1, False)
+
+
+def test_widths_match_scan_oracle():
+    for n in range(1, 201):
+        for group in (GAMMA0, GAMMA1):
+            for c in atlas(n, group):
+                assert width_and_stabilizer_sign(n, group, c) == bf_width_and_sign(
+                    n, group, c.x, c.y
+                ), (n, group, c)
 
 
 def test_widths_sum_to_index():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspforge.criteria import WEIERSTRASS
+from cuspforge.criteria import WEIERSTRASS, certify_x1_20
 from cuspforge.cusps import GAMMA1, atlas, canonicalize_x1
 from cuspforge.errors import RCongruentZero, TruncationTooSmall
 from cuspforge.etaq import (
@@ -11,7 +11,6 @@ from cuspforge.etaq import (
     F_EXPONENTS,
     G_EXPONENTS,
     bernoulli2,
-    certify_x1_20,
     divisor,
     eta_series,
     ord_at_cusp,

@@ -1,0 +1,56 @@
+"""The package's modules form the layers
+
+    errors -> arith -> cusps -> genus | symmetry -> etaq -> criteria
+    -> __init__ -> cli
+
+Every relative import must point to a strictly earlier layer, and every
+import must sit at module level, so the import graph has no cycles and
+no cycle is hidden inside a function body.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cuspforge"
+
+LAYER = {
+    "errors": 0,
+    "arith": 1,
+    "cusps": 2,
+    "genus": 3,
+    "symmetry": 3,
+    "etaq": 4,
+    "criteria": 5,
+    "__init__": 6,
+    "cli": 7,
+}
+
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+def test_every_module_has_a_layer():
+    assert set(MODULES) == set(LAYER)
+
+
+def _relative_targets(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            yield node.module or "__init__"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_relative_imports_point_to_earlier_layers(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    for target in _relative_targets(tree):
+        assert LAYER[target] < LAYER[module], f"{module} imports {target}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_local_imports(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            local = [n for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))]
+            assert not local, f"{module}.{fn.name} imports inside its body"
