@@ -1,8 +1,8 @@
 """Golden outputs: sha256 of the CLI's stdout for fixed commands.
 
-The digests were recorded before the cusp-width closed form and the
-module re-layering; any change to what these commands print is a
-regression, not a reason to re-record.
+The digests were recorded before the cusp-width closed form, the module
+re-layering and the integer genus core; any change to what these
+commands print is a regression, not a reason to re-record.
 """
 
 import hashlib
@@ -48,6 +48,14 @@ GOLDEN = {
         "276e983839054eeb90284f99a07865df08d9efdb9c56b0642178e2faba3af38c",
     "cusps --level 5040 --gamma0":
         "ba637970e66ee18763cfdd71f711cea40367655cdf201cf4ada67d605f33a699",
+    # the mu/nu2/nu3/nu_inf encoding for a large Delta and a generated one
+    "genus --level 2003 --gamma0":
+        "d9ab33253318bc90fed293603ece454e8a8aa61b62659c408a5cb09d77ffb9c8",
+    "genus --level 720 --delta 7":
+        "a7414922a65a16a4992f0f5c74c00937ae67459aa0d7cc7d72db7dde3524d557",
+    # serial survey rows
+    "survey x1 --max 2000 --format tsv --jobs 1":
+        "2ecbca3793f88877c15bc9689940b7ebe6042bd78e818f96f63ea1694db17f54",
 }
 
 
