@@ -1,4 +1,9 @@
-"""Exact arithmetic mod N: totients, divisors, and subgroups of (Z/NZ)*.
+"""Exact arithmetic mod N: factorizations, totients, divisors, and
+subgroups of (Z/NZ)*.
+
+`factorize` works by trial division; `factorizations` reads a whole range
+off one smallest-prime-factor sieve, and totients and divisors are built
+from the factorization.
 
 Residues are normalized to 1..N, so the trivial groups mod 1 and mod 2
 collapse to {1} and no downstream formula needs a special case.  Everything
@@ -7,9 +12,10 @@ here is integer arithmetic; no floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd
+from itertools import compress
+from math import gcd, isqrt
 
 from .errors import NonUnitGenerator, NotADivisor
 
@@ -41,11 +47,27 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+def factorizations(limit: int) -> list[tuple[tuple[int, int], ...]]:
+    """factorize(n) at index n for 1 <= n <= limit (index 0 holds ()),
+    read off one smallest-prime-factor sieve."""
+    spf = list(range(limit + 1))
+    for p in range(isqrt(limit), 1, -1):
+        # descending, so the smallest prime factor is written last
+        if all(p % q for q in range(2, isqrt(p) + 1)):
+            spf[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
+    out: list[tuple[tuple[int, int], ...]] = [(), ()]
+    for n in range(2, limit + 1):
+        p = spf[n]
+        rest = out[n // p]
+        if rest and rest[0][0] == p:
+            out.append(((p, rest[0][1] + 1),) + rest[1:])
+        else:
+            out.append(((p, 1),) + rest)
+    return out[: limit + 1]
+
+
 def totient(n: int) -> int:
     """Euler phi(n); phi(1) = 1 by convention."""
-    if n < 1:
-        raise ValueError("n must be positive")
     out = n
     for p, _ in factorize(n):
         out = out // p * (p - 1)
@@ -54,24 +76,18 @@ def totient(n: int) -> int:
 
 def divisors(n: int) -> list[int]:
     """All divisors of n in increasing order."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    out = [1]
+    for p, a in factorize(n):
+        out = [d * p**k for d in out for k in range(a + 1)]
+    return sorted(out)
 
 
 def units(n: int) -> list[int]:
     """The units of Z/nZ as residues in 1..n; [1] for n = 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return [a for a in range(1, n + 1) if gcd(a, n) == 1]
+    coprime = bytearray([0]) + bytearray([1]) * n
+    for p, _ in factorize(n):
+        coprime[p::p] = bytes(n // p)
+    return list(compress(range(n + 1), coprime))
 
 
 def is_prime(n: int) -> bool:
@@ -85,26 +101,59 @@ def inv_mod(a: int, n: int) -> int:
     return normalize_residue(pow(a, -1, n), n)
 
 
+def _span(n: int, gens, within: frozenset | None = None) -> list[int]:
+    """The subgroup of (Z/nZ)* generated by gens, 1 first.
+
+    Each generator g not yet in the span H adds the cosets H*g^j for
+    0 < j < k, where g^k is the first power back in H; (Z/nZ)* is abelian,
+    so the union is <H, g>.  Every element is made once, so the cost is
+    O(|span|) plus one membership test per generator.  With `within`, an
+    element outside that set raises.
+    """
+    one = normalize_residue(1, n)
+    span, seen = [one], {one}
+    for g in gens:
+        if g in seen:
+            continue
+        if gcd(g, n) != 1:
+            raise NonUnitGenerator(f"{g} is not a unit mod {n}")
+        powers, x = [], g
+        while x not in seen:
+            powers.append(x)
+            x = x * g % n or n
+        new = [h * x % n or n for x in powers for h in span]
+        if within is not None and not within.issuperset(new):
+            raise ValueError("element set is not multiplicatively closed")
+        seen.update(new)
+        span += new
+    return span
+
+
 @dataclass(frozen=True)
 class DeltaSubgroup:
-    """A subgroup of (Z/NZ)* containing -1, with sorted element tuple."""
+    """A subgroup of (Z/NZ)* containing -1, with sorted element tuple.
+
+    Closure is proved against a generating set drawn greedily from the
+    elements themselves (see `_span`), not by testing every product: the
+    span of unit generators stays inside the set and reaches every element,
+    so the set is that subgroup.
+    """
 
     level: int
     elements: tuple[int, ...]
+    members: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.level
-        elems = set(self.elements)
-        for a in elems:
-            if not 1 <= a <= n or gcd(a, n) != 1:
-                raise NonUnitGenerator(f"{a} is not a unit mod {n}")
-        if normalize_residue(1, n) not in elems or normalize_residue(-1, n) not in elems:
+        members = frozenset(self.elements)
+        if normalize_residue(1, n) not in members or normalize_residue(-1, n) not in members:
             raise ValueError("subgroup must contain 1 and -1")
-        for a in elems:
-            for b in elems:
-                if normalize_residue(a * b, n) not in elems:
-                    raise ValueError("element set is not multiplicatively closed")
-        object.__setattr__(self, "elements", tuple(sorted(elems)))
+        if min(members) < 1 or max(members) > n:
+            raise NonUnitGenerator(f"{self.elements} is not a set of residues 1..{n}")
+        elements = tuple(sorted(members))
+        _span(n, elements, within=members)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "members", members)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -117,23 +166,11 @@ def subgroup_generated(n: int, gens=()) -> DeltaSubgroup:
 
 @lru_cache(maxsize=None)
 def _subgroup_generated(n: int, gens: tuple) -> DeltaSubgroup:
-    # closure multiplies only by the generating set; in a finite group the
-    # generated submonoid is already the subgroup
     for g in gens:
         if gcd(g, n) != 1:
             raise NonUnitGenerator(f"generator {g} shares a factor with {n}")
-    base = {normalize_residue(1, n), normalize_residue(-1, n)}
-    base |= {normalize_residue(g, n) for g in gens}
-    elems = set(base)
-    frontier = list(elems)
-    while frontier:
-        a = frontier.pop()
-        for b in base:
-            c = normalize_residue(a * b, n)
-            if c not in elems:
-                elems.add(c)
-                frontier.append(c)
-    return DeltaSubgroup(n, tuple(sorted(elems)))
+    span = _span(n, [normalize_residue(g, n) for g in (-1, *gens)])
+    return DeltaSubgroup(n, tuple(sorted(span)))
 
 
 def pm_one(n: int) -> DeltaSubgroup:
@@ -155,10 +192,9 @@ def delta_d(n: int, d: int) -> DeltaSubgroup:
     """
     if d < 1 or n % d != 0:
         raise NotADivisor(f"{d} does not divide {n}")
-    e = gcd(d, n // d)
-    m = n // e
-    elems = tuple(a for a in units(n) if a % m == 1 % m or (-a) % m == 1 % m)
-    return DeltaSubgroup(n, elems)
+    m = n // gcd(d, n // d)
+    lifts = {normalize_residue(s + k * m, n) for k in range(n // m) for s in (1, -1)}
+    return DeltaSubgroup(n, tuple(sorted(a for a in lifts if gcd(a, n) == 1)))
 
 
 def projection_image_size(n: int, d: int, delta: DeltaSubgroup) -> int:

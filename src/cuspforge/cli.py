@@ -58,7 +58,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("curve", choices=["x1"])
     sp.add_argument("--max", type=int, required=True)
     sp.add_argument("--format", choices=["json", "tsv"], default="json")
-    sp.add_argument("--jobs", type=int, default=None)
+    sp.add_argument(
+        "--jobs", type=int, default=None, help="at least 1; the survey runs serially"
+    )
 
     sp = sub.add_parser("eta", description="Eta-block series and quotient divisors.")
     sp.add_argument("what", choices=["series", "div"])

@@ -90,9 +90,15 @@ class BadSpec(DomainError):
     """An eta-quotient spec file that is missing, not JSON, or malformed."""
 
 
+class NotAFunction(DomainError):
+    """An eta quotient whose divisor has a non-integral order or nonzero
+    degree, so it is not a function on X_1(N)."""
+
+
 class NonIntegralGenus(RuntimeError):
     """Genus formula returned a non-integer: implementation bug, not bad input."""
 
 
 class NonzeroDegree(RuntimeError):
-    """Divisor of a supposed modular function has nonzero total degree."""
+    """A quotient the package builds as a function (the level-20
+    certificate's F and G) is not one: the order formula is broken."""

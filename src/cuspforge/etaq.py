@@ -31,7 +31,7 @@ from .cusps import GAMMA1, CuspClass, atlas, width_and_stabilizer_sign
 from .errors import (
     DomainError,
     LevelMismatch,
-    NonzeroDegree,
+    NotAFunction,
     RCongruentZero,
     TruncationTooSmall,
 )
@@ -252,7 +252,7 @@ def ord_at_cusp(q: EtaQuotient, c: CuspClass) -> int:
     """Order of vanishing in the local parameter at a cusp of X_1(N)."""
     order = ord_at_cusp_exact(q, c)
     if order.denominator != 1:
-        raise NonzeroDegree(
+        raise NotAFunction(
             f"order {order} at {c} is not an integer; not a function on X_1({q.level})"
         )
     return int(order)
@@ -292,7 +292,7 @@ def divisor(q: EtaQuotient) -> CuspDivisor:
         if o != 0:
             entries.append((c, o))
     if total != 0:
-        raise NonzeroDegree(
+        raise NotAFunction(
             f"divisor has degree {total}; not a modular function on X_1({q.level})"
         )
     return CuspDivisor(q.level, tuple(entries))

@@ -5,7 +5,20 @@
 with mu = N * prod_{p|N} (1 + 1/p) * phi(N)/|Delta|, nu2 and nu3 counting
 solutions of b^2 + 1 = 0 and b^2 - b + 1 = 0 inside Delta (scaled by
 phi(N)/|Delta|), and nu_inf = sum over d | N of phi(d) phi(N/d) / |pi_d(Delta)|.
-All arithmetic is exact; a non-integer g means a bug, not bad input.
+Each count times |Delta| is an integer (|pi_d(Delta)| divides |Delta|), so
+`genus_delta` forms 12 |Delta| g as one integer numerator and divides once;
+a numerator that is not a non-negative multiple of 12 |Delta| means a bug,
+not bad input.
+
+`g0` and `g1` are the textbook closed forms over the factorization
+(Diamond-Shurman, A First Course in Modular Forms, GTM 228, Sections 3.1
+and 3.9), built from multiplicative sums over the prime powers p^a || N:
+
+    12 g0 = 12 + mu0 - 3 nu2 - 4 nu3 - 6 sum_{d|N} phi(gcd(d, N/d))
+    24 g1 = 24 + N^2 prod_{p|N} (1 - 1/p^2) - 6 sum_{d|N} phi(d) phi(N/d)
+
+the second for N >= 5; X_1(N) has genus 0 below that.  The tests hold
+both to `genus_delta` at Delta = all units and Delta = {+-1}.
 """
 
 from __future__ import annotations
@@ -13,13 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, prod
 
 from .arith import (
     DeltaSubgroup,
     divisors,
     factorize,
-    full_units,
-    pm_one,
     projection_image_size,
     totient,
 )
@@ -51,54 +63,93 @@ class GenusProfile:
         }
 
 
+def _psi(n: int) -> int:
+    """N prod_{p|N} (1 + 1/p), the index of Gamma_0(N) in SL2(Z)."""
+    return prod(p ** (a - 1) * (p + 1) for p, a in factorize(n))
+
+
+# Each *_num is |Delta| times the count, an integer.
+
+
+def _mu_num(n: int) -> int:
+    return _psi(n) * totient(n)
+
+
+def _nu2_num(n: int, delta: DeltaSubgroup) -> int:
+    return sum(1 for b in delta.elements if (b * b + 1) % n == 0) * totient(n)
+
+
+def _nu3_num(n: int, delta: DeltaSubgroup) -> int:
+    return sum(1 for b in delta.elements if (b * b - b + 1) % n == 0) * totient(n)
+
+
+def _nu_inf_num(n: int, delta: DeltaSubgroup) -> int:
+    image_sizes: dict[int, int] = {}  # by e = gcd(d, N/d), which fixes pi_d
+    total = 0
+    for d in divisors(n):
+        e = gcd(d, n // d)
+        if e not in image_sizes:
+            image_sizes[e] = projection_image_size(n, d, delta)
+        total += totient(d) * totient(n // d) * (len(delta) // image_sizes[e])
+    return total
+
+
 def mu(n: int, delta: DeltaSubgroup) -> Fraction:
     """Degree of X_Delta(N) over X(1)."""
-    out = Fraction(n)
-    for p, _ in factorize(n):
-        out *= 1 + Fraction(1, p)
-    return out * totient(n) / len(delta)
+    return Fraction(_mu_num(n), len(delta))
 
 
 def nu2(n: int, delta: DeltaSubgroup) -> Fraction:
     """Number of elliptic points of order 2."""
-    hits = sum(1 for b in delta.elements if (b * b + 1) % n == 0)
-    return Fraction(hits * totient(n), len(delta))
+    return Fraction(_nu2_num(n, delta), len(delta))
 
 
 def nu3(n: int, delta: DeltaSubgroup) -> Fraction:
     """Number of elliptic points of order 3."""
-    hits = sum(1 for b in delta.elements if (b * b - b + 1) % n == 0)
-    return Fraction(hits * totient(n), len(delta))
+    return Fraction(_nu3_num(n, delta), len(delta))
 
 
 def nu_inf(n: int, delta: DeltaSubgroup) -> Fraction:
     """Number of cusps of X_Delta(N)."""
-    total = Fraction(0)
-    for d in divisors(n):
-        total += Fraction(
-            totient(d) * totient(n // d), projection_image_size(n, d, delta)
-        )
-    return total
+    return Fraction(_nu_inf_num(n, delta), len(delta))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def genus_delta(n: int, delta: DeltaSubgroup) -> GenusProfile:
     if delta.level != n:
         raise ValueError("subgroup level does not match")
-    m_, n2, n3, ni = mu(n, delta), nu2(n, delta), nu3(n, delta), nu_inf(n, delta)
-    g = 1 + m_ / 12 - n2 / 4 - n3 / 3 - ni / 2
-    if g.denominator != 1 or g < 0:
-        raise NonIntegralGenus(f"g({n}, {delta.elements}) = {g}")
-    return GenusProfile(n, delta, m_, n2, n3, ni, int(g))
+    size = len(delta)
+    m_, n2, n3 = _mu_num(n), _nu2_num(n, delta), _nu3_num(n, delta)
+    ni = _nu_inf_num(n, delta)
+    num = 12 * size + m_ - 3 * n2 - 4 * n3 - 6 * ni  # 12 |Delta| g
+    g, rem = divmod(num, 12 * size)
+    if rem or g < 0:
+        raise NonIntegralGenus(f"g({n}, {delta.elements}) = {Fraction(num, 12 * size)}")
+    return GenusProfile(
+        n, delta, *(Fraction(v, size) for v in (m_, n2, n3, ni)), g
+    )
 
 
 @lru_cache(maxsize=None)
 def g1(n: int) -> int:
-    """Genus of X_1(N)."""
-    return genus_delta(n, pm_one(n)).g
+    """Genus of X_1(N), closed form."""
+    fac = factorize(n)
+    if n < 5:
+        return 0
+    index, cusp_sum = 1, 1  # N^2 prod (1 - 1/p^2), sum phi(d) phi(N/d)
+    for p, a in fac:
+        index *= p ** (2 * a - 2) * (p * p - 1)
+        cusp_sum *= sum(totient(p**b) * totient(p ** (a - b)) for b in range(a + 1))
+    return (24 + index - 6 * cusp_sum) // 24
 
 
 @lru_cache(maxsize=None)
 def g0(n: int) -> int:
-    """Genus of X_0(N)."""
-    return genus_delta(n, full_units(n)).g
+    """Genus of X_0(N), closed form."""
+    nu2_, nu3_, cusps = 1, 1, 1
+    for p, a in factorize(n):
+        # 1 + (-1/p) and 1 + (-3/p); 4 | N and 9 | N leave no elliptic points
+        nu2_ *= (a == 1) if p == 2 else 2 * (p % 4 == 1)
+        nu3_ *= (a == 1) if p == 3 else 2 * (p % 3 == 1)
+        cusps *= sum(totient(p ** min(b, a - b)) for b in range(a + 1))
+    return (12 + _psi(n) - 3 * nu2_ - 4 * nu3_ - 6 * cusps) // 12

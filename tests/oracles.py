@@ -85,42 +85,42 @@ def bf_counts_by_d(n, orbit_list):
     return counts
 
 
-def bf_g1(n):
-    """Genus of X_1(n) straight from the formula, own arithmetic only."""
-    delta = sorted({1 % n if n > 1 else 1, (-1) % n if n > 1 else 1})
-    if n > 1 and delta[0] == 0:
-        delta = [d if d != 0 else n for d in delta]
-    size = len(delta)
-    mu = Fraction(n)
-    m = n
-    p = 2
-    primes = set()
-    while p * p <= m:
-        while m % p == 0:
-            primes.add(p)
-            m //= p
-        p += 1
-    if m > 1:
-        primes.add(m)
-    for p in primes:
-        mu *= Fraction(p + 1, p)
-    mu *= Fraction(bf_phi(n), size)
+def bf_is_closed(n, elements):
+    """Pairwise test: every product of two elements, reduced into 1..n, is
+    again an element."""
+    elems = set(elements)
+    return all(((a * b) % n or n) in elems for a in elems for b in elems)
 
-    nu2 = Fraction(
-        sum(1 for b in delta if (b * b + 1) % n == 0) * bf_phi(n), size
-    )
-    nu3 = Fraction(
-        sum(1 for b in delta if (b * b - b + 1) % n == 0) * bf_phi(n), size
-    )
+
+def bf_genus_profile(n, elements):
+    """(mu, nu2, nu3, nu_inf, g) of X_Delta(n) for the subgroup with these
+    residues, as four Fraction sums with its own primes and totients."""
+    delta = sorted(set(elements))
+    size = len(delta)
+    phi = bf_phi(n)
+    mu = Fraction(n * phi, size)
+    m, p = n, 2
+    while m > 1:
+        if m % p == 0:
+            mu *= Fraction(p + 1, p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    nu2 = Fraction(sum(1 for b in delta if (b * b + 1) % n == 0) * phi, size)
+    nu3 = Fraction(sum(1 for b in delta if (b * b - b + 1) % n == 0) * phi, size)
     nuinf = Fraction(0)
     for d in bf_divisors(n):
-        m_ = d * (n // d) // gcd(d, n // d)
-        image = {a % m_ for a in delta}
-        image = {a if a != 0 else m_ for a in image}
+        m = d * (n // d) // gcd(d, n // d)
+        image = {a % m or m for a in delta}
         nuinf += Fraction(bf_phi(d) * bf_phi(n // d), len(image))
     g = 1 + mu / 12 - nu2 / 4 - nu3 / 3 - nuinf / 2
-    assert g.denominator == 1
-    return int(g)
+    assert g.denominator == 1 and g >= 0
+    return mu, nu2, nu3, nuinf, int(g)
+
+
+def bf_g1(n):
+    """Genus of X_1(n) straight from the formula, own arithmetic only."""
+    return bf_genus_profile(n, {1 % n or n, (-1) % n or n})[-1]
 
 
 def x1_equivalent(n, p, q):

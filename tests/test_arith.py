@@ -2,11 +2,16 @@ import random
 from math import gcd
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspforge.arith import (
     DeltaSubgroup,
     delta_d,
     divisors,
+    factorizations,
+    factorize,
     full_units,
     pm_one,
     projection_image_size,
@@ -17,7 +22,7 @@ from cuspforge.arith import (
 )
 from cuspforge.errors import NonUnitGenerator, NotADivisor
 
-from oracles import bf_phi
+from oracles import bf_is_closed, bf_phi
 
 
 def test_totient_values():
@@ -143,3 +148,48 @@ def test_unit_group_generators_generate():
 def test_subgroup_validation_rejects_unclosed():
     with pytest.raises(ValueError):
         DeltaSubgroup(20, (1, 3, 19))
+
+
+def test_delta_subgroup_validation_matches_pairwise_oracle_on_subgroups():
+    for n in range(1, 61):
+        for g in units(n):
+            sub = subgroup_generated(n, (g,))
+            assert bf_is_closed(n, sub.elements)
+            assert DeltaSubgroup(n, sub.elements).members == frozenset(sub.elements)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_delta_subgroup_accepts_exactly_closed_sets(data):
+    n = data.draw(st.integers(1, 60))
+    pm = {1 % n or n, -1 % n or n}
+    elems = pm | data.draw(st.sets(st.sampled_from(units(n))))
+    if data.draw(st.booleans()):
+        # close the draw up to a subgroup, then perhaps toggle one unit
+        elems = set(subgroup_generated(n, tuple(elems)).elements)
+        elems ^= data.draw(st.sets(st.sampled_from(units(n)), max_size=1)) - pm
+    try:
+        DeltaSubgroup(n, tuple(elems))
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == bf_is_closed(n, elems)
+
+
+def test_subgroup_equality_ignores_member_set():
+    a, b = DeltaSubgroup(20, (1, 9, 11, 19)), delta_d(20, 2)
+    assert a == b and hash(a) == hash(b) and a.members == {1, 9, 11, 19}
+
+
+def test_factorize_totient_divisors_against_sympy():
+    for n in range(1, 10001):
+        assert dict(factorize(n)) == sympy.factorint(n), n
+        assert totient(n) == sympy.totient(n), n
+        assert divisors(n) == sympy.divisors(n), n
+
+
+def test_sieve_factorizations_against_sympy():
+    table = factorizations(10000)
+    assert len(table) == 10001 and table[1] == ()
+    for n in range(1, 10001):
+        assert table[n] == tuple(sorted(sympy.factorint(n).items())), n

@@ -74,6 +74,12 @@ def test_al_reduce():
     assert al_divisor_orbit(24, 4) == {2, 4, 6, 12}
 
 
+def test_al_reduce_closed_form_matches_orbit_minimum():
+    for n in range(1, 1501):
+        for d in divisors(n):
+            assert atkin_lehner_reduce(n, d) == min(al_divisor_orbit(n, d)), (n, d)
+
+
 def test_al_orbit_preserves_e_and_phi_product():
     from cuspforge.arith import totient
 

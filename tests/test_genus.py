@@ -15,7 +15,7 @@ from cuspforge.arith import (
 from cuspforge.cusps import GAMMA0, GAMMA1, atlas
 from cuspforge.genus import g0, g1, genus_delta, mu, nu2, nu3, nu_inf
 
-from oracles import bf_g1
+from oracles import bf_g1, bf_genus_profile
 
 
 def test_mu_values():
@@ -60,6 +60,32 @@ def test_g0_g1_values():
 def test_g1_against_independent_formula():
     for n in range(1, 101):
         assert g1(n) == bf_g1(n)
+
+
+def _single_generator_subgroups(n):
+    seen = set()
+    for g in units(n):
+        sub = subgroup_generated(n, (g,))
+        if sub.elements not in seen:
+            seen.add(sub.elements)
+            yield sub
+
+
+def test_genus_delta_matches_fraction_oracle():
+    for n in range(1, 301):
+        subgroups = {pm_one(n), full_units(n), *(delta_d(n, d) for d in divisors(n))}
+        subgroups.update(_single_generator_subgroups(n))
+        for delta in subgroups:
+            p = genus_delta(n, delta)
+            assert (p.mu, p.nu2, p.nu3, p.nu_inf, p.g) == bf_genus_profile(
+                n, delta.elements
+            ), (n, delta.elements)
+
+
+def test_closed_forms_match_genus_delta():
+    for n in range(1, 3001):
+        assert g1(n) == genus_delta(n, pm_one(n)).g, n
+        assert g0(n) == genus_delta(n, full_units(n)).g, n
 
 
 def test_mu_identity_for_delta_d():
