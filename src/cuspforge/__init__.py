@@ -34,7 +34,6 @@ from .criteria import (
     GapSequence,
     SurveyReport,
     Verdict,
-    al_divisor_orbit,
     atkin_lehner_reduce,
     certify_x1_20,
     fricke_reduce,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress
 from math import gcd, isqrt
 
 from .errors import NonUnitGenerator, NotADivisor
@@ -84,10 +83,9 @@ def divisors(n: int) -> list[int]:
 
 def units(n: int) -> list[int]:
     """The units of Z/nZ as residues in 1..n; [1] for n = 1."""
-    coprime = bytearray([0]) + bytearray([1]) * n
-    for p, _ in factorize(n):
-        coprime[p::p] = bytes(n // p)
-    return list(compress(range(n + 1), coprime))
+    if n < 1:
+        raise ValueError("n must be positive")
+    return [a for a in range(1, n + 1) if gcd(a, n) == 1]
 
 
 def is_prime(n: int) -> bool:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from math import gcd, prod
 
 from .arith import delta_d, divisors, factorize, factorizations, is_prime, totient
@@ -136,37 +135,12 @@ def fricke_reduce(n: int, d: int) -> int:
     return d if totient(d) <= totient(n // d) else n // d
 
 
-def al_divisor_orbit(n: int, d: int) -> frozenset[int]:
-    """Orbit of the divisor d under all Atkin-Lehner swaps.
-
-    Each W_Q swaps the Q-part of d with Q/(Q-part); prime by prime the
-    exponent b of p in d may be replaced by a - b where p^a || N.  Both
-    e = gcd(d, N/d) and phi(d)phi(N/d) are constant along the orbit.
-    """
-    if d < 1 or n % d != 0:
-        raise NotADivisor(f"{d} does not divide {n}")
-    choices = []
-    for p, a in factorize(n):
-        b = 0
-        dd = d
-        while dd % p == 0:
-            dd //= p
-            b += 1
-        choices.append({p**b, p ** (a - b)})
-    orbit = set()
-    for combo in product(*choices):
-        val = 1
-        for c in combo:
-            val *= c
-        orbit.add(val)
-    return frozenset(orbit)
-
-
 def atkin_lehner_reduce(n: int, d: int) -> int:
     """Smallest divisor in the full Atkin-Lehner orbit of d.
 
-    Prime by prime the smaller of p^b and p^(a-b) wins, so the minimum is
-    prod p^min(b, a-b), which is gcd(d, N/d).
+    Each W_Q swaps the Q-part of d with Q/(Q-part): prime by prime the
+    exponent b of p in d may become a - b, where p^a || N.  The minimum
+    takes p^min(b, a-b) at every prime, which is gcd(d, N/d).
     """
     if d < 1 or n % d != 0:
         raise NotADivisor(f"{d} does not divide {n}")

@@ -14,11 +14,13 @@ not bad input.
 (Diamond-Shurman, A First Course in Modular Forms, GTM 228, Sections 3.1
 and 3.9), built from multiplicative sums over the prime powers p^a || N:
 
-    12 g0 = 12 + mu0 - 3 nu2 - 4 nu3 - 6 sum_{d|N} phi(gcd(d, N/d))
+    12 g0 = 12 + psi(N) - 3 nu2 - 4 nu3 - 6 sum_{d|N} phi(gcd(d, N/d))
     24 g1 = 24 + N^2 prod_{p|N} (1 - 1/p^2) - 6 sum_{d|N} phi(d) phi(N/d)
 
-the second for N >= 5; X_1(N) has genus 0 below that.  The tests hold
-both to `genus_delta` at Delta = all units and Delta = {+-1}.
+with psi(N) = N prod_{p|N} (1 + 1/p), nu2 = prod (1 + (-1/p)) unless 4 | N
+and nu3 = prod (1 + (-3/p)) unless 9 | N; the second holds for N >= 5, and
+X_1(N) has genus 0 below that.  The tests hold both to `genus_delta` at
+Delta = all units and Delta = {+-1}.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import prod
 
 from .arith import (
     DeltaSubgroup,
@@ -84,14 +86,10 @@ def _nu3_num(n: int, delta: DeltaSubgroup) -> int:
 
 
 def _nu_inf_num(n: int, delta: DeltaSubgroup) -> int:
-    image_sizes: dict[int, int] = {}  # by e = gcd(d, N/d), which fixes pi_d
-    total = 0
-    for d in divisors(n):
-        e = gcd(d, n // d)
-        if e not in image_sizes:
-            image_sizes[e] = projection_image_size(n, d, delta)
-        total += totient(d) * totient(n // d) * (len(delta) // image_sizes[e])
-    return total
+    return sum(
+        totient(d) * totient(n // d) * (len(delta) // projection_image_size(n, d, delta))
+        for d in divisors(n)
+    )
 
 
 def mu(n: int, delta: DeltaSubgroup) -> Fraction:

@@ -123,6 +123,26 @@ def bf_g1(n):
     return bf_genus_profile(n, {1 % n or n, (-1) % n or n})[-1]
 
 
+def bf_al_orbits(n):
+    """Orbit of every divisor of n under the Atkin-Lehner swaps, by closure:
+    W_Q for Q || n sends d to (d/g)(Q/g) with g = gcd(d, Q)."""
+    divs = bf_divisors(n)
+    exact = [q for q in divs if gcd(q, n // q) == 1]
+    orbits = {}
+    for d in divs:
+        orbit, frontier = {d}, [d]
+        while frontier:
+            x = frontier.pop()
+            for q in exact:
+                g = gcd(x, q)
+                y = (x // g) * (q // g)
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        orbits[d] = orbit
+    return orbits
+
+
 def x1_equivalent(n, p, q):
     """Literal congruence test: q = +-(p.x + j*p.y, p.y) mod n for some j."""
     x, y = p[0] % n, p[1] % n
