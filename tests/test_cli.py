@@ -153,9 +153,9 @@ def test_unknown_command():
         (["eta", "div", "--spec", "spec.json"], '{"exponents": {"1": 1}}', "BadSpec"),
         (["eta", "div", "--spec", "spec.json"], "level 20", "BadSpec"),
         (["eta", "div", "--spec", "spec.json"], '{"level": 0, "exponents": {}}', "NotPositive"),
-        (["eta", "div", "--spec", "spec.json"], '{"level": 20, "exponents": {"1": 1}}', "NotAFunction"),
         (["survey", "x1", "--max", "40", "--jobs", "0"], None, "NotPositive"),
         (["survey", "x1", "--max", "40", "--jobs", "-3"], None, "NotPositive"),
+        (["eta", "div", "--spec", "spec.json"], '{"level": 20, "exponents": {"1": 1}}', "NotAFunction"),
     ],
 )
 def test_invalid_input_exits_2(argv, spec, error, tmp_path, monkeypatch):
