@@ -1,8 +1,8 @@
 """Golden outputs: sha256 of the CLI's stdout for fixed commands.
 
 The digests were recorded before the cusp-width closed form, the module
-re-layering and the integer genus core; any change to what these
-commands print is a regression, not a reason to re-record.
+re-layering, the integer genus core and the dense eta kernel; any change
+to what these commands print is a regression, not a reason to re-record.
 """
 
 import hashlib
@@ -14,6 +14,10 @@ import pytest
 from cuspforge.cli import run
 
 F_SPEC = {"level": 20, "exponents": {"2": 1, "4": 2, "6": 2, "1": -2, "8": -1, "9": -2}}
+G_SPEC = {
+    "level": 20,
+    "exponents": {"3": 1, "4": 2, "5": 1, "6": 1, "7": 1, "1": -2, "8": -2, "9": -1, "10": -1},
+}
 
 GOLDEN = {
     # the README's CLI examples
@@ -56,12 +60,21 @@ GOLDEN = {
     # serial survey rows
     "survey x1 --max 2000 --format tsv --jobs 1":
         "2ecbca3793f88877c15bc9689940b7ebe6042bd78e818f96f63ea1694db17f54",
+    # a long eta block, a block with a negative leading exponent, and G
+    # past the default truncation
+    "eta series --level 60 --r 7 --terms 10000":
+        "ec3ad24dc82fe90eead27f924a86fc049b720136eee80a162405f0a3db81c2f6",
+    "eta series --level 20 --r 10 --terms 30":
+        "52ee70ca9b5f66ecaa85def91836eb68ed1d53ac6f8bc115929c9e46b326caf1",
+    "eta div --spec g.json --terms 400":
+        "d826cecdb55c0fadf74fd31fda3ef974161661e26d8e5c44a065b3137535dd99",
 }
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_golden_output(command, tmp_path, monkeypatch):
     (tmp_path / "f.json").write_text(json.dumps(F_SPEC))
+    (tmp_path / "g.json").write_text(json.dumps(G_SPEC))
     monkeypatch.chdir(tmp_path)
     buf = io.StringIO()
     code = run(command.split(), stdout=buf)
