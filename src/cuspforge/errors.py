@@ -70,6 +70,10 @@ class TruncationTooSmall(DomainError):
     pass
 
 
+class TruncationTooLarge(DomainError):
+    """A series expansion whose length or work exceeds the cost bound."""
+
+
 class InconsistentGapCount(DomainError):
     pass
 

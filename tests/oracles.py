@@ -6,6 +6,7 @@ divisor loops) and deliberately shares no logic with the package.
 """
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 
@@ -194,3 +195,112 @@ def bf_width_and_sign(n, group, x, y):
             if bottom_left % n == 0 and (group == "gamma0" or top_left % n == 1 % n):
                 return h, sign == 1
     raise AssertionError(f"no width below {n} for ({x} : {y})")
+
+
+# ---------------------------------------------------------------------------
+# The eta-quotient expansion as the package first computed it: series as
+# dicts from exponent numerator (over 12N) to a Fraction or int, an O(T^2)
+# dict convolution, a Fraction long-division inverse and repeated products.
+# Meant for T <= 200.
+
+
+def _bf_norm_coeff(v):
+    if isinstance(v, Fraction) and v.denominator == 1:
+        return int(v)
+    return v
+
+
+class BfSeries:
+    """coeffs maps exponent numerators over denom to exact coefficients; the
+    series is exact for every numerator strictly below `truncation`."""
+
+    def __init__(self, level, denom, coeffs, truncation):
+        self.level, self.denom = level, denom
+        self.coeffs, self.truncation = coeffs, truncation
+
+    def _lead_num(self):
+        return min(self.coeffs) if self.coeffs else self.truncation
+
+    def __mul__(self, other):
+        if self.level != other.level:
+            raise ValueError("series at different levels")
+        bound = min(
+            self.truncation + other._lead_num(),
+            other.truncation + self._lead_num(),
+        )
+        out = {}
+        for k1, v1 in self.coeffs.items():
+            for k2, v2 in other.coeffs.items():
+                t = k1 + k2
+                if t < bound:
+                    out[t] = out.get(t, 0) + v1 * v2
+        out = {k: _bf_norm_coeff(v) for k, v in out.items() if v != 0}
+        return BfSeries(self.level, self.denom, out, bound)
+
+    def inverse(self):
+        if not self.coeffs:
+            raise ValueError("cannot invert the zero series")
+        alpha = min(self.coeffs)
+        window = self.truncation - alpha
+        if window <= 0:
+            raise ValueError("no terms survive below the truncation")
+        c0 = Fraction(self.coeffs[alpha])
+        offsets = sorted(k - alpha for k in self.coeffs if k != alpha)
+        step = reduce(gcd, offsets, window)
+        inv = {0: 1 / c0}
+        for t in range(step, window, step):
+            acc = Fraction(0)
+            for o in offsets:
+                if o > t:
+                    break
+                if t - o in inv:
+                    acc += Fraction(self.coeffs[alpha + o]) * inv[t - o]
+            if acc:
+                inv[t] = -acc / c0
+        out = {-alpha + t: _bf_norm_coeff(v) for t, v in inv.items() if v != 0}
+        return BfSeries(self.level, self.denom, out, self.truncation - 2 * alpha)
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** (-k)
+        result = BfSeries(self.level, self.denom, {0: 1}, self.truncation)
+        for _ in range(k):
+            result = result * self
+        return result
+
+
+def bf_eta_series(n, r, terms):
+    """E_r at level n, multiplied out factor by factor on the dict."""
+    r %= n
+    r = min(r, n - r)
+    denom = 12 * n
+    lead = 6 * r * r - 6 * r * n + n * n  # 12N * (N*B(r/N)/2)
+    bound = lead + denom * terms
+    coeffs = {lead: 1}
+    exps = []
+    m = 1
+    while (m - 1) * n + r <= terms or m * n - r <= terms:
+        exps += [(m - 1) * n + r, m * n - r]
+        m += 1
+    for e in exps:
+        if e > terms:
+            continue
+        shift = denom * e
+        for k in sorted(coeffs, reverse=True):
+            t = k + shift
+            if t < bound:
+                v = coeffs.get(t, 0) - coeffs[k]
+                if v:
+                    coeffs[t] = v
+                else:
+                    coeffs.pop(t, None)
+    return BfSeries(n, denom, coeffs, bound)
+
+
+def bf_quotient_series(n, exponents, terms):
+    """prod E_r^k over the (r, k) pairs, by products of powers of the
+    blocks; exact below the returned series' truncation."""
+    result = BfSeries(n, 12 * n, {0: 1}, 12 * n * terms)
+    for r, k in exponents:
+        result = result * (bf_eta_series(n, r, terms) ** k)
+    return result

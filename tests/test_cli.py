@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -156,6 +157,8 @@ def test_unknown_command():
         (["survey", "x1", "--max", "40", "--jobs", "0"], None, "NotPositive"),
         (["survey", "x1", "--max", "40", "--jobs", "-3"], None, "NotPositive"),
         (["eta", "div", "--spec", "spec.json"], '{"level": 20, "exponents": {"1": 1}}', "NotAFunction"),
+        (["eta", "div", "--spec", "spec.json", "--terms", "0"], '{"level": 20, "exponents": {}}', "TruncationTooSmall"),
+        (["eta", "div", "--spec", "spec.json", "--terms", "-3"], '{"level": 20, "exponents": {}}', "TruncationTooSmall"),
     ],
 )
 def test_invalid_input_exits_2(argv, spec, error, tmp_path, monkeypatch):
@@ -165,6 +168,14 @@ def test_invalid_input_exits_2(argv, spec, error, tmp_path, monkeypatch):
     code, text = _run(argv)
     assert code == 2
     assert json.loads(text)["error"]["type"] == error
+
+
+def test_oversized_series_is_refused_quickly():
+    t0 = time.perf_counter()
+    code, text = _run(["eta", "series", "--level", "2", "--r", "1", "--terms", "100000000"])
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert json.loads(text)["error"]["type"] == "TruncationTooLarge"
 
 
 def test_module_entry_point():

@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspforge.criteria import WEIERSTRASS, certify_x1_20
 from cuspforge.cusps import GAMMA1, atlas, canonicalize_x1
-from cuspforge.errors import RCongruentZero, TruncationTooSmall
+from cuspforge.errors import RCongruentZero, TruncationTooLarge, TruncationTooSmall
 from cuspforge.etaq import (
+    MAX_TERMS,
+    MAX_WORK,
     EtaQuotient,
     F_EXPONENTS,
     G_EXPONENTS,
@@ -18,6 +22,8 @@ from cuspforge.etaq import (
     quotient_series,
 )
 from cuspforge.symmetry import cusp_orbits_x1
+
+from oracles import bf_quotient_series
 
 
 def test_bernoulli2_values():
@@ -53,25 +59,26 @@ def test_eta_series_rejects_zero_residue():
 def test_trivial_quotient_is_one():
     q = EtaQuotient.make(20, {})
     s = quotient_series(q, 20)
-    assert s.coeffs == {0: 1}
+    assert s.lead == 0 and s.coeffs == (1,) + (0,) * 19
 
 
-def test_series_inverse():
-    e1 = eta_series(20, 1, 40)
-    prod = e1 * e1.inverse()
-    assert prod.coeffs == {0: 1}
+def test_every_quotient_rejects_fewer_than_one_term():
+    for exps in ({}, F_EXPONENTS):
+        for terms in (0, -3):
+            with pytest.raises(TruncationTooSmall):
+                quotient_series(EtaQuotient.make(20, exps), terms)
 
 
-def test_series_associativity_random():
-    rng = random.Random(23)
-    for _ in range(10):
-        n = rng.choice([10, 12, 15, 20])
-        a = eta_series(n, rng.randrange(1, n), 30)
-        b = eta_series(n, rng.randrange(1, n), 30)
-        c = eta_series(n, rng.randrange(1, n), 30)
-        left, right = (a * b) * c, a * (b * c)
-        assert left.truncation == right.truncation
-        assert left.coeffs == right.coeffs
+def test_cost_bound_refuses_before_expanding():
+    with pytest.raises(TruncationTooLarge):
+        eta_series(2, 1, 10**8)
+    with pytest.raises(TruncationTooLarge):
+        quotient_series(EtaQuotient.make(20, {}), MAX_TERMS + 1)
+    # at level 2, E_1 has one factor pass per whole q-step below T
+    edge = int(MAX_WORK**0.5)
+    assert len(eta_series(2, 1, edge).coeffs) == edge
+    with pytest.raises(TruncationTooLarge):
+        eta_series(2, 1, edge + 2)
 
 
 def _random_quotient(rng, n):
@@ -101,6 +108,74 @@ def test_quotient_series_leading_exponent_matches_order_formula():
         assert series.leading_exponent() == want
         checked += 1
     assert checked >= 20
+
+
+def _assert_agrees_with_oracle(q, terms):
+    series = quotient_series(q, terms)
+    bf = bf_quotient_series(q.level, q.exponents, terms)
+    d = series.denom
+    assert bf.truncation <= series.truncation
+    assert all(k >= series.lead and (k - series.lead) % d == 0 for k in bf.coeffs)
+    for j, c in enumerate(series.coeffs):
+        k = series.lead + d * j
+        if k >= bf.truncation:
+            break
+        assert c == bf.coeffs.get(k, 0), (q, j)
+
+
+def test_dense_kernel_matches_dict_oracle():
+    rng = random.Random(41)
+    for _ in range(25):
+        n = rng.randrange(10, 31)
+        _assert_agrees_with_oracle(_random_quotient(rng, n), rng.randrange(1, 201))
+    for exps in (F_EXPONENTS, G_EXPONENTS):
+        _assert_agrees_with_oracle(EtaQuotient.make(20, exps), 200)
+
+
+def _cauchy(a, b):
+    return tuple(
+        sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(len(a))
+    )
+
+
+@st.composite
+def _quotients(draw, n):
+    exps = st.dictionaries(st.integers(1, n - 1), st.integers(-3, 3), max_size=4)
+    return EtaQuotient.make(n, draw(exps))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_product_quotient_is_cauchy_product(data):
+    n = data.draw(st.integers(2, 30))
+    terms = data.draw(st.integers(1, 60))
+    q1, q2 = data.draw(_quotients(n)), data.draw(_quotients(n))
+    both = dict(q1.exponents)
+    for r, k in q2.exponents:
+        both[r] = both.get(r, 0) + k
+    s1, s2 = quotient_series(q1, terms), quotient_series(q2, terms)
+    s = quotient_series(EtaQuotient.make(n, both), terms)
+    assert s.lead == s1.lead + s2.lead
+    assert s.coeffs == _cauchy(s1.coeffs, s2.coeffs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_quotient_times_its_negation_is_one(data):
+    n = data.draw(st.integers(2, 30))
+    terms = data.draw(st.integers(1, 60))
+    q = data.draw(_quotients(n))
+    neg = EtaQuotient.make(n, {r: -k for r, k in q.exponents})
+    s, t = quotient_series(q, terms), quotient_series(neg, terms)
+    assert s.lead + t.lead == 0
+    assert _cauchy(s.coeffs, t.coeffs) == (1,) + (0,) * (terms - 1)
+
+
+def test_coefficients_are_ints():
+    for exps in (F_EXPONENTS, G_EXPONENTS, {1: -3, 10: 2}):
+        series = quotient_series(EtaQuotient.make(20, exps), 300)
+        assert all(type(c) is int for c in series.coeffs)
+    assert all(type(c) is int for c in eta_series(60, 7, 500).coeffs)
 
 
 def test_exact_orders_sum_to_zero_for_random_quotients():
