@@ -1,8 +1,9 @@
 """Golden outputs: sha256 of the CLI's stdout for fixed commands.
 
 The digests were recorded before the cusp-width closed form, the module
-re-layering, the integer genus core and the dense eta kernel; any change
-to what these commands print is a regression, not a reason to re-record.
+re-layering, the integer genus core, the dense eta kernel and the direct
+X_1 atlas with orbits read off X_0(N); any change to what these commands
+print is a regression, not a reason to re-record.
 """
 
 import hashlib
@@ -68,6 +69,16 @@ GOLDEN = {
         "52ee70ca9b5f66ecaa85def91836eb68ed1d53ac6f8bc115929c9e46b326caf1",
     "eta div --spec g.json --terms 400":
         "d826cecdb55c0fadf74fd31fda3ef974161661e26d8e5c44a065b3137535dd99",
+    # orbits at a large level and at the flagged level 4, the largest
+    # Gamma_1 atlas, and a Delta atlas of diamond orbits
+    "orbits --level 1440":
+        "31691f55c4b721eea1f1ddd0109f97714d30811039bc4f7e18a1573c4b95c6e3",
+    "orbits --level 4":
+        "d54cd3f30d4c5702b02e1994536a5178ceef13980697d46b3c20919571486d7a",
+    "cusps --level 2520 --gamma1":
+        "30a36b55aefed1ce7395eb6ae02e940b5000c8ad28cebdfd0a4a56e2342a485b",
+    "cusps --level 720 --delta 7":
+        "7660771cf63e74d9048351fc2a85acb2059de1e9f9868aa1aa1197d9e5897755",
 }
 
 
