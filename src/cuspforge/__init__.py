@@ -60,9 +60,7 @@ from .etaq import (
 from .genus import GenusProfile, g0, g1, genus_delta, mu, nu2, nu3, nu_inf
 from .symmetry import (
     AtkinLehnerOp,
-    DiamondOp,
     act_atkin_lehner,
-    act_diamond,
     act_sp,
     build_atkin_lehner,
     cusp_orbits_x1,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import NonUnitGenerator, NotADivisor
 
@@ -25,7 +25,7 @@ def normalize_residue(a: int, n: int) -> int:
     return r if r != 0 else n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization ((p, exponent), ...) by trial division."""
     if n < 1:
@@ -71,6 +71,14 @@ def totient(n: int) -> int:
     for p, _ in factorize(n):
         out = out // p * (p - 1)
     return out
+
+
+def cusp_sum(n: int) -> int:
+    """sum over d | n of phi(d) phi(n/d): twice the cusp count of X_1(n), n >= 5."""
+    return prod(
+        sum(totient(p**b) * totient(p ** (a - b)) for b in range(a + 1))
+        for p, a in factorize(n)
+    )
 
 
 def divisors(n: int) -> list[int]:
@@ -162,7 +170,7 @@ def subgroup_generated(n: int, gens=()) -> DeltaSubgroup:
     return _subgroup_generated(n, tuple(sorted({g % n for g in gens})))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _subgroup_generated(n: int, gens: tuple) -> DeltaSubgroup:
     for g in gens:
         if gcd(g, n) != 1:
@@ -181,7 +189,7 @@ def full_units(n: int) -> DeltaSubgroup:
     return DeltaSubgroup(n, tuple(units(n)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def delta_d(n: int, d: int) -> DeltaSubgroup:
     """Units congruent to +-1 mod N/e, where e = gcd(d, N/d).
 
@@ -212,5 +220,5 @@ def unit_group_generators(n: int) -> list[int]:
     for u in units(n):
         if u not in span:
             gens.append(u)
-            span = set(subgroup_generated(n, tuple(gens)).elements)
+            span = set(_span(n, [n - 1, *gens]))
     return gens

@@ -126,10 +126,8 @@ def _dispatch(args) -> tuple[dict, dict, str | None]:
     if cmd == "cusps":
         delta, tag = _delta_for(args, args.level)
         params = {"level": args.level, "group": tag}
-        if tag == GAMMA0:
-            return params, {"cusps": atlas(args.level, GAMMA0).to_json()}, None
-        if tag == GAMMA1:
-            return params, {"cusps": atlas(args.level, GAMMA1).to_json()}, None
+        if tag in (GAMMA0, GAMMA1):
+            return params, {"cusps": atlas(args.level, tag).to_json()}, None
         orbits = atlas_delta(args.level, delta)
         return (
             params,
@@ -168,7 +166,9 @@ def _dispatch(args) -> tuple[dict, dict, str | None]:
         )
 
     if cmd == "survey":
-        report = survey_x1(args.max, jobs=args.jobs)
+        if args.jobs is not None and args.jobs < 1:
+            raise NotPositive(f"jobs must be at least 1, got {args.jobs}")
+        report = survey_x1(args.max)
         params = {"curve": "x1", "max": args.max}
         if args.format == "tsv":
             return params, {}, report.to_tsv()

@@ -27,7 +27,6 @@ from .errors import (
     NotADivisor,
     NotAFunction,
     NotIrregular,
-    NotPositive,
     NotPrime,
 )
 from .etaq import F_EXPONENTS, G_EXPONENTS, EtaQuotient, divisor
@@ -437,18 +436,15 @@ class SurveyReport:
         return "\n".join(lines) + "\n"
 
 
-def survey_x1(max_n: int, jobs: int | None = None) -> SurveyReport:
+def survey_x1(max_n: int) -> SurveyReport:
     """Verdicts for every irregular cusp bucket with 13 <= N <= max_n and
     g_1(N) >= 2, plus the per-d failure sets of the cusp-count inequality.
 
-    The levels are factored by one sieve and run serially; `jobs` is
-    validated (at least 1) and otherwise ignored, since serial beat a
-    process pool at every size measured on two cores.
+    The levels are factored by one sieve and run serially, since serial
+    beat a process pool at every size measured on two cores.
     """
     if max_n < 13:
         raise DomainError("survey needs max_n >= 13")
-    if jobs is not None and jobs < 1:
-        raise NotPositive(f"jobs must be at least 1, got {jobs}")
     facs = factorizations(max_n)
     rows = []
     failures: dict[int, list[int]] = {2: [], 3: [], 4: [], 6: []}

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .arith import delta_d, divisors, inv_mod, is_prime, normalize_residue
+from .arith import cusp_sum, delta_d, divisors, inv_mod, is_prime, normalize_residue
 from .errors import (
+    AtlasTooLarge,
     LevelMismatch,
     NotADivisor,
     NotCoprime,
@@ -26,6 +27,11 @@ from .errors import (
 
 GAMMA0 = "gamma0"
 GAMMA1 = "gamma1"
+
+# Cost bound of the X_1(N) atlas in sum_{d | N} phi(d) phi(N/d), twice its
+# cusp count.  On a 2-vCPU host with CPython 3.11, `cusps --level N --gamma1`
+# took 2.1-2.2 s and 40 MB at N = 10080 and 49999 (sums 98304 and 99996).
+MAX_CUSP_SUM = 10**5
 
 
 @dataclass(frozen=True, order=True)
@@ -129,6 +135,12 @@ def diamond_image_x1(c: CuspClass, a: int) -> CuspClass:
     return canonicalize_x1(n, a * c.x, inv_mod(a, n) * c.y)
 
 
+def x0_image(c: CuspClass) -> CuspClass:
+    """Image of a Gamma_1 class under X_1(N) -> X_0(N); the fibres are the
+    orbits of all diamonds."""
+    return _class_x0(c.level, c.x * (c.y // c.d), c.d)
+
+
 def _diamond_orbit(c: CuspClass, delta) -> set[CuspClass]:
     """The orbit {[a]c : a in Delta} of a Gamma_1 cusp class."""
     return {diamond_image_x1(c, a) for a in delta.elements}
@@ -167,31 +179,36 @@ class CuspAtlas:
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def atlas(n: int, group: str = GAMMA1) -> CuspAtlas:
-    """Complete duplicate-free cusp atlas of X_1(N) or X_0(N)."""
+    """Complete duplicate-free cusp atlas of X_1(N) or X_0(N), sorted.
+
+    The Gamma_1 atlas lists the fixed points of `canonicalize_x1` in order:
+    d | N ascending, y = d*u (u a unit mod N/d) with y <= -y mod N, then the
+    units x mod d, only those with x <= -x mod d when y = -y mod N.
+    """
     if n < 1:
         raise ValueError("level must be positive")
-    found = set()
+    cusps = []
     if group == GAMMA1:
+        if cusp_sum(n) > MAX_CUSP_SUM:  # before any work of order N
+            raise AtlasTooLarge(f"X_1({n}) has more than {MAX_CUSP_SUM // 2} cusps")
         for d in divisors(n):
-            m = n // d
-            for u in range(1, m + 1):
-                if gcd(u, m) != 1:
-                    continue
-                y = d * u
-                for x in range(d):
-                    if gcd(x, d) == 1:
-                        found.add(canonicalize_x1(n, x, y))
+            m, e = n // d, gcd(d, n // d)
+            xs = [x for x in range(d) if gcd(x, d) == 1]
+            half = [x for x in xs if x <= (-x) % d]
+            for y in range(d, n + 1, d):
+                y_neg = normalize_residue(-y, n)
+                if gcd(y // d, m) == 1 and y <= y_neg:
+                    row = xs if y < y_neg else half
+                    cusps += [CuspClass(n, GAMMA1, d, y, x, e, e > 1) for x in row]
     elif group == GAMMA0:
         for d in divisors(n):
             e = gcd(d, n // d)
-            for x in range(e):
-                if gcd(x, e) == 1:
-                    found.add(_class_x0(n, x, d))
+            cusps += sorted(_class_x0(n, x, d) for x in range(e) if gcd(x, e) == 1)
     else:
         raise ValueError(f"unknown group tag {group!r}")
-    return CuspAtlas(n, group, tuple(sorted(found)))
+    return CuspAtlas(n, group, tuple(cusps))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from math import prod
 
 from .arith import (
     DeltaSubgroup,
+    cusp_sum,
     divisors,
     factorize,
     projection_image_size,
@@ -128,20 +129,16 @@ def genus_delta(n: int, delta: DeltaSubgroup) -> GenusProfile:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def g1(n: int) -> int:
     """Genus of X_1(N), closed form."""
-    fac = factorize(n)
     if n < 5:
         return 0
-    index, cusp_sum = 1, 1  # N^2 prod (1 - 1/p^2), sum phi(d) phi(N/d)
-    for p, a in fac:
-        index *= p ** (2 * a - 2) * (p * p - 1)
-        cusp_sum *= sum(totient(p**b) * totient(p ** (a - b)) for b in range(a + 1))
-    return (24 + index - 6 * cusp_sum) // 24
+    index = prod(p ** (2 * a - 2) * (p * p - 1) for p, a in factorize(n))
+    return (24 + index - 6 * cusp_sum(n)) // 24
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def g0(n: int) -> int:
     """Genus of X_0(N), closed form."""
     nu2_, nu3_, cusps = 1, 1, 1

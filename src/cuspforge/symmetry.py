@@ -3,9 +3,10 @@
 [a] sends (x : y) to (a*x : a^-1*y).  W_Q is realized by an integer matrix
 (Qx, y; Nz, Qw) of determinant Q; on X_0(N) classes the induced map does
 not depend on the matrix choice, on X_1(N) classes it is pinned down by the
-canonical extended-gcd construction below (different valid matrices differ
-by a diamond, which the orbit computation absorbs by including diamonds
-among its generators).
+canonical extended-gcd construction below.  Different valid matrices differ
+by a diamond, and the diamond orbits are the fibres of X_1(N) -> X_0(N),
+which each W_Q maps to fibres; so the orbits are preimages of W_Q-orbits of
+X_0(N) cusps, whatever the matrices.
 """
 
 from __future__ import annotations
@@ -23,18 +24,9 @@ from .cusps import (
     diamond_image_x1,
     lift_to_coprime,
     x0_class_of_pair,
+    x0_image,
 )
-from .errors import BadP, LevelMismatch, LevelNotDivisible, NotCoprime, NotExactDivisor
-
-
-@dataclass(frozen=True)
-class DiamondOp:
-    level: int
-    a: int
-
-    def __post_init__(self):
-        if gcd(self.a, self.level) != 1:
-            raise NotCoprime(f"{self.a} is not a unit mod {self.level}")
+from .errors import BadP, LevelMismatch, LevelNotDivisible, NotExactDivisor
 
 
 @dataclass(frozen=True)
@@ -47,14 +39,6 @@ class AtkinLehnerOp:
         a, b, c, d = self.matrix
         if a * d - b * c != self.q:
             raise ValueError("matrix determinant is not Q")
-
-
-def act_diamond(op: DiamondOp, c: CuspClass) -> CuspClass:
-    if op.level != c.level:
-        raise LevelMismatch(f"operator at {op.level}, cusp at {c.level}")
-    if c.group == GAMMA0:
-        return c  # diamonds come from Gamma_0(N) itself
-    return diamond_image_x1(c, op.a)
 
 
 def build_atkin_lehner(n: int, q: int) -> AtkinLehnerOp:
@@ -100,17 +84,12 @@ def act_sp(p: int, n: int, c: CuspClass) -> CuspClass:
         raise LevelMismatch(f"cusp at level {c.level}, not {n}")
     if c.group != GAMMA0:
         raise LevelMismatch("S_p acts on X_0(N) cusp classes")
-    a0, c0 = lift_to_coprime(n, c.x, c.y)
-    a1, c1 = p * a0 + c0, p * c0
-    g = gcd(a1, c1)
-    return x0_class_of_pair(n, a1 // g, c1 // g)
+    return _act_matrix((p, 1, 0, p), c)
 
 
-def fixed_cusps(op: DiamondOp, group: str = GAMMA1) -> tuple[CuspClass, ...]:
-    """All atlas cusps fixed by the diamond action."""
-    return tuple(
-        c for c in atlas(op.level, group) if act_diamond(op, c) == c
-    )
+def fixed_cusps(n: int, a: int) -> tuple[CuspClass, ...]:
+    """All X_1(N) atlas cusps fixed by the diamond [a]."""
+    return tuple(c for c in atlas(n, GAMMA1) if diamond_image_x1(c, a) == c)
 
 
 def exact_divisors(n: int) -> list[int]:
@@ -140,31 +119,28 @@ class OrbitReport:
 
 
 def cusp_orbits_x1(n: int) -> OrbitReport:
-    """Partition of the X_1(N) atlas under all diamonds and all W_Q.
+    """Partition of the X_1(N) atlas under all diamonds and all W_Q, as the
+    preimages of W_Q-orbits of X_0(N) cusps.  On X_0(N) the W_Q form a
+    group, so one class and its W_Q-images make up its orbit.
 
     These generate the full normalizer action except for N = 4, which is
     flagged rather than patched.
     """
+    cusps = atlas(n, GAMMA1)  # refuses oversized levels before the O(N) work
     diamond_gens = unit_group_generators(n)
     al_ops = [build_atkin_lehner(n, q) for q in exact_divisors(n) if q > 1]
     gen_names = tuple(
         [f"[{a}]" for a in diamond_gens] + [f"W_{op.q}" for op in al_ops]
     )
 
-    remaining = set(atlas(n, GAMMA1))
-    orbits = []
-    while remaining:
-        seed = min(remaining)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            c = frontier.pop()
-            images = [diamond_image_x1(c, a) for a in diamond_gens]
-            images += [act_atkin_lehner(op, c) for op in al_ops]
-            for img in images:
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        remaining -= orbit
-        orbits.append(tuple(sorted(orbit)))
-    return OrbitReport(n, tuple(sorted(orbits)), gen_names, n == 4)
+    label: dict[CuspClass, CuspClass] = {}
+    for c0 in atlas(n, GAMMA0):
+        if c0 not in label:
+            for img in [c0] + [act_atkin_lehner(op, c0) for op in al_ops]:
+                label[img] = c0
+    orbits: dict[CuspClass, list[CuspClass]] = {}  # sorted, as the atlas is
+    for c in cusps:
+        orbits.setdefault(label[x0_image(c)], []).append(c)
+    return OrbitReport(
+        n, tuple(tuple(orb) for orb in orbits.values()), gen_names, n == 4
+    )

@@ -72,6 +72,45 @@ def bf_x0_orbits(n, x1_result=None):
     return list(merged.values())
 
 
+def bf_x1_normalizer_orbits(n, x1_result=None):
+    """Cusps of X_1(n) merged under all diamonds and all W_Q: the X_0(n)
+    orbits of bf_x0_orbits, merged again under the image of one pair of
+    each X_1 orbit by a matrix (Q, -t; n, Q s) of determinant Q, where
+    Q s + (n/Q) t = 1.  Returns a list of sets of pairs."""
+    orbits1, index = x1_result if x1_result is not None else bf_x1_orbits(n)
+    merged = bf_x0_orbits(n, (orbits1, index))
+    where = {pair: i for i, orbit in enumerate(merged) for pair in orbit}
+    parent = list(range(len(merged)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for q in bf_divisors(n):
+        if gcd(q, n // q) != 1:
+            continue
+        s, t = _bf_egcd(q, n // q)
+        mat = (q, -t, n, q * s)
+        assert mat[0] * mat[3] - mat[1] * mat[2] == q
+        for orbit in orbits1:
+            x, y = next(iter(orbit))
+            c = y if y != 0 else n
+            a = x
+            while gcd(a, c) != 1:
+                a += n
+            a1, c1 = mat[0] * a + mat[1] * c, mat[2] * a + mat[3] * c
+            g = gcd(a1, c1)
+            ri, rj = find(where[(x, y)]), find(where[(a1 // g % n, c1 // g % n)])
+            if ri != rj:
+                parent[rj] = ri
+    out = {}
+    for i, orbit in enumerate(merged):
+        out.setdefault(find(i), set()).update(orbit)
+    return list(out.values())
+
+
 def bf_d_of_orbit(n, orbit):
     x, y = next(iter(orbit))
     y %= n

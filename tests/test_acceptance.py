@@ -70,7 +70,7 @@ def test_criterion_2_cusp_count_equivalence():
 
 def test_criterion_3_headline_reproduction():
     t0 = time.time()
-    report = survey_x1(300, jobs=1)
+    report = survey_x1(300)
     assert report.non_weierstrass_levels() == (18,)
     for row in report.rows:
         assert row.status in (WEIERSTRASS, NOT_WEIERSTRASS)

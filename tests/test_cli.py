@@ -178,6 +178,28 @@ def test_oversized_series_is_refused_quickly():
     assert json.loads(text)["error"]["type"] == "TruncationTooLarge"
 
 
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (["cusps", "--level", "1000000", "--gamma1"], None),
+        (["orbits", "--level", "1000000"], None),
+        (["eta", "div", "--spec", "spec.json"], '{"level": 1000000, "exponents": {}}'),
+        (["cusps", "--level", "99991", "--gamma1"], None),
+    ],
+)
+def test_oversized_atlas_is_refused_quickly(argv, spec, tmp_path, monkeypatch):
+    # X_1(10^6) has 5.4 million cusps; X_1(99991) has 99990, just past
+    # the bound
+    monkeypatch.chdir(tmp_path)
+    if spec is not None:
+        (tmp_path / "spec.json").write_text(spec)
+    t0 = time.perf_counter()
+    code, text = _run(argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert json.loads(text)["error"]["type"] == "AtlasTooLarge"
+
+
 def test_module_entry_point():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(

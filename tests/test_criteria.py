@@ -224,6 +224,3 @@ def test_survey_rows_sorted_and_deterministic():
     keys = [(r.n, r.d) for r in rep1.rows]
     assert keys == sorted(keys)
 
-
-def test_survey_parallel_matches_serial():
-    assert survey_x1(80, jobs=2) == survey_x1(80, jobs=1)

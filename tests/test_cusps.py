@@ -9,14 +9,19 @@ from cuspforge.cusps import (
     GAMMA1,
     atlas,
     atlas_delta,
+    MAX_CUSP_SUM,
     canonicalize_x0,
     canonicalize_x1,
+    lift_to_coprime,
     ramification_x0_tower,
     ramification_x1_to_delta,
     width_and_stabilizer_sign,
+    x0_class_of_pair,
+    x0_image,
 )
-from cuspforge.arith import delta_d, divisors, pm_one
+from cuspforge.arith import cusp_sum, delta_d, divisors, pm_one
 from cuspforge.errors import (
+    AtlasTooLarge,
     NotADivisor,
     NotCoprime,
     NotIrregular,
@@ -110,6 +115,34 @@ def test_atlas_x1_20():
     assert len(a) == 20
     irregular = {c.key() for c in a.irregular()}
     assert irregular == {"1:2", "1:6", "1:10", "3:10"}
+
+
+def test_atlas_x1_is_the_sorted_scan():
+    # the listing equals the set of canonical forms of all primitive
+    # pairs, in the same order
+    for n in range(1, 151):
+        scan = {
+            canonicalize_x1(n, x, y)
+            for x in range(n)
+            for y in range(1, n + 1)
+            if gcd(gcd(x, y), n) == 1
+        }
+        assert atlas(n, GAMMA1).cusps == tuple(sorted(scan)), n
+
+
+def test_x0_image_is_the_class_of_a_lift():
+    for n in range(1, 101):
+        for c in atlas(n, GAMMA1):
+            assert x0_image(c) == x0_class_of_pair(n, *lift_to_coprime(n, c.x, c.y))
+
+
+def test_atlas_x1_cost_bound():
+    assert cusp_sum(1000000) == 10800000
+    for n in (1000000, 99991):
+        assert cusp_sum(n) > MAX_CUSP_SUM
+        with pytest.raises(AtlasTooLarge):
+            atlas(n, GAMMA1)
+    assert len(atlas(49999, GAMMA1)) == cusp_sum(49999) // 2 <= MAX_CUSP_SUM // 2
 
 
 def test_atlas_x0_12_counts():

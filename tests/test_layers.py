@@ -9,6 +9,7 @@ no cycle is hidden inside a function body.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,16 @@ def test_no_function_local_imports(module):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             local = [n for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))]
             assert not local, f"{module}.{fn.name} imports inside its body"
+
+
+def test_every_cache_is_bounded():
+    # a long-lived process must not grow a cache without bound
+    caches = {}
+    for module in MODULES:
+        mod = importlib.import_module(f"cuspforge.{module}")
+        for name, obj in vars(mod).items():
+            if hasattr(obj, "cache_parameters") and obj.__module__ == mod.__name__:
+                caches[f"{module}.{name}"] = obj.cache_parameters()["maxsize"]
+    assert caches
+    unbounded = [name for name, size in caches.items() if size is None]
+    assert not unbounded, f"unbounded caches: {unbounded}"

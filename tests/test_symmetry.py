@@ -4,13 +4,18 @@ from math import gcd
 import pytest
 
 from cuspforge.arith import delta_d, divisors, units
-from cuspforge.cusps import GAMMA0, GAMMA1, atlas, canonicalize_x0, canonicalize_x1
+from cuspforge.cusps import (
+    GAMMA0,
+    GAMMA1,
+    atlas,
+    canonicalize_x0,
+    canonicalize_x1,
+    diamond_image_x1,
+)
 from cuspforge.errors import BadP, LevelMismatch, LevelNotDivisible, NotExactDivisor
 from cuspforge.symmetry import (
     AtkinLehnerOp,
-    DiamondOp,
     act_atkin_lehner,
-    act_diamond,
     act_sp,
     build_atkin_lehner,
     cusp_orbits_x1,
@@ -18,30 +23,24 @@ from cuspforge.symmetry import (
     fixed_cusps,
 )
 
-from oracles import bf_al_orbits
+from oracles import bf_al_orbits, bf_x1_normalizer_orbits, bf_x1_orbits
 
 
 def test_act_diamond_examples():
     s = canonicalize_x1(20, 1, 10)
-    assert act_diamond(DiamondOp(20, 19), s) == s
-    assert act_diamond(DiamondOp(20, 3), s) == canonicalize_x1(20, 3, 10)
-    assert act_diamond(DiamondOp(20, 9), s) == s  # 9 lies in Delta_10
-
-
-def test_act_diamond_level_mismatch():
-    with pytest.raises(LevelMismatch):
-        act_diamond(DiamondOp(21, 2), canonicalize_x1(20, 1, 10))
+    assert diamond_image_x1(s, 19) == s
+    assert diamond_image_x1(s, 3) == canonicalize_x1(20, 3, 10)
+    assert diamond_image_x1(s, 9) == s  # 9 lies in Delta_10
 
 
 def test_act_diamond_bijection_and_inverse():
     for n in (16, 20, 27):
         for a in units(n):
-            op = DiamondOp(n, a)
-            inv = DiamondOp(n, pow(a, -1, n))
-            images = {act_diamond(op, c) for c in atlas(n, GAMMA1)}
+            inv = pow(a, -1, n)
+            images = {diamond_image_x1(c, a) for c in atlas(n, GAMMA1)}
             assert len(images) == len(atlas(n, GAMMA1))
             for c in atlas(n, GAMMA1):
-                assert act_diamond(inv, act_diamond(op, c)) == c
+                assert diamond_image_x1(diamond_image_x1(c, a), inv) == c
 
 
 def test_diamond_fixes_d_cusps_iff_in_delta_d():
@@ -52,17 +51,15 @@ def test_diamond_fixes_d_cusps_iff_in_delta_d():
             cusps_d = atl.with_d(d)
             members = set(delta_d(n, d).elements)
             for a in units(n):
-                fixes_all = all(
-                    act_diamond(DiamondOp(n, a), c) == c for c in cusps_d
-                )
+                fixes_all = all(diamond_image_x1(c, a) == c for c in cusps_d)
                 assert fixes_all == (a in members)
 
 
 def test_fixed_cusps_examples():
-    fixed9 = set(fixed_cusps(DiamondOp(20, 9), GAMMA1))
+    fixed9 = set(fixed_cusps(20, 9))
     assert set(atlas(20, GAMMA1).irregular()) <= fixed9
-    assert len(fixed_cusps(DiamondOp(20, 19), GAMMA1)) == 20
-    assert fixed_cusps(DiamondOp(13, 5), GAMMA1) == ()
+    assert len(fixed_cusps(20, 19)) == 20
+    assert fixed_cusps(13, 5) == ()
 
 
 def test_lewittes_near_miss_at_level_20():
@@ -71,7 +68,7 @@ def test_lewittes_near_miss_at_level_20():
     # the explicit function certificate
     from cuspforge.criteria import lewittes
 
-    fixed9 = fixed_cusps(DiamondOp(20, 9), GAMMA1)
+    fixed9 = fixed_cusps(20, 9)
     assert len(fixed9) == 4
     assert not lewittes(len(fixed9))
 
@@ -202,6 +199,22 @@ def test_orbit_divisors_stay_in_al_orbit():
         for orbit in report.orbits:
             ds = {c.d for c in orbit}
             assert ds <= bf_al_orbits(n)[next(iter(ds))]
+
+
+def test_orbits_match_normalizer_oracle():
+    # the partition of X_1 classes, by an oracle that merges pair orbits
+    # under the diamonds and its own W_Q matrices
+    for n in range(5, 61):
+        report = cusp_orbits_x1(n)
+        orbits1, index = bf_x1_orbits(n)
+        got = {frozenset(index[(c.x % n, c.y % n)] for c in orb) for orb in report.orbits}
+        want = {
+            frozenset(index[pair] for pair in orb)
+            for orb in bf_x1_normalizer_orbits(n, (orbits1, index))
+        }
+        assert got == want, n
+        assert list(report.orbits) == sorted(report.orbits)
+        assert all(list(orb) == sorted(orb) for orb in report.orbits)
 
 
 def test_orbits_flag_level_four():
