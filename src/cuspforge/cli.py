@@ -213,29 +213,81 @@ def _dispatch(args) -> tuple[dict, dict, str | None]:
     raise UnknownCommand("no command given; see --help")
 
 
+# rows per C-encoder call, and characters gathered before one write
+_SLICE = 512
+_FLUSH = 1 << 16
+
+
+def _flat(values) -> bool:
+    """No dict, list or tuple among the values, checked once per type."""
+    return not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values)))
+
+
+def _key(key) -> str:
+    """A dict key and its colon as the stdlib writes them: non-str keys quoted."""
+    return json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": "
+
+
+def _chunks(obj, nl: str):
+    """Pieces of json.dumps(obj, indent=2) at the depth whose line break is
+    `nl`: one C-encoder call per flat container or per slice of flat rows.
+
+    A flat container is encoded with the line break as item separator.  A
+    list of flat rows is encoded a slice at a time with the field line break
+    as separator for rows and fields alike; JSON escapes every newline in a
+    string, so "}," + break + "{" only ever sits between two rows.
+    """
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        yield json.dumps(obj)
+        return
+    inner = nl + "  "
+    is_dict = isinstance(obj, dict)
+    values = obj.values() if is_dict else obj
+    if _flat(values):
+        text = json.dumps(obj, separators=("," + inner, ": "))
+        yield text[0] + inner + text[1:-1] + nl + text[-1]
+    elif (
+        not is_dict
+        and all(isinstance(v, dict) and v for v in obj)
+        and _flat(x for v in obj for x in v.values())
+    ):
+        field = inner + "  "
+        for i in range(0, len(obj), _SLICE):
+            text = json.dumps(obj[i : i + _SLICE], separators=("," + field, ": "))
+            rows = text[2:-2].replace("}," + field + "{", f"{inner}}},{inner}{{{field}")
+            yield f"{',' if i else '['}{inner}{{{field}{rows}{inner}}}"
+        yield nl + "]"
+    else:
+        sep = "{" if is_dict else "["
+        for key, value in zip(map(_key, obj) if is_dict else [""] * len(obj), values):
+            yield sep + inner + key
+            yield from _chunks(value, inner)
+            sep = ","
+        yield nl + ("}" if is_dict else "]")
+
+
+def _emit(obj, out) -> None:
+    """Write json.dumps(obj, indent=2) + "\n" to out in a few large writes."""
+    buf, size = [], 0
+    for chunk in _chunks(obj, "\n"):
+        buf.append(chunk)
+        size += len(chunk)
+        if size >= _FLUSH:
+            out.write("".join(buf))
+            buf, size = [], 0
+    out.write("".join(buf) + "\n")
+
+
 def run(argv, stdout=None) -> int:
     out = stdout or sys.stdout
     try:
         args = _build_parser().parse_args(argv)
         params, result, raw = _dispatch(args)
-    except (DomainError, BadFlag) as exc:
-        json.dump(
-            {"error": {"type": type(exc).__name__, "message": str(exc)}},
-            out,
-            indent=2,
-        )
-        out.write("\n")
-        return 2
     except SystemExit as exc:  # argparse -h
         return int(exc.code or 0)
-    except Exception as exc:  # invariant violation: report, never traceback
-        json.dump(
-            {"error": {"type": type(exc).__name__, "message": str(exc)}},
-            out,
-            indent=2,
-        )
-        out.write("\n")
-        return 1
+    except Exception as exc:  # bad input exits 2, a broken invariant 1; never a traceback
+        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, out)
+        return 2 if isinstance(exc, DomainError) else 1
     if raw is not None:
         out.write(raw)
         return 0
@@ -245,13 +297,20 @@ def run(argv, stdout=None) -> int:
         "result": result,
         "version": __version__,
     }
-    json.dump(envelope, out, indent=2)
-    out.write("\n")
+    _emit(envelope, out)
     return 0
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: not an error; send what the
+        # interpreter still flushes at exit to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -78,6 +78,10 @@ class AtlasTooLarge(DomainError):
     """An X_1(N) atlas with more cusps than the cost bound."""
 
 
+class UnitGroupTooLarge(DomainError):
+    """A unit group (Z/NZ)* with more elements than the cost bound."""
+
+
 class InconsistentGapCount(DomainError):
     pass
 

@@ -7,8 +7,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cuspforge.cli import run
+from cuspforge.cli import _SLICE, _emit, run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -200,6 +202,23 @@ def test_oversized_atlas_is_refused_quickly(argv, spec, tmp_path, monkeypatch):
     assert json.loads(text)["error"]["type"] == "AtlasTooLarge"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["genus", "--level", "1000000", "--gamma0"],
+        ["cusps", "--level", "1000000", "--gamma0"],
+        ["genus", "--level", "20011", "--gamma0"],
+    ],
+)
+def test_oversized_unit_group_is_refused_quickly(argv):
+    # phi(10^6) = 400000; phi(20011) = 20010, just past the bound
+    t0 = time.perf_counter()
+    code, text = _run(argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert json.loads(text)["error"]["type"] == "UnitGroupTooLarge"
+
+
 def test_module_entry_point():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
@@ -211,3 +230,116 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["g"] == 3
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_pipe_exits_quietly(unbuffered):
+    # a reader that stops early, like `| head`, is not an error
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cuspforge.cli", "survey", "x1", "--max", "2000"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(16)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert b"Traceback" not in stderr, stderr
+
+
+# strings that look like the separators _emit re-indents, and escapes
+TRICKY = ["", "\n", "},\n    {", "},\n      {", '"q"', "\\", "\u00e9\u2603", "\ud83d\ude00", "\t"]
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8)
+    | st.sampled_from(TRICKY)
+)
+KEYS = st.text(max_size=6) | st.sampled_from(TRICKY) | st.integers() | st.booleans() | st.none()
+FLAT_DICTS = st.dictionaries(KEYS, SCALARS, min_size=1, max_size=4)
+TREES = st.recursive(
+    SCALARS,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(KEYS, kids, max_size=4)
+    | st.lists(FLAT_DICTS, min_size=1, max_size=4),
+    max_leaves=30,
+)
+
+
+def _emitted(obj) -> str:
+    buf = io.StringIO()
+    _emit(obj, buf)
+    return buf.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(TREES)
+def test_emit_matches_indented_dumps(obj):
+    assert _emitted(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(FLAT_DICTS, min_size=1, max_size=3),
+    st.sampled_from([_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 3]),
+)
+def test_emit_matches_indented_dumps_across_slices(rows, length):
+    obj = {"result": {"rows": [rows[i % len(rows)] for i in range(length)]}}
+    assert _emitted(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+class _CountingIO(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, s):
+        self.writes += 1
+        return super().write(s)
+
+
+def test_survey_json_is_written_in_few_chunks():
+    # 0.74 MB of JSON; the stdlib's indenting encoder writes once per token
+    buf = _CountingIO()
+    assert run(["survey", "x1", "--max", "10000"], stdout=buf) == 0
+    assert len(buf.getvalue()) > 700_000
+    assert buf.writes <= 30
+
+
+COMMANDS = [
+    [],
+    ["genus"],
+    ["cusps"],
+    ["orbits"],
+    ["verdict"],
+    ["verdict", "x1"],
+    ["verdict", "x0"],
+    ["survey", "x1"],
+    ["eta", "series"],
+    ["eta", "div"],
+    ["certify", "x1-20"],
+    ["frobnicate"],
+]
+FLAGS = ["--level", "--gamma1", "--gamma0", "--delta", "--d", "--p", "--m", "--max",
+         "--format", "--jobs", "--r", "--terms", "--spec", "-h"]
+VALUES = ["0", "1", "2", "3", "4", "7", "9", "12", "16", "18", "20", "-1", "-12",
+          "x", "", "1,-1", "3,7", ",", "tsv", "json", "x1", "missing.json", "."]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from(COMMANDS),
+    st.lists(st.tuples(st.sampled_from(FLAGS), st.lists(st.sampled_from(VALUES), max_size=2)), max_size=4),
+)
+def test_any_short_argv_exits_0_1_or_2(command, flags):
+    argv = command + [token for flag, values in flags for token in (flag, *values)]
+    code, text = _run(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert set(json.loads(text)) == {"error"}
