@@ -12,7 +12,6 @@ here is integer arithmetic; no floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
@@ -87,6 +86,13 @@ def cusp_sum(n: int) -> int:
     )
 
 
+def x0_cusp_count(n: int) -> int:
+    """sum over d | n of phi(gcd(d, n/d)): the cusp count of X_0(n)."""
+    return prod(
+        sum(totient(p ** min(b, a - b)) for b in range(a + 1)) for p, a in factorize(n)
+    )
+
+
 def divisors(n: int) -> list[int]:
     """All divisors of n in increasing order."""
     out = [1]
@@ -141,31 +147,55 @@ def _span(n: int, gens, within: frozenset | None = None) -> list[int]:
     return span
 
 
-@dataclass(frozen=True)
-class DeltaSubgroup:
+class Record:
+    """Base of the records that check their fields when built: slots set
+    once in __init__ through object.__setattr__, read-only afterwards.  The
+    plain value records are NamedTuples."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DeltaSubgroup(Record):
     """A subgroup of (Z/NZ)* containing -1, with sorted element tuple.
 
     Closure is proved against a generating set drawn greedily from the
     elements themselves (see `_span`), not by testing every product: the
     span of unit generators stays inside the set and reaches every element,
-    so the set is that subgroup.
+    so the set is that subgroup.  Equality and hash use the level and the
+    elements only; `members` is the same set, kept for membership tests.
     """
 
-    level: int
-    elements: tuple[int, ...]
-    members: frozenset[int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("level", "elements", "members")
 
-    def __post_init__(self):
-        n = self.level
-        members = frozenset(self.elements)
+    def __init__(self, level: int, elements: tuple[int, ...]):
+        n = level
+        members = frozenset(elements)
         if normalize_residue(1, n) not in members or normalize_residue(-1, n) not in members:
             raise ValueError("subgroup must contain 1 and -1")
         if min(members) < 1 or max(members) > n:
-            raise NonUnitGenerator(f"{self.elements} is not a set of residues 1..{n}")
+            raise NonUnitGenerator(f"{elements} is not a set of residues 1..{n}")
         elements = tuple(sorted(members))
         _span(n, elements, within=members)
+        object.__setattr__(self, "level", level)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "members", members)
+
+    def __eq__(self, other):
+        if type(other) is not DeltaSubgroup:
+            return NotImplemented
+        return self.level == other.level and self.elements == other.elements
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.elements))
+
+    def __repr__(self) -> str:
+        return f"DeltaSubgroup(level={self.level!r}, elements={self.elements!r})"
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -212,13 +242,19 @@ def delta_d(n: int, d: int) -> DeltaSubgroup:
 
 
 def projection_image_size(n: int, d: int, delta: DeltaSubgroup) -> int:
-    """Size of the image of Delta in (Z/lcm(d, N/d)Z)*."""
+    """Size of the image of Delta in (Z/lcm(d, N/d)Z)*.
+
+    With e = gcd(d, N/d) and m = lcm(d, N/d) = N/e, the kernel of reduction
+    mod m is {1 + j*m : 0 <= j < e} (m has every prime of N, so each is a
+    unit), and the image has size |Delta| / |Delta meet kernel|.
+    """
     if d < 1 or n % d != 0:
         raise NotADivisor(f"{d} does not divide {n}")
     if delta.level != n:
         raise ValueError("subgroup level does not match")
-    m = d * (n // d) // gcd(d, n // d)  # lcm(d, N/d) = N/e
-    return len({normalize_residue(a, m) for a in delta.elements})
+    e = gcd(d, n // d)
+    m = n // e
+    return len(delta) // sum((1 + j * m) in delta.members for j in range(e))
 
 
 def unit_group_generators(n: int) -> list[int]:

@@ -75,16 +75,22 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _group_tag(args) -> str:
+    return GAMMA0 if args.gamma0 else "delta" if args.delta else GAMMA1
+
+
 def _delta_for(args, n: int):
+    """The subgroup Delta that the group flags name, built only on demand:
+    the Gamma_0 and Gamma_1 atlases need the tag alone."""
     if args.gamma0:
-        return full_units(n), GAMMA0
+        return full_units(n)
     if args.delta:
         try:
             gens = tuple(int(t) for t in args.delta.split(",") if t.strip())
         except ValueError:
             raise BadFlag(f"--delta takes comma-separated integers, got {args.delta!r}")
-        return subgroup_generated(n, gens), "delta"
-    return pm_one(n), GAMMA1
+        return subgroup_generated(n, gens)
+    return pm_one(n)
 
 
 def _require(args, names):
@@ -119,15 +125,15 @@ def _dispatch(args) -> tuple[dict, dict, str | None]:
     if getattr(args, "level", None) is not None:
         _positive_level(args.level)
     if cmd == "genus":
-        delta, tag = _delta_for(args, args.level)
-        profile = genus_delta(args.level, delta)
-        return {"level": args.level, "group": tag}, profile.to_json(), None
+        profile = genus_delta(args.level, _delta_for(args, args.level))
+        return {"level": args.level, "group": _group_tag(args)}, profile.to_json(), None
 
     if cmd == "cusps":
-        delta, tag = _delta_for(args, args.level)
+        tag = _group_tag(args)
         params = {"level": args.level, "group": tag}
         if tag in (GAMMA0, GAMMA1):
             return params, {"cusps": atlas(args.level, tag).to_json()}, None
+        delta = _delta_for(args, args.level)
         orbits = atlas_delta(args.level, delta)
         return (
             params,

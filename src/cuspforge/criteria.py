@@ -12,9 +12,9 @@ open stay Unknown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
+from typing import NamedTuple
 
 from .arith import delta_d, divisors, factorize, factorizations, is_prime, totient
 from .cusps import GAMMA1, atlas, canonicalize_x1
@@ -47,17 +47,15 @@ RULE_LEHNER_NEWMAN = "LehnerNewmanClassification"
 RULE_ETA = "EtaCertificate"
 
 
-@dataclass(frozen=True)
-class CertStep:
+class CertStep(NamedTuple):
     rule: str
-    data: dict = field(default_factory=dict)
+    data: dict
 
     def to_json(self) -> dict:
         return {"rule": self.rule, "data": self.data}
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str
     weight: int | None
     certificate: tuple[CertStep, ...]
@@ -76,8 +74,7 @@ class Verdict:
         return out
 
 
-@dataclass(frozen=True)
-class GapSequence:
+class GapSequence(NamedTuple):
     genus: int
     gaps: tuple[int, ...]
     weight: int
@@ -401,8 +398,7 @@ def x0_verdict(p: int, m: int) -> Verdict:
 # Survey driver
 
 
-@dataclass(frozen=True)
-class SurveyRow:
+class SurveyRow(NamedTuple):
     n: int
     d: int
     status: str
@@ -412,8 +408,7 @@ class SurveyRow:
         return {"N": self.n, "d": self.d, "status": self.status, "rule": self.rule}
 
 
-@dataclass(frozen=True)
-class SurveyReport:
+class SurveyReport(NamedTuple):
     max_n: int
     rows: tuple[SurveyRow, ...]
     lemma_cusp_failures: dict[int, tuple[int, ...]]

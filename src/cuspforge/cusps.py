@@ -9,11 +9,20 @@ invariants; a cusp is irregular exactly when e > 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
-from .arith import cusp_sum, delta_d, divisors, inv_mod, is_prime, normalize_residue
+from .arith import (
+    Record,
+    cusp_sum,
+    delta_d,
+    divisors,
+    inv_mod,
+    is_prime,
+    normalize_residue,
+    x0_cusp_count,
+)
 from .errors import (
     AtlasTooLarge,
     LevelMismatch,
@@ -28,14 +37,17 @@ from .errors import (
 GAMMA0 = "gamma0"
 GAMMA1 = "gamma1"
 
-# Cost bound of the X_1(N) atlas in sum_{d | N} phi(d) phi(N/d), twice its
-# cusp count.  On a 2-vCPU host with CPython 3.11, `cusps --level N --gamma1`
-# took 2.1-2.2 s and 40 MB at N = 10080 and 49999 (sums 98304 and 99996).
+# Cost bound of the atlases: of the X_1(N) atlas in sum_{d | N} phi(d) phi(N/d),
+# twice its cusp count, and of the X_0(N) atlas in its cusp count.  On a
+# 2-vCPU host with CPython 3.11, `cusps --level N --gamma1` took 2.1-2.2 s
+# and 40 MB at N = 10080 and 49999 (sums 98304 and 99996), and
+# `cusps --level 99991^2 --gamma0` (99992 cusps) took 0.9 s.
 MAX_CUSP_SUM = 10**5
 
 
-@dataclass(frozen=True, order=True)
-class CuspClass:
+class CuspClass(NamedTuple):
+    """A cusp class; classes sort as their field tuples."""
+
     level: int
     group: str
     d: int
@@ -146,11 +158,15 @@ def _diamond_orbit(c: CuspClass, delta) -> set[CuspClass]:
     return {diamond_image_x1(c, a) for a in delta.elements}
 
 
-@dataclass(frozen=True)
-class CuspAtlas:
-    level: int
-    group: str
-    cusps: tuple[CuspClass, ...]
+class CuspAtlas(Record):
+    """The cusp classes of one curve, in atlas order."""
+
+    __slots__ = ("level", "group", "cusps")
+
+    def __init__(self, level: int, group: str, cusps: tuple[CuspClass, ...]):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "cusps", cusps)
 
     def with_d(self, d: int) -> tuple[CuspClass, ...]:
         return tuple(c for c in self.cusps if c.d == d)
@@ -203,6 +219,8 @@ def atlas(n: int, group: str = GAMMA1) -> CuspAtlas:
                     row = xs if y < y_neg else half
                     cusps += [CuspClass(n, GAMMA1, d, y, x, e, e > 1) for x in row]
     elif group == GAMMA0:
+        if x0_cusp_count(n) > MAX_CUSP_SUM:
+            raise AtlasTooLarge(f"X_0({n}) has more than {MAX_CUSP_SUM} cusps")
         for d in divisors(n):
             e = gcd(d, n // d)
             cusps += sorted(_class_x0(n, x, d) for x in range(e) if gcd(x, e) == 1)
@@ -211,8 +229,7 @@ def atlas(n: int, group: str = GAMMA1) -> CuspAtlas:
     return CuspAtlas(n, group, tuple(cusps))
 
 
-@dataclass(frozen=True)
-class DeltaOrbit:
+class DeltaOrbit(NamedTuple):
     """A cusp of X_Delta(N): an orbit of X_1(N) cusps under [a], a in Delta."""
 
     representative: CuspClass

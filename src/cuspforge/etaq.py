@@ -24,9 +24,9 @@ G_EXPONENTS lives in `criteria`, which sits above this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
+from typing import NamedTuple
 
 from .cusps import GAMMA1, CuspClass, atlas, width_and_stabilizer_sign
 from .errors import (
@@ -59,8 +59,7 @@ def periodic_bernoulli2(x) -> Fraction:
     return bernoulli2(x - (x.numerator // x.denominator))
 
 
-@dataclass(frozen=True)
-class QSeries:
+class QSeries(NamedTuple):
     """Truncated series q^(lead/12N) * sum_j coeffs[j] q^j with coeffs[0] = 1.
 
     The series is exact for every exponent numerator (over denom = 12N)
@@ -98,8 +97,7 @@ def default_terms(n: int) -> int:
     return 10 * n
 
 
-@dataclass(frozen=True)
-class EtaQuotient:
+class EtaQuotient(NamedTuple):
     """A finite product prod E_r^(n_r) at one level, keyed by folded r."""
 
     level: int
@@ -200,8 +198,7 @@ def ord_at_cusp(q: EtaQuotient, c: CuspClass) -> int:
     return int(order)
 
 
-@dataclass(frozen=True)
-class CuspDivisor:
+class CuspDivisor(NamedTuple):
     level: int
     orders: tuple[tuple[CuspClass, int], ...]
 

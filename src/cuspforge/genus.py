@@ -25,10 +25,10 @@ Delta = all units and Delta = {+-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
+from typing import NamedTuple
 
 from .arith import (
     DeltaSubgroup,
@@ -37,12 +37,12 @@ from .arith import (
     factorize,
     projection_image_size,
     totient,
+    x0_cusp_count,
 )
 from .errors import NonIntegralGenus
 
 
-@dataclass(frozen=True)
-class GenusProfile:
+class GenusProfile(NamedTuple):
     level: int
     delta: DeltaSubgroup
     mu: Fraction
@@ -141,10 +141,9 @@ def g1(n: int) -> int:
 @lru_cache(maxsize=8192)
 def g0(n: int) -> int:
     """Genus of X_0(N), closed form."""
-    nu2_, nu3_, cusps = 1, 1, 1
+    nu2_, nu3_ = 1, 1
     for p, a in factorize(n):
         # 1 + (-1/p) and 1 + (-3/p); 4 | N and 9 | N leave no elliptic points
         nu2_ *= (a == 1) if p == 2 else 2 * (p % 4 == 1)
         nu3_ *= (a == 1) if p == 3 else 2 * (p % 3 == 1)
-        cusps *= sum(totient(p ** min(b, a - b)) for b in range(a + 1))
-    return (12 + _psi(n) - 3 * nu2_ - 4 * nu3_ - 6 * cusps) // 12
+    return (12 + _psi(n) - 3 * nu2_ - 4 * nu3_ - 6 * x0_cusp_count(n)) // 12

@@ -11,10 +11,10 @@ X_0(N) cusps, whatever the matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
-from .arith import divisors, unit_group_generators
+from .arith import Record, divisors, unit_group_generators
 from .cusps import (
     GAMMA0,
     GAMMA1,
@@ -29,16 +29,18 @@ from .cusps import (
 from .errors import BadP, LevelMismatch, LevelNotDivisible, NotExactDivisor
 
 
-@dataclass(frozen=True)
-class AtkinLehnerOp:
-    level: int
-    q: int
-    matrix: tuple[int, int, int, int]
+class AtkinLehnerOp(Record):
+    """W_Q at level N as an integer matrix of determinant Q."""
 
-    def __post_init__(self):
-        a, b, c, d = self.matrix
-        if a * d - b * c != self.q:
+    __slots__ = ("level", "q", "matrix")
+
+    def __init__(self, level: int, q: int, matrix: tuple[int, int, int, int]):
+        a, b, c, d = matrix
+        if a * d - b * c != q:
             raise ValueError("matrix determinant is not Q")
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "matrix", matrix)
 
 
 def build_atkin_lehner(n: int, q: int) -> AtkinLehnerOp:
@@ -96,8 +98,7 @@ def exact_divisors(n: int) -> list[int]:
     return [q for q in divisors(n) if gcd(q, n // q) == 1]
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     level: int
     orbits: tuple[tuple[CuspClass, ...], ...]
     generators: tuple[str, ...]

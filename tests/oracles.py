@@ -132,6 +132,13 @@ def bf_is_closed(n, elements):
     return all(((a * b) % n or n) in elems for a in elems for b in elems)
 
 
+def bf_projection_image_size(n, d, elements):
+    """Size of the image of the residues in (Z/lcm(d, n/d)Z)*, as a set of
+    reductions."""
+    m = d * (n // d) // gcd(d, n // d)
+    return len({a % m or m for a in elements})
+
+
 def bf_genus_profile(n, elements):
     """(mu, nu2, nu3, nu_inf, g) of X_Delta(n) for the subgroup with these
     residues, as four Fraction sums with its own primes and totients."""
@@ -150,9 +157,8 @@ def bf_genus_profile(n, elements):
     nu3 = Fraction(sum(1 for b in delta if (b * b - b + 1) % n == 0) * phi, size)
     nuinf = Fraction(0)
     for d in bf_divisors(n):
-        m = d * (n // d) // gcd(d, n // d)
-        image = {a % m or m for a in delta}
-        nuinf += Fraction(bf_phi(d) * bf_phi(n // d), len(image))
+        image = bf_projection_image_size(n, d, delta)
+        nuinf += Fraction(bf_phi(d) * bf_phi(n // d), image)
     g = 1 + mu / 12 - nu2 / 4 - nu3 / 3 - nuinf / 2
     assert g.denominator == 1 and g >= 0
     return mu, nu2, nu3, nuinf, int(g)

@@ -22,7 +22,7 @@ from cuspforge.arith import (
 )
 from cuspforge.errors import NonUnitGenerator, NotADivisor
 
-from oracles import bf_is_closed, bf_phi
+from oracles import bf_is_closed, bf_phi, bf_projection_image_size
 
 
 def test_totient_values():
@@ -131,6 +131,30 @@ def test_projection_monotone_under_inclusion():
             assert projection_image_size(n, d, small) <= projection_image_size(
                 n, d, big
             )
+
+
+def test_projection_image_size_matches_set_oracle():
+    # the kernel count against the set of reductions, at every divisor
+    rng = random.Random(13)
+    for n in range(1, 160):
+        groups = [pm_one(n), full_units(n), subgroup_generated(n, (rng.choice(units(n)),))]
+        groups += [delta_d(n, d) for d in divisors(n)]
+        for delta in groups:
+            for d in divisors(n):
+                expected = bf_projection_image_size(n, d, delta.elements)
+                assert projection_image_size(n, d, delta) == expected, (n, d, delta)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_projection_image_size_matches_set_oracle_random_subgroups(data):
+    n = data.draw(st.integers(1, 400))
+    gens = data.draw(st.lists(st.sampled_from(units(n)), max_size=3))
+    delta = subgroup_generated(n, tuple(gens))
+    for d in divisors(n):
+        assert projection_image_size(n, d, delta) == bf_projection_image_size(
+            n, d, delta.elements
+        )
 
 
 def test_trivial_levels_collapse():

@@ -187,11 +187,12 @@ def test_oversized_series_is_refused_quickly():
         (["orbits", "--level", "1000000"], None),
         (["eta", "div", "--spec", "spec.json"], '{"level": 1000000, "exponents": {}}'),
         (["cusps", "--level", "99991", "--gamma1"], None),
+        (["cusps", "--level", "10000200001", "--gamma0"], None),
     ],
 )
 def test_oversized_atlas_is_refused_quickly(argv, spec, tmp_path, monkeypatch):
     # X_1(10^6) has 5.4 million cusps; X_1(99991) has 99990, just past
-    # the bound
+    # the bound; X_0(100001^2) has 12 * 9092 = 109104
     monkeypatch.chdir(tmp_path)
     if spec is not None:
         (tmp_path / "spec.json").write_text(spec)
@@ -206,17 +207,27 @@ def test_oversized_atlas_is_refused_quickly(argv, spec, tmp_path, monkeypatch):
     "argv",
     [
         ["genus", "--level", "1000000", "--gamma0"],
-        ["cusps", "--level", "1000000", "--gamma0"],
+        ["genus", "--level", "510510", "--gamma0"],
         ["genus", "--level", "20011", "--gamma0"],
     ],
 )
 def test_oversized_unit_group_is_refused_quickly(argv):
-    # phi(10^6) = 400000; phi(20011) = 20010, just past the bound
+    # phi(10^6) = 400000; phi(510510) = 92160; phi(20011) = 20010, just
+    # past the bound
     t0 = time.perf_counter()
     code, text = _run(argv)
     assert time.perf_counter() - t0 < 1
     assert code == 2
     assert json.loads(text)["error"]["type"] == "UnitGroupTooLarge"
+
+
+def test_gamma0_atlas_needs_no_unit_group():
+    # (Z/10^6 Z)* is past the unit bound, but X_0(10^6) has only
+    # 12 * 150 = 1800 cusps, and the atlas never lists the units
+    t0 = time.perf_counter()
+    result = _result(["cusps", "--level", "1000000", "--gamma0"])
+    assert time.perf_counter() - t0 < 1
+    assert len(result["cusps"]) == 1800
 
 
 def test_module_entry_point():

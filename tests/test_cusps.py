@@ -2,6 +2,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspforge.arith import totient
 from cuspforge.cusps import (
@@ -19,7 +21,7 @@ from cuspforge.cusps import (
     x0_class_of_pair,
     x0_image,
 )
-from cuspforge.arith import cusp_sum, delta_d, divisors, pm_one
+from cuspforge.arith import cusp_sum, delta_d, divisors, pm_one, x0_cusp_count
 from cuspforge.errors import (
     AtlasTooLarge,
     NotADivisor,
@@ -103,6 +105,35 @@ def test_canonicalize_x0_idempotent():
             assert canonicalize_x0(n, c.x, c.d) == c
 
 
+@st.composite
+def _primitive_pairs(draw):
+    n = draw(st.integers(1, 400))
+    x, y = draw(st.integers(-3 * n, 3 * n)), draw(st.integers(-3 * n, 3 * n))
+    if gcd(gcd(x, y), n) != 1:
+        y = y * n + 1  # y = 1 mod n makes the pair primitive
+    return n, x, y
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_primitive_pairs())
+def test_canonicalize_x1_is_idempotent(pair):
+    n, x, y = pair
+    c = canonicalize_x1(n, x, y)
+    assert canonicalize_x1(n, c.x, c.y) == c
+    assert x1_equivalent(n, (x % n, y % n), (c.x, c.y))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_primitive_pairs())
+def test_gamma0_canonical_form_is_idempotent(pair):
+    n, a, c = pair
+    if gcd(a, c) != 1:
+        a = 1
+    k = x0_class_of_pair(n, a, c)
+    assert canonicalize_x0(n, k.x, k.d) == k
+    assert x0_class_of_pair(n, k.x, k.y) == k
+
+
 def test_canonicalize_x0_errors():
     with pytest.raises(NotADivisor):
         canonicalize_x0(12, 1, 5)
@@ -143,6 +174,17 @@ def test_atlas_x1_cost_bound():
         with pytest.raises(AtlasTooLarge):
             atlas(n, GAMMA1)
     assert len(atlas(49999, GAMMA1)) == cusp_sum(49999) // 2 <= MAX_CUSP_SUM // 2
+
+
+def test_atlas_x0_cost_bound():
+    for n in range(1, 301):
+        assert x0_cusp_count(n) == len(atlas(n, GAMMA0)), n
+    assert x0_cusp_count(1000000) == 1800
+    # X_0(p^2) has p + 1 cusps: 99992 at p = 99991 is inside the bound
+    assert x0_cusp_count(99991**2) == 99992 <= MAX_CUSP_SUM
+    assert x0_cusp_count(100001**2) == 12 * 9092 > MAX_CUSP_SUM
+    with pytest.raises(AtlasTooLarge):
+        atlas(100001**2, GAMMA0)
 
 
 def test_atlas_x0_12_counts():

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from cuspforge.criteria import WEIERSTRASS, certify_x1_20
 from cuspforge.cusps import GAMMA1, atlas, canonicalize_x1
-from cuspforge.errors import RCongruentZero, TruncationTooLarge, TruncationTooSmall
+from cuspforge.errors import (
+    NotAFunction,
+    RCongruentZero,
+    TruncationTooLarge,
+    TruncationTooSmall,
+)
 from cuspforge.etaq import (
     MAX_TERMS,
     MAX_WORK,
@@ -187,6 +192,26 @@ def test_exact_orders_sum_to_zero_for_random_quotients():
         q = _random_quotient(rng, n)
         total = sum(ord_at_cusp_exact(q, c) for c in atlas(n, GAMMA1))
         assert total == 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_every_accepted_divisor_has_degree_zero(data):
+    # integral orders at every cusp are all that `divisor` needs to accept
+    # a quotient, and then its divisor is the orders, of degree 0
+    n = data.draw(st.integers(2, 30))
+    q = EtaQuotient.make(n, {r: 12 * k for r, k in data.draw(_quotients(n)).exponents})
+    if data.draw(st.booleans()):
+        q = data.draw(_quotients(n))
+    orders = {c: ord_at_cusp_exact(q, c) for c in atlas(n, GAMMA1)}
+    assert sum(orders.values()) == 0
+    if all(o.denominator == 1 for o in orders.values()):
+        div = divisor(q)
+        assert div.degree() == 0
+        assert dict(div.orders) == {c: o for c, o in orders.items() if o}
+    else:
+        with pytest.raises(NotAFunction):
+            divisor(q)
 
 
 def test_pinned_pole_orders_at_level_20():
