@@ -1,9 +1,12 @@
 """Exact arithmetic mod N: factorizations, totients, divisors, and
 subgroups of (Z/NZ)*.
 
-`factorize` works by trial division; `factorizations` reads a whole range
-off one smallest-prime-factor sieve, and totients and divisors are built
-from the factorization.
+`factorize` works by trial division up to `MAX_LEVEL`; `factorizations`
+reads a whole range off one smallest-prime-factor sieve.  Everything else
+that depends on N only through its primes is read off a factorization:
+totients, divisors, the cusp counts `cusp_sum` and `x0_cusp_count` (closed
+forms per prime power), and `phi_split`, which gives phi(d), phi(N/d) and
+gcd(d, N/d) from the exponents of d without factoring d or N/d.
 
 Residues are normalized to 1..N, so the trivial groups mod 1 and mod 2
 collapse to {1} and no downstream formula needs a special case.  Everything
@@ -15,12 +18,19 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
-from .errors import NonUnitGenerator, NotADivisor, UnitGroupTooLarge
+from .errors import LevelTooLarge, NonUnitGenerator, NotADivisor, UnitGroupTooLarge
+
+# Largest level `factorize` accepts, checked before any trial division.  The
+# worst case is the largest prime within the bound, 999999999989: trial
+# division up to its square root took 0.10 s on a 2-vCPU host with CPython
+# 3.11 (0.31 s at the largest prime below 10^13).
+MAX_LEVEL = 10**12
 
 # Cost bound of (Z/NZ)* in phi(N), checked before the units are listed.
 # `genus --level N --gamma0` costs about phi(N) times the divisor count of
 # N: on a 2-vCPU host with CPython 3.11 it took 0.6 s and 20 MB at
 # N = 92400 (phi 19200, 120 divisors), the worst level within the bound.
+# `_span` holds every subgroup it builds to the same size.
 MAX_UNITS = 2 * 10**4
 
 
@@ -35,6 +45,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization ((p, exponent), ...) by trial division."""
     if n < 1:
         raise ValueError("n must be positive")
+    if n > MAX_LEVEL:
+        raise LevelTooLarge(f"{n} is past the factorization bound {MAX_LEVEL}")
     out = []
     m = n
     p = 2
@@ -78,19 +90,57 @@ def totient(n: int) -> int:
     return out
 
 
-def cusp_sum(n: int) -> int:
-    """sum over d | n of phi(d) phi(n/d): twice the cusp count of X_1(n), n >= 5."""
-    return prod(
-        sum(totient(p**b) * totient(p ** (a - b)) for b in range(a + 1))
-        for p, a in factorize(n)
-    )
+def _cusp_sum_pp(p: int, a: int) -> int:
+    """sum_b phi(p^b) phi(p^(a-b)) for a >= 1: the ends b = 0, a give
+    p^(a-1)(p-1) each, the a-1 inner terms p^(a-2)(p-1)^2 each."""
+    end = p ** (a - 1) * (p - 1)
+    return 2 * end + (a - 1) * (end // p) * (p - 1)
 
 
-def x0_cusp_count(n: int) -> int:
-    """sum over d | n of phi(gcd(d, n/d)): the cusp count of X_0(n)."""
-    return prod(
-        sum(totient(p ** min(b, a - b)) for b in range(a + 1)) for p, a in factorize(n)
-    )
+def _x0_cusp_count_pp(p: int, a: int) -> int:
+    """sum_b phi(p^min(b, a-b)) for a >= 1: 2 p^k at a = 2k + 1, and
+    p^(k-1)(p+1) at a = 2k, since phi(1) + ... + phi(p^(k-1)) = p^(k-1)."""
+    k = a // 2
+    return 2 * p**k if a % 2 else p ** (k - 1) * (p + 1)
+
+
+def cusp_sum(n: int, fac=None) -> int:
+    """sum over d | n of phi(d) phi(n/d): twice the cusp count of X_1(n), n >= 5.
+    `fac` is factorize(n), when the caller already has it."""
+    return prod(_cusp_sum_pp(p, a) for p, a in fac or factorize(n))
+
+
+def x0_cusp_count(n: int, fac=None) -> int:
+    """sum over d | n of phi(gcd(d, n/d)): the cusp count of X_0(n).
+    `fac` is factorize(n), when the caller already has it."""
+    return prod(_x0_cusp_count_pp(p, a) for p, a in fac or factorize(n))
+
+
+def exponents_of(fac, d: int) -> tuple[int, ...]:
+    """The exponent in d of each prime of the factorization fac, in order;
+    d must divide the number fac factors."""
+    out = []
+    for p, _ in fac:
+        b = 0
+        while d % p == 0:
+            d //= p
+            b += 1
+        out.append(b)
+    return tuple(out)
+
+
+def phi_split(fac, exps) -> tuple[int, int, int]:
+    """(phi(d), phi(N/d), gcd(d, N/d)) for N = prod p^a (the factorization
+    fac) and d = prod p^b (the exponents exps, in the same order)."""
+    phi_d = phi_nd = e = 1
+    for (p, a), b in zip(fac, exps):
+        c = a - b
+        if b:
+            phi_d *= p ** (b - 1) * (p - 1)
+            e *= p ** (b if b < c else c)
+        if c:
+            phi_nd *= p ** (c - 1) * (p - 1)
+    return phi_d, phi_nd, e
 
 
 def divisors(n: int) -> list[int]:
@@ -119,14 +169,18 @@ def inv_mod(a: int, n: int) -> int:
     return normalize_residue(pow(a, -1, n), n)
 
 
-def _span(n: int, gens, within: frozenset | None = None) -> list[int]:
+def _span(
+    n: int, gens, within: frozenset | None = None, limit: int | None = MAX_UNITS
+) -> list[int]:
     """The subgroup of (Z/nZ)* generated by gens, 1 first.
 
     Each generator g not yet in the span H adds the cosets H*g^j for
     0 < j < k, where g^k is the first power back in H; (Z/nZ)* is abelian,
     so the union is <H, g>.  Every element is made once, so the cost is
     O(|span|) plus one membership test per generator.  With `within`, an
-    element outside that set raises.
+    element outside that set raises.  A span that passes `limit` elements
+    raises UnitGroupTooLarge as soon as a power shows it, before the
+    cosets are built.
     """
     one = normalize_residue(1, n)
     span, seen = [one], {one}
@@ -138,6 +192,10 @@ def _span(n: int, gens, within: frozenset | None = None) -> list[int]:
         powers, x = [], g
         while x not in seen:
             powers.append(x)
+            if limit is not None and len(span) * (len(powers) + 1) > limit:
+                raise UnitGroupTooLarge(
+                    f"the subgroup of (Z/{n}Z)* has more than {limit} elements"
+                )
             x = x * g % n or n
         new = [h * x % n or n for x in powers for h in span]
         if within is not None and not within.issuperset(new):
@@ -181,7 +239,7 @@ class DeltaSubgroup(Record):
         if min(members) < 1 or max(members) > n:
             raise NonUnitGenerator(f"{elements} is not a set of residues 1..{n}")
         elements = tuple(sorted(members))
-        _span(n, elements, within=members)
+        _span(n, elements, within=members, limit=None)  # already listed
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "members", members)
@@ -264,5 +322,7 @@ def unit_group_generators(n: int) -> list[int]:
     for u in units(n):
         if u not in span:
             gens.append(u)
-            span = set(_span(n, [n - 1, *gens]))
+            # unbounded: cusp_orbits_x1 builds the X_1(N) atlas first, whose
+            # bound keeps phi(N) <= 5 * 10^4
+            span = set(_span(n, [n - 1, *gens], limit=None))
     return gens

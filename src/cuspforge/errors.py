@@ -79,7 +79,16 @@ class AtlasTooLarge(DomainError):
 
 
 class UnitGroupTooLarge(DomainError):
-    """A unit group (Z/NZ)* with more elements than the cost bound."""
+    """A unit group (Z/NZ)*, or a subgroup of it, with more elements than
+    the cost bound."""
+
+
+class LevelTooLarge(DomainError):
+    """A number past the bound on what trial division may factor."""
+
+
+class SurveyTooLarge(DomainError):
+    """A survey bound past the cost bound on the levels surveyed."""
 
 
 class InconsistentGapCount(DomainError):

@@ -19,7 +19,9 @@ and 3.9), built from multiplicative sums over the prime powers p^a || N:
 
 with psi(N) = N prod_{p|N} (1 + 1/p), nu2 = prod (1 + (-1/p)) unless 4 | N
 and nu3 = prod (1 + (-3/p)) unless 9 | N; the second holds for N >= 5, and
-X_1(N) has genus 0 below that.  The tests hold both to `genus_delta` at
+X_1(N) has genus 0 below that.  Both read one factorization of N; `g1_of`
+takes it as given (the survey passes its sieve's), and the cached `g1`
+feeds it `factorize(N)`.  The tests hold both to `genus_delta` at
 Delta = all units and Delta = {+-1}.
 """
 
@@ -66,9 +68,9 @@ class GenusProfile(NamedTuple):
         }
 
 
-def _psi(n: int) -> int:
+def _psi(n: int, fac=None) -> int:
     """N prod_{p|N} (1 + 1/p), the index of Gamma_0(N) in SL2(Z)."""
-    return prod(p ** (a - 1) * (p + 1) for p, a in factorize(n))
+    return prod(p ** (a - 1) * (p + 1) for p, a in fac or factorize(n))
 
 
 # Each *_num is |Delta| times the count, an integer.
@@ -129,21 +131,27 @@ def genus_delta(n: int, delta: DeltaSubgroup) -> GenusProfile:
     )
 
 
+def g1_of(n: int, fac) -> int:
+    """Genus of X_1(N), closed form over fac = factorize(N)."""
+    if n < 5:
+        return 0
+    index = prod(p ** (2 * a - 2) * (p * p - 1) for p, a in fac)
+    return (24 + index - 6 * cusp_sum(n, fac)) // 24
+
+
 @lru_cache(maxsize=8192)
 def g1(n: int) -> int:
     """Genus of X_1(N), closed form."""
-    if n < 5:
-        return 0
-    index = prod(p ** (2 * a - 2) * (p * p - 1) for p, a in factorize(n))
-    return (24 + index - 6 * cusp_sum(n)) // 24
+    return g1_of(n, factorize(n)) if n >= 5 else 0
 
 
 @lru_cache(maxsize=8192)
 def g0(n: int) -> int:
     """Genus of X_0(N), closed form."""
+    fac = factorize(n)
     nu2_, nu3_ = 1, 1
-    for p, a in factorize(n):
+    for p, a in fac:
         # 1 + (-1/p) and 1 + (-3/p); 4 | N and 9 | N leave no elliptic points
         nu2_ *= (a == 1) if p == 2 else 2 * (p % 4 == 1)
         nu3_ *= (a == 1) if p == 3 else 2 * (p % 3 == 1)
-    return (12 + _psi(n) - 3 * nu2_ - 4 * nu3_ - 6 * x0_cusp_count(n)) // 12
+    return (12 + _psi(n, fac) - 3 * nu2_ - 4 * nu3_ - 6 * x0_cusp_count(n, fac)) // 12

@@ -6,12 +6,18 @@ divisor loops) and deliberately shares no logic with the package.
 """
 
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import gcd
 
 
 def bf_phi(n):
     return sum(1 for a in range(1, n + 1) if gcd(a, n) == 1)
+
+
+@cache
+def bf_phi_table(limit):
+    """[0, bf_phi(1), ..., bf_phi(limit)], counted once per limit."""
+    return [0] + [bf_phi(n) for n in range(1, limit + 1)]
 
 
 def bf_divisors(n):

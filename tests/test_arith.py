@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -7,22 +7,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspforge.arith import (
+    MAX_LEVEL,
+    MAX_UNITS,
     DeltaSubgroup,
+    cusp_sum,
     delta_d,
     divisors,
+    exponents_of,
     factorizations,
     factorize,
     full_units,
+    phi_split,
     pm_one,
     projection_image_size,
     subgroup_generated,
     totient,
     unit_group_generators,
     units,
+    x0_cusp_count,
 )
-from cuspforge.errors import NonUnitGenerator, NotADivisor
+from cuspforge.errors import (
+    LevelTooLarge,
+    NonUnitGenerator,
+    NotADivisor,
+    UnitGroupTooLarge,
+)
 
-from oracles import bf_is_closed, bf_phi, bf_projection_image_size
+from oracles import (
+    bf_divisors,
+    bf_is_closed,
+    bf_phi,
+    bf_phi_table,
+    bf_projection_image_size,
+)
 
 
 def test_totient_values():
@@ -209,3 +226,50 @@ def test_sieve_factorizations_against_sympy():
     assert len(table) == 10001 and table[1] == ()
     for n in range(1, 10001):
         assert table[n] == tuple(sorted(sympy.factorint(n).items())), n
+
+
+def test_cusp_counts_match_divisor_sums():
+    phi = bf_phi_table(5000)
+    for n in range(1, 5001):
+        divs = bf_divisors(n)
+        assert cusp_sum(n) == sum(phi[d] * phi[n // d] for d in divs), n
+        assert x0_cusp_count(n) == sum(phi[gcd(d, n // d)] for d in divs), n
+    table = factorizations(200)
+    for n in range(1, 201):
+        assert cusp_sum(n, table[n]) == cusp_sum(n)
+        assert x0_cusp_count(n, table[n]) == x0_cusp_count(n)
+
+
+def test_phi_split_matches_oracle():
+    phi = bf_phi_table(3000)
+    for n in range(1, 3001):
+        fac = factorize(n)
+        for d in bf_divisors(n):
+            exps = exponents_of(fac, d)
+            assert d == prod(p**b for (p, _), b in zip(fac, exps)), (n, d)
+            assert phi_split(fac, exps) == (phi[d], phi[n // d], gcd(d, n // d)), (n, d)
+
+
+def test_level_bound_is_checked_before_trial_division():
+    # the largest level in the tests and golden digests is 100001^2
+    assert MAX_LEVEL >= 100001**2
+    assert factorize(MAX_LEVEL) == ((2, 12), (5, 12))
+    for n in (MAX_LEVEL + 1, 100000000000000003):
+        with pytest.raises(LevelTooLarge):
+            factorize(n)
+        with pytest.raises(LevelTooLarge):
+            totient(n)
+
+
+def test_span_bound_is_exact():
+    # 160001 is prime and 20000 | 160000: the powers of g^8 for a primitive
+    # root g form the subgroup of order 20000, and -1 = g^80000 lies in it
+    p, g = 160001, sympy.primitive_root(160001)
+    assert len(subgroup_generated(p, (pow(g, 8, p),))) == MAX_UNITS == 20000
+    with pytest.raises(UnitGroupTooLarge):
+        subgroup_generated(p, (pow(g, 4, p),))
+    with pytest.raises(UnitGroupTooLarge):
+        subgroup_generated(1000003, (2,))
+    # the unit group's own generators are not bounded here
+    assert len(units(49999)) > MAX_UNITS
+    assert len(unit_group_generators(49999)) >= 1

@@ -221,6 +221,35 @@ def test_oversized_unit_group_is_refused_quickly(argv):
     assert json.loads(text)["error"]["type"] == "UnitGroupTooLarge"
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["cusps", "--level", "100000000000000003", "--gamma1"], "LevelTooLarge"),
+        (["verdict", "x0", "--p", "1000000000000000003", "--m", "1"], "LevelTooLarge"),
+        (["genus", "--level", "1000000000001", "--gamma1"], "LevelTooLarge"),
+        (["genus", "--level", "1000003", "--delta", "2"], "UnitGroupTooLarge"),
+        (["cusps", "--level", "1000003", "--delta", "2"], "UnitGroupTooLarge"),
+        (["survey", "x1", "--max", "1000000", "--format", "tsv"], "SurveyTooLarge"),
+        (["survey", "x1", "--max", "200001"], "SurveyTooLarge"),
+    ],
+)
+def test_cost_bounds_refuse_quickly(argv, error):
+    # each ran for seconds or was still running after 10 s before its bound
+    t0 = time.perf_counter()
+    code, text = _run(argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert json.loads(text)["error"]["type"] == error
+
+
+def test_largest_prime_level_is_factored():
+    # 999999999989 is the largest prime within the level bound
+    t0 = time.perf_counter()
+    result = _result(["genus", "--level", "999999999989", "--gamma1"])
+    assert time.perf_counter() - t0 < 2
+    assert result["nu_inf"] == 999999999988
+
+
 def test_gamma0_atlas_needs_no_unit_group():
     # (Z/10^6 Z)* is past the unit bound, but X_0(10^6) has only
     # 12 * 150 = 1800 cusps, and the atlas never lists the units

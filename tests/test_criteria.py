@@ -1,12 +1,19 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspforge.arith import divisors
 from cuspforge.criteria import (
+    MAX_SURVEY,
     NOT_WEIERSTRASS,
+    RULE_FRICKE,
+    RULE_LEMMA_CUSP,
     UNKNOWN,
     WEIERSTRASS,
+    _threshold,
     atkin_lehner_reduce,
     fricke_reduce,
     gap_sequence_from_nongaps,
@@ -24,10 +31,12 @@ from cuspforge.errors import (
     InconsistentGapCount,
     NotIrregular,
     NotPrime,
+    SurveyTooLarge,
 )
 from cuspforge.genus import g0, g1
+from cuspforge.symmetry import cusp_orbits_x1
 
-from oracles import bf_al_orbits
+from oracles import bf_al_orbits, bf_divisors, bf_phi_table
 
 
 def test_schoeneberg_examples():
@@ -224,3 +233,74 @@ def test_survey_rows_sorted_and_deterministic():
     keys = [(r.n, r.d) for r in rep1.rows]
     assert keys == sorted(keys)
 
+
+
+def test_threshold_matches_fraction():
+    for e in range(2, 10001):
+        assert _threshold(e) == str(8 + Fraction(4, e - 1)), e
+
+
+def test_survey_rows_match_x1_verdict():
+    rep = survey_x1(3000)
+    buckets = [
+        (n, e)
+        for n in range(13, 3001)
+        if g1(n) >= 2
+        for e in sorted({gcd(d, n // d) for d in bf_divisors(n)} - {1})
+    ]
+    assert [(r.n, r.d) for r in rep.rows] == buckets
+    failures = {2: [], 3: [], 4: [], 6: []}
+    for row in rep.rows:
+        verdict = x1_verdict(row.n, row.d)
+        assert (row.status, row.rule) == (verdict.status, verdict.decisive_rule()), row
+        if row.d in failures and not lemma_cusp_inequality(row.n, row.d):
+            failures[row.d].append(row.n)
+    assert rep.lemma_cusp_failures == {d: tuple(v) for d, v in failures.items()}
+
+
+def test_survey_bound():
+    # ROADMAP plans the survey to 10^5 as a workload
+    assert MAX_SURVEY >= 100000
+    with pytest.raises(SurveyTooLarge):
+        survey_x1(MAX_SURVEY + 1)
+
+
+def test_verdict_certificates_match_oracle():
+    phi = bf_phi_table(1000)
+    checked = 0
+    for n in range(13, 1001):
+        if g1(n) < 2:
+            continue
+        for d in bf_divisors(n):
+            e = gcd(d, n // d)
+            if e == 1:
+                continue
+            steps = {s.rule: s.data for s in x1_verdict(n, d).certificate}
+            product = phi[d] * phi[n // d]
+            if phi[d] > phi[n // d]:
+                assert steps[RULE_FRICKE] == {
+                    "from_d": d, "to_d": n // d, "phi_d": phi[d], "phi_nd": phi[n // d]
+                }, (n, d)
+            else:
+                assert RULE_FRICKE not in steps, (n, d)
+            threshold = 8 + Fraction(4, e - 1)
+            if product >= threshold:
+                assert steps[RULE_LEMMA_CUSP] == {
+                    "phi_product": product, "threshold": str(threshold), "e": e
+                }, (n, d)
+            else:
+                assert RULE_LEMMA_CUSP not in steps, (n, d)
+            checked += 1
+    assert checked > 1000
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(101, 1500))
+def test_verdicts_constant_on_orbits(n):
+    # criterion 9 checks N <= 100; every N > 100 has g_1(N) >= 2 and an
+    # X_1 atlas of at most cusp_sum(N) / 2 < 5 * 10^4 cusps, within its bound
+    assert g1(n) >= 2
+    for orbit in cusp_orbits_x1(n).orbits:
+        if orbit[0].irregular:
+            statuses = {x1_verdict(n, c.d).status for c in orbit}
+            assert len(statuses) == 1, (n, orbit)
