@@ -50,7 +50,6 @@ from .etaq import (
     CuspDivisor,
     EtaQuotient,
     QSeries,
-    bernoulli2,
     divisor,
     eta_series,
     ord_at_cusp,

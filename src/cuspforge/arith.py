@@ -8,6 +8,10 @@ totients, divisors, the cusp counts `cusp_sum` and `x0_cusp_count` (closed
 forms per prime power), and `phi_split`, which gives phi(d), phi(N/d) and
 gcd(d, N/d) from the exponents of d without factoring d or N/d.
 
+`cofactor_gcd` is the one check that d divides N: every function of
+(N, d) calls it and reads e = gcd(d, N/d) off it, and `check_level` is
+the one check of the factorization bound.
+
 Residues are normalized to 1..N, so the trivial groups mod 1 and mod 2
 collapse to {1} and no downstream formula needs a special case.  Everything
 here is integer arithmetic; no floats.
@@ -40,13 +44,25 @@ def normalize_residue(a: int, n: int) -> int:
     return r if r != 0 else n
 
 
+def check_level(n: int) -> None:
+    """Refuse n past MAX_LEVEL, before anything trial-divides it."""
+    if n > MAX_LEVEL:
+        raise LevelTooLarge(f"{n} is past the factorization bound {MAX_LEVEL}")
+
+
+def cofactor_gcd(n: int, d: int) -> int:
+    """e = gcd(d, N/d) for a divisor d of N; raises unless d | N, d >= 1."""
+    if d < 1 or n % d != 0:
+        raise NotADivisor(f"{d} does not divide {n}")
+    return gcd(d, n // d)
+
+
 @lru_cache(maxsize=8192)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization ((p, exponent), ...) by trial division."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > MAX_LEVEL:
-        raise LevelTooLarge(f"{n} is past the factorization bound {MAX_LEVEL}")
+    check_level(n)
     out = []
     m = n
     p = 2
@@ -292,9 +308,7 @@ def delta_d(n: int, d: int) -> DeltaSubgroup:
     These are exactly the diamond operators fixing every cusp whose
     denominator invariant is d.
     """
-    if d < 1 or n % d != 0:
-        raise NotADivisor(f"{d} does not divide {n}")
-    m = n // gcd(d, n // d)
+    m = n // cofactor_gcd(n, d)
     lifts = {normalize_residue(s + k * m, n) for k in range(n // m) for s in (1, -1)}
     return DeltaSubgroup(n, tuple(sorted(a for a in lifts if gcd(a, n) == 1)))
 
@@ -306,11 +320,9 @@ def projection_image_size(n: int, d: int, delta: DeltaSubgroup) -> int:
     mod m is {1 + j*m : 0 <= j < e} (m has every prime of N, so each is a
     unit), and the image has size |Delta| / |Delta meet kernel|.
     """
-    if d < 1 or n % d != 0:
-        raise NotADivisor(f"{d} does not divide {n}")
+    e = cofactor_gcd(n, d)
     if delta.level != n:
         raise ValueError("subgroup level does not match")
-    e = gcd(d, n // d)
     m = n // e
     return len(delta) // sum((1 + j * m) in delta.members for j in range(e))
 

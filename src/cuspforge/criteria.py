@@ -5,9 +5,13 @@ the arithmetic cusp-count inequality phi(d)phi(N/d) >= 8 + 4/(e-1), the
 quotient-genus inequality g_1(N) - e*g_{Delta_d}(N) >= e, and finally a
 small certified fact table (N = 16, 18) or the eta-quotient certificate
 (N = 20), which `certify_x1_20` recomputes here from the quotients F and
-G of `etaq`.  The X_0(p^2 M) verdicts encode the classification
-theorems for the cusps equivalent to (1 : p); cases those theorems leave
-open stay Unknown.
+G of `etaq`.  Every function of (N, d) checks d through the one guard
+`arith.cofactor_gcd`; the three that need an irregular bucket share
+`_irregular_e` on top of it.  The X_0(p^2 M) verdicts encode the
+classification theorems for the cusps equivalent to (1 : p): one
+decision returns the single (status, rule, data) step, and the level
+p^2 M is checked against `MAX_LEVEL` before p is factored.  Cases those
+theorems leave open stay Unknown.
 """
 
 from __future__ import annotations
@@ -16,7 +20,16 @@ from itertools import compress
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .arith import delta_d, exponents_of, factorize, factorizations, is_prime, phi_split
+from .arith import (
+    check_level,
+    cofactor_gcd,
+    delta_d,
+    exponents_of,
+    factorize,
+    factorizations,
+    is_prime,
+    phi_split,
+)
 from .cusps import GAMMA1, atlas, canonicalize_x1
 from .errors import (
     BadGenus,
@@ -24,7 +37,6 @@ from .errors import (
     GenusTooSmall,
     InconsistentGapCount,
     NonzeroDegree,
-    NotADivisor,
     NotAFunction,
     NotIrregular,
     NotPrime,
@@ -121,33 +133,34 @@ def _threshold(e: int) -> str:
     return f"{num}/{den}" if den > 1 else str(num)
 
 
+def _irregular_e(n: int, d: int) -> int:
+    """e = gcd(d, N/d) of an irregular bucket d | N; raises unless e > 1."""
+    e = cofactor_gcd(n, d)
+    if e == 1:
+        raise NotIrregular(f"(N, d) = ({n}, {d}) has e = 1")
+    return e
+
+
 def lemma_cusp_inequality(n: int, d: int) -> bool:
     """phi(d) * phi(N/d) >= 8 + 4/(e - 1), exact rational comparison."""
-    if d < 1 or n % d != 0:
-        raise NotADivisor(f"{d} does not divide {n}")
-    if gcd(d, n // d) == 1:
-        raise NotIrregular(f"(N, d) = ({n}, {d}) has e = 1")
-    phi_d, phi_nd, e = _phi_split(n, d)
+    e = _irregular_e(n, d)
+    phi_d, phi_nd, _ = _phi_split(n, d)
     return _cusp_inequality(phi_d * phi_nd, e)
 
 
 def lemma_genus_check(n: int, d: int) -> bool:
     """g_1(N) - e * g_{Delta_d}(N) >= e."""
-    if d < 1 or n % d != 0:
-        raise NotADivisor(f"{d} does not divide {n}")
-    e = gcd(d, n // d)
-    if e == 1:
-        raise NotIrregular(f"(N, d) = ({n}, {d}) has e = 1")
-    if g1(n) < 2:
-        raise GenusTooSmall(f"g_1({n}) = {g1(n)} < 2")
-    return schoeneberg(g1(n), e, genus_delta(n, delta_d(n, d)).g)
+    e = _irregular_e(n, d)
+    g = g1(n)
+    if g < 2:
+        raise GenusTooSmall(f"g_1({n}) = {g} < 2")
+    return schoeneberg(g, e, genus_delta(n, delta_d(n, d)).g)
 
 
 def fricke_reduce(n: int, d: int) -> int:
     """d or N/d, whichever has the smaller totient (ties keep d); the
     Fricke involution carries the one family of cusps to the other."""
-    if d < 1 or n % d != 0:
-        raise NotADivisor(f"{d} does not divide {n}")
+    cofactor_gcd(n, d)
     phi_d, phi_nd, _ = _phi_split(n, d)
     return d if phi_d <= phi_nd else n // d
 
@@ -159,9 +172,7 @@ def atkin_lehner_reduce(n: int, d: int) -> int:
     exponent b of p in d may become a - b, where p^a || N.  The minimum
     takes p^min(b, a-b) at every prime, which is gcd(d, N/d).
     """
-    if d < 1 or n % d != 0:
-        raise NotADivisor(f"{d} does not divide {n}")
-    return gcd(d, n // d)
+    return cofactor_gcd(n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +185,14 @@ def gap_sequence_from_nongaps(nongaps, g: int) -> GapSequence:
     Exactly g gaps must remain in 1..2g-1; fewer certified non-gaps than
     the true semigroup leaves too many gaps and is reported as such.
     """
-    gens = sorted(set(nongaps))
+    members = set(nongaps)
+    gens = sorted(members)
     if not gens or gens[0] < 1:
         raise DomainError("non-gaps must be positive integers")
     bound = 2 * g - 1
     attainable = [False] * (bound + 1)
     for k in range(1, bound + 1):
-        if k in set(gens):
-            attainable[k] = True
-            continue
-        attainable[k] = any(attainable[k - m] for m in gens if m < k)
+        attainable[k] = k in members or any(attainable[k - m] for m in gens if m < k)
     gaps = tuple(k for k in range(1, bound + 1) if not attainable[k])
     if len(gaps) != g:
         raise InconsistentGapCount(
@@ -262,12 +271,10 @@ _X1_FACTS = {
 def x1_verdict(n: int, d: int) -> Verdict:
     """Decide whether the X_1(N) cusps with invariant d are Weierstrass
     points, with the chain of rules that settled it."""
-    if d < 1 or n % d != 0:
-        raise NotADivisor(f"{d} does not divide {n}")
-    if gcd(d, n // d) == 1:
-        raise NotIrregular(f"(N, d) = ({n}, {d}) has e = 1")
-    if g1(n) < 2:
-        raise GenusTooSmall(f"g_1({n}) = {g1(n)} < 2")
+    _irregular_e(n, d)
+    g = g1(n)
+    if g < 2:
+        raise GenusTooSmall(f"g_1({n}) = {g} < 2")
     fac = factorize(n)
     return _x1_verdict(n, d, fac, exponents_of(fac, d))
 
@@ -295,9 +302,9 @@ def _x1_verdict(n: int, d: int, fac, exps) -> Verdict:
             {"phi_product": phi_d * phi_nd, "threshold": _threshold(e), "e": e},
         )
         return Verdict(WEIERSTRASS, None, (*steps, step))
-    if lemma_genus_check(n, d0):
-        g_quot = genus_delta(n, delta_d(n, d0)).g
-        step = CertStep(RULE_LEMMA_GENUS, {"g1": g1(n), "e": e, "g_quotient": g_quot})
+    g, g_quot = g1_of(n, fac), genus_delta(n, delta_d(n, d0)).g
+    if schoeneberg(g, e, g_quot):
+        step = CertStep(RULE_LEMMA_GENUS, {"g1": g, "e": e, "g_quotient": g_quot})
         return Verdict(WEIERSTRASS, None, (*steps, step))
     if n == 20:
         _, cert = certify_x1_20()
@@ -330,86 +337,57 @@ def _distinct_prime_pair(m: int) -> tuple[int, int] | None:
 
 def x0_verdict(p: int, m: int) -> Verdict:
     """Classify the irregular cusps of X_0(p^2 M) equivalent to (1 : p)."""
+    n = p * p * m
+    if p >= 2:
+        check_level(n)  # before is_prime trial-divides p
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if m < 1:
         raise DomainError("M must be positive")
-    n = p * p * m
     if g0(n) < 2:
         raise GenusTooSmall(f"g_0({n}) = {g0(n)} < 2")
+    status, rule, data = _x0_decision(p, m, n)
+    return Verdict(status, None, (CertStep(rule, data),))
 
-    steps = []
+
+def _x0_decision(p: int, m: int, n: int) -> tuple[str, str, dict]:
+    """(status, rule, data) of the one step that decides X_0(n), n = p^2 M."""
     if m % p == 0:
         # total ramification holds, so the quotient-genus test is sound
         big, small = g0(n), g0(p * m)
         if big - p * small >= p:
-            steps.append(
-                CertStep(RULE_LEMMA_GENUS, {"g0_n": big, "g0_pm": small, "p": p})
-            )
-            return Verdict(WEIERSTRASS, None, tuple(steps))
+            return WEIERSTRASS, RULE_LEMMA_GENUS, {"g0_n": big, "g0_pm": small, "p": p}
         if n == 81:
-            steps.append(
-                CertStep(
-                    RULE_ATKIN,
-                    {"level": 81, "note": "0-cusp of X_0(81) is not a Weierstrass point"},
-                )
-            )
-            return Verdict(NOT_WEIERSTRASS, None, tuple(steps))
+            note = "0-cusp of X_0(81) is not a Weierstrass point"
+            return NOT_WEIERSTRASS, RULE_ATKIN, {"level": 81, "note": note}
         for scale in (8, 16):
             if n % scale == 0 and _odd_prime(n // scale):
-                steps.append(
-                    CertStep(
-                        RULE_OGG,
-                        {"level": n, "form": f"{scale}*q", "q": n // scale},
-                    )
-                )
-                return Verdict(NOT_WEIERSTRASS, None, tuple(steps))
-        steps.append(CertStep(RULE_ATKIN, {"level": n, "form": "p | M"}))
-        return Verdict(WEIERSTRASS, None, tuple(steps))
+                data = {"level": n, "form": f"{scale}*q", "q": n // scale}
+                return NOT_WEIERSTRASS, RULE_OGG, data
+        return WEIERSTRASS, RULE_ATKIN, {"level": n, "form": "p | M"}
 
     if p == 2:
         # M odd here
         if _odd_prime(m) and m != 3:
-            steps.append(CertStep(RULE_OGG, {"level": n, "form": "4q", "q": m}))
-            return Verdict(NOT_WEIERSTRASS, None, tuple(steps))
+            return NOT_WEIERSTRASS, RULE_OGG, {"level": n, "form": "4q", "q": m}
         if m % 3 == 0 and _odd_prime(m // 3) and m // 3 != 3:
-            steps.append(CertStep(RULE_OGG, {"level": n, "form": "12q", "q": m // 3}))
-            return Verdict(NOT_WEIERSTRASS, None, tuple(steps))
+            return NOT_WEIERSTRASS, RULE_OGG, {"level": n, "form": "12q", "q": m // 3}
         pair = _distinct_prime_pair(m)
         if pair and 3 not in pair and any(q % 4 == 3 for q in pair):
-            steps.append(
-                CertStep(
-                    RULE_LEHNER_NEWMAN,
-                    {"open_exception": "M = q*q' with a prime = -1 mod 4", "M": m},
-                )
-            )
-            return Verdict(UNKNOWN, None, tuple(steps))
-        steps.append(CertStep(RULE_LEHNER_NEWMAN, {"level": n, "form": "4M"}))
-        return Verdict(WEIERSTRASS, None, tuple(steps))
+            exception = "M = q*q' with a prime = -1 mod 4"
+            return UNKNOWN, RULE_LEHNER_NEWMAN, {"open_exception": exception, "M": m}
+        return WEIERSTRASS, RULE_LEHNER_NEWMAN, {"level": n, "form": "4M"}
 
     if p == 3:
         if is_prime(m):
-            steps.append(
-                CertStep(
-                    RULE_LEHNER_NEWMAN,
-                    {"open_exception": "M prime", "M": m},
-                )
-            )
-            return Verdict(UNKNOWN, None, tuple(steps))
+            return UNKNOWN, RULE_LEHNER_NEWMAN, {"open_exception": "M prime", "M": m}
         pair = _distinct_prime_pair(m)
         if pair and any(q % 3 == 2 for q in pair):
-            steps.append(
-                CertStep(
-                    RULE_LEHNER_NEWMAN,
-                    {"open_exception": "M = q*q' with a prime = -1 mod 3", "M": m},
-                )
-            )
-            return Verdict(UNKNOWN, None, tuple(steps))
-        steps.append(CertStep(RULE_LEHNER_NEWMAN, {"level": n, "form": "9M"}))
-        return Verdict(WEIERSTRASS, None, tuple(steps))
+            exception = "M = q*q' with a prime = -1 mod 3"
+            return UNKNOWN, RULE_LEHNER_NEWMAN, {"open_exception": exception, "M": m}
+        return WEIERSTRASS, RULE_LEHNER_NEWMAN, {"level": n, "form": "9M"}
 
-    steps.append(CertStep(RULE_FACT, {"reason": "OutOfScope", "p": p, "M": m}))
-    return Verdict(UNKNOWN, None, tuple(steps))
+    return UNKNOWN, RULE_FACT, {"reason": "OutOfScope", "p": p, "M": m}
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 from .arith import (
     Record,
+    cofactor_gcd,
     cusp_sum,
     delta_d,
     divisors,
@@ -26,7 +27,6 @@ from .arith import (
 from .errors import (
     AtlasTooLarge,
     LevelMismatch,
-    NotADivisor,
     NotCoprime,
     NotIrregular,
     NotPrime,
@@ -120,8 +120,7 @@ def canonicalize_x0(n: int, x: int, d: int) -> CuspClass:
     The class is x mod e; the stored x is the smallest positive lift
     coprime to d so the pair stays primitive.
     """
-    if d < 1 or n % d != 0:
-        raise NotADivisor(f"{d} does not divide {n}")
+    cofactor_gcd(n, d)
     if gcd(x, d) != 1:
         raise NotCoprime(f"gcd({x}, {d}) > 1")
     return _class_x0(n, x, d)
@@ -296,9 +295,7 @@ def width_and_stabilizer_sign(n: int, group: str, c: CuspClass) -> tuple[int, bo
 def ramification_x1_to_delta(n: int, d: int) -> int:
     """Largest diamond orbit, over Delta_d, of the X_1(N) cusps with
     invariant d; total ramification of X_1(N) -> X_{Delta_d}(N) means 1."""
-    if d < 1 or n % d != 0:
-        raise NotADivisor(f"{d} does not divide {n}")
-    if gcd(d, n // d) == 1:
+    if cofactor_gcd(n, d) == 1:
         raise NotIrregular(f"cusps with d = {d} at level {n} are regular")
     delta = delta_d(n, d)
     return max(len(_diamond_orbit(c, delta)) for c in atlas(n, GAMMA1).with_d(d))

@@ -11,14 +11,20 @@ is stored as one leading numerator over 12N and a dense tuple of integer
 coefficients, one per whole q-step, built by a single kernel that
 multiplies or divides by each factor (1 - q^e) in place.
 
-The order of E_r at a cusp (x : y) of X_1(N), in the local parameter, is
+Both the leading exponent and the orders at cusps come from one integer
+formula, b(t, delta) = 6t^2 - 6t*delta + delta^2 = 6 delta^2 B(t/delta):
+the leading numerator over 12N is sum_r k_r b(r, N), and the order of
+the quotient at a cusp (x : y) of X_1(N), in the local parameter, is
 
-    width * delta^2 * B2~(x*r/delta) / (2N),   delta = gcd(y, N),
+    width * sum_r k_r b(x*r mod delta, delta) / 12N,   delta = gcd(y, N),
 
-with B2~ the 1-periodic extension of B.  The formula is cross-validated
-three ways (product expansion at the infinity cusp, degree-0 divisors,
-and the pinned pole orders at level 20); a mismatch raises instead of
-being patched over.  The level-20 certificate built from F_EXPONENTS and
+that is width * delta^2 * B2~(x*r/delta) / (2N) per block, with B2~ the
+1-periodic extension of B.  `ord_at_cusp` checks integrality with divmod;
+a `Fraction` is built only at the boundary, by `ord_at_cusp_exact` and
+`QSeries.leading_exponent`.  The formula is cross-validated three ways
+(product expansion at the infinity cusp, degree-0 divisors, and the
+pinned pole orders at level 20), and against the Bernoulli oracle on
+Fractions in the tests; a mismatch raises instead of being patched over.  The level-20 certificate built from F_EXPONENTS and
 G_EXPONENTS lives in `criteria`, which sits above this module.
 """
 
@@ -47,16 +53,9 @@ MAX_TERMS = 10**6
 MAX_WORK = 3 * 10**7
 
 
-def bernoulli2(x) -> Fraction:
-    """B(x) = x^2 - x + 1/6."""
-    x = Fraction(x)
-    return x * x - x + Fraction(1, 6)
-
-
-def periodic_bernoulli2(x) -> Fraction:
-    """The 1-periodic extension of B, evaluated at the fractional part."""
-    x = Fraction(x)
-    return bernoulli2(x - (x.numerator // x.denominator))
+def b2_scaled(t: int, delta: int) -> int:
+    """6t^2 - 6t*delta + delta^2, which is 6 delta^2 B(t/delta)."""
+    return 6 * t * t - 6 * t * delta + delta * delta
 
 
 class QSeries(NamedTuple):
@@ -167,8 +166,19 @@ def quotient_series(q: EtaQuotient, terms: int | None = None) -> QSeries:
             for _ in range(-k):
                 for i in range(e, terms, e):
                     c[i : i + e] = map(add, c[i : i + e], c[i - e : i])
-    lead = sum(k * (6 * r * r - 6 * r * n + n * n) for r, k in q.exponents)
+    lead = sum(k * b2_scaled(r, n) for r, k in q.exponents)
     return QSeries(n, lead, tuple(c))
+
+
+def _order_over_12n(q: EtaQuotient, c: CuspClass) -> tuple[int, int]:
+    """The order of q at c as an integer numerator over 12N."""
+    n = q.level
+    if c.level != n or c.group != GAMMA1:
+        raise LevelMismatch(f"cusp {c} is not an X_1({n}) class")
+    delta = c.d
+    width, _ = width_and_stabilizer_sign(n, GAMMA1, c)
+    total = sum(k * b2_scaled(c.x * r % delta, delta) for r, k in q.exponents)
+    return width * total, 12 * n
 
 
 def ord_at_cusp_exact(q: EtaQuotient, c: CuspClass) -> Fraction:
@@ -177,25 +187,18 @@ def ord_at_cusp_exact(q: EtaQuotient, c: CuspClass) -> Fraction:
     Non-integral values occur for products that are not functions on
     X_1(N); they are still useful for cross-validating the formula.
     """
-    n = q.level
-    if c.level != n or c.group != GAMMA1:
-        raise LevelMismatch(f"cusp {c} is not an X_1({n}) class")
-    delta = c.d
-    total = Fraction(0)
-    for r, k in q.exponents:
-        total += k * periodic_bernoulli2(Fraction(c.x * r, delta))
-    width, _ = width_and_stabilizer_sign(n, GAMMA1, c)
-    return Fraction(width * delta * delta, 2 * n) * total
+    return Fraction(*_order_over_12n(q, c))
 
 
 def ord_at_cusp(q: EtaQuotient, c: CuspClass) -> int:
     """Order of vanishing in the local parameter at a cusp of X_1(N)."""
-    order = ord_at_cusp_exact(q, c)
-    if order.denominator != 1:
+    order, rest = divmod(*_order_over_12n(q, c))
+    if rest:
         raise NotAFunction(
-            f"order {order} at {c} is not an integer; not a function on X_1({q.level})"
+            f"order {ord_at_cusp_exact(q, c)} at {c} is not an integer; "
+            f"not a function on X_1({q.level})"
         )
-    return int(order)
+    return order
 
 
 class CuspDivisor(NamedTuple):

@@ -249,6 +249,33 @@ def bf_width_and_sign(n, group, x, y):
 
 
 # ---------------------------------------------------------------------------
+# Orders of eta quotients at cusps, as the package first computed them:
+# the second Bernoulli polynomial on Fractions, one block at a time.
+
+
+def bernoulli2(x):
+    """B(x) = x^2 - x + 1/6."""
+    x = Fraction(x)
+    return x * x - x + Fraction(1, 6)
+
+
+def periodic_bernoulli2(x):
+    """The 1-periodic extension of B, evaluated at the fractional part."""
+    x = Fraction(x)
+    return bernoulli2(x - (x.numerator // x.denominator))
+
+
+def bf_ord_at_cusp(n, exponents, x, y):
+    """Order of prod E_r^k over the (r, k) pairs at the X_1(n) cusp (x : y):
+    width * delta^2 / 2n * sum k B2~(x r / delta), delta = gcd(y, n), with
+    the width scanned by bf_width_and_sign."""
+    width, _ = bf_width_and_sign(n, "gamma1", x, y)
+    delta = gcd(y, n)
+    total = sum(k * periodic_bernoulli2(Fraction(x * r, delta)) for r, k in exponents)
+    return Fraction(width * delta * delta, 2 * n) * total
+
+
+# ---------------------------------------------------------------------------
 # The eta-quotient expansion as the package first computed it: series as
 # dicts from exponent numerator (over 12N) to a Fraction or int, an O(T^2)
 # dict convolution, a Fraction long-division inverse and repeated products.

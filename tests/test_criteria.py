@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspforge.arith import divisors
+from cuspforge.arith import MAX_LEVEL, divisors, factorize
 from cuspforge.criteria import (
     MAX_SURVEY,
     NOT_WEIERSTRASS,
@@ -28,7 +28,9 @@ from cuspforge.criteria import (
 from cuspforge.errors import (
     BadGenus,
     GenusTooSmall,
+    DomainError,
     InconsistentGapCount,
+    LevelTooLarge,
     NotIrregular,
     NotPrime,
     SurveyTooLarge,
@@ -166,6 +168,24 @@ def test_x0_verdict_more_cases():
         x0_verdict(4, 4)
     with pytest.raises(GenusTooSmall):
         x0_verdict(2, 2)  # g_0(8) = 0
+
+
+def test_x0_verdict_refuses_level_before_factoring_p():
+    factorize.cache_clear()
+    with pytest.raises(LevelTooLarge, match=str(999999999989**2)):
+        x0_verdict(999999999989, 1)
+    assert factorize.cache_info().misses == 0
+    # a composite p is refused for its level too, past the bound only
+    m = MAX_LEVEL // 10**12
+    with pytest.raises(LevelTooLarge):
+        x0_verdict(10**6, m + 1)
+    with pytest.raises(NotPrime):
+        x0_verdict(10**6, m)
+    for p, m in ((1, 10**13), (-3, 10**13), (0, 1)):
+        with pytest.raises(NotPrime):
+            x0_verdict(p, m)
+    with pytest.raises(DomainError, match="M must be positive"):
+        x0_verdict(999999999989, 0)
 
 
 def test_x0_lemma_43_consistency():

@@ -19,7 +19,6 @@ from cuspforge.etaq import (
     EtaQuotient,
     F_EXPONENTS,
     G_EXPONENTS,
-    bernoulli2,
     divisor,
     eta_series,
     ord_at_cusp,
@@ -28,7 +27,7 @@ from cuspforge.etaq import (
 )
 from cuspforge.symmetry import cusp_orbits_x1
 
-from oracles import bf_quotient_series
+from oracles import bernoulli2, bf_ord_at_cusp, bf_quotient_series
 
 
 def test_bernoulli2_values():
@@ -212,6 +211,31 @@ def test_every_accepted_divisor_has_degree_zero(data):
     else:
         with pytest.raises(NotAFunction):
             divisor(q)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_integer_orders_match_bernoulli_oracle(data):
+    # the integer formula against B2~ on Fractions at every cusp, and the
+    # first non-integral order, if any, is the one `divisor` refuses
+    n = data.draw(st.integers(1, 60))
+    q = data.draw(_quotients(n)) if n > 1 else EtaQuotient.make(1, {})
+    if data.draw(st.booleans()):
+        q = EtaQuotient.make(n, {r: 12 * k for r, k in q.exponents})
+    orders = []
+    for c in atlas(n, GAMMA1):
+        want = bf_ord_at_cusp(n, q.exponents, c.x, c.y)
+        assert ord_at_cusp_exact(q, c) == want
+        orders.append((c, want))
+    bad = [(c, o) for c, o in orders if o.denominator != 1]
+    if bad:
+        c, o = bad[0]
+        message = f"order {o} at {c} is not an integer; not a function on X_1({n})"
+        with pytest.raises(NotAFunction) as exc:
+            divisor(q)
+        assert str(exc.value) == message
+    else:
+        assert dict(divisor(q).orders) == {c: o for c, o in orders if o}
 
 
 def test_pinned_pole_orders_at_level_20():

@@ -68,3 +68,16 @@ def test_every_cache_is_bounded():
     assert caches
     unbounded = [name for name, size in caches.items() if size is None]
     assert not unbounded, f"unbounded caches: {unbounded}"
+
+
+def test_divisor_check_has_one_home():
+    # every function of (N, d) validates d through arith.cofactor_gcd
+    sites = []
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Raise) and "NotADivisor" in ast.dump(node):
+                        sites.append(f"{module}.{fn.name}")
+    assert sites == ["arith.cofactor_gcd"]
