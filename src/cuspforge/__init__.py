@@ -16,7 +16,6 @@ from .arith import (
 from .cusps import (
     GAMMA0,
     GAMMA1,
-    CuspAtlas,
     CuspClass,
     atlas,
     atlas_delta,

@@ -187,8 +187,9 @@ def inv_mod(a: int, n: int) -> int:
 
 def _span(
     n: int, gens, within: frozenset | None = None, limit: int | None = MAX_UNITS
-) -> list[int]:
-    """The subgroup of (Z/nZ)* generated by gens, 1 first.
+) -> tuple[list[int], list[int]]:
+    """The subgroup of (Z/nZ)* generated by gens, 1 first, and the
+    generators kept: those not already in the span of the ones before.
 
     Each generator g not yet in the span H adds the cosets H*g^j for
     0 < j < k, where g^k is the first power back in H; (Z/nZ)* is abelian,
@@ -199,12 +200,13 @@ def _span(
     cosets are built.
     """
     one = normalize_residue(1, n)
-    span, seen = [one], {one}
+    span, seen, kept = [one], {one}, []
     for g in gens:
         if g in seen:
             continue
         if gcd(g, n) != 1:
             raise NonUnitGenerator(f"{g} is not a unit mod {n}")
+        kept.append(g)
         powers, x = [], g
         while x not in seen:
             powers.append(x)
@@ -218,7 +220,7 @@ def _span(
             raise ValueError("element set is not multiplicatively closed")
         seen.update(new)
         span += new
-    return span
+    return span, kept
 
 
 class Record:
@@ -285,7 +287,7 @@ def _subgroup_generated(n: int, gens: tuple) -> DeltaSubgroup:
     for g in gens:
         if gcd(g, n) != 1:
             raise NonUnitGenerator(f"generator {g} shares a factor with {n}")
-    span = _span(n, [normalize_residue(g, n) for g in (-1, *gens)])
+    span, _ = _span(n, [normalize_residue(g, n) for g in (-1, *gens)])
     return DeltaSubgroup(n, tuple(sorted(span)))
 
 
@@ -313,28 +315,24 @@ def delta_d(n: int, d: int) -> DeltaSubgroup:
     return DeltaSubgroup(n, tuple(sorted(a for a in lifts if gcd(a, n) == 1)))
 
 
-def projection_image_size(n: int, d: int, delta: DeltaSubgroup) -> int:
-    """Size of the image of Delta in (Z/lcm(d, N/d)Z)*.
+def projection_image_size(d: int, delta: DeltaSubgroup) -> int:
+    """Size of the image of Delta in (Z/lcm(d, N/d)Z)*, N = delta.level.
 
     With e = gcd(d, N/d) and m = lcm(d, N/d) = N/e, the kernel of reduction
     mod m is {1 + j*m : 0 <= j < e} (m has every prime of N, so each is a
     unit), and the image has size |Delta| / |Delta meet kernel|.
     """
+    n = delta.level
     e = cofactor_gcd(n, d)
-    if delta.level != n:
-        raise ValueError("subgroup level does not match")
     m = n // e
     return len(delta) // sum((1 + j * m) in delta.members for j in range(e))
 
 
 def unit_group_generators(n: int) -> list[int]:
-    """A small generating set of (Z/nZ)* (with -1 adjoined), found greedily."""
-    gens: list[int] = []
-    span = {normalize_residue(1, n), normalize_residue(-1, n)}
-    for u in units(n):
-        if u not in span:
-            gens.append(u)
-            # unbounded: cusp_orbits_x1 builds the X_1(N) atlas first, whose
-            # bound keeps phi(N) <= 5 * 10^4
-            span = set(_span(n, [n - 1, *gens], limit=None))
-    return gens
+    """A small generating set of (Z/nZ)* (with -1 adjoined), found greedily:
+    each unit, in increasing order, not yet in the span of -1 and the
+    units kept before it."""
+    # unbounded: cusp_orbits_x1 builds the X_1(N) atlas first, whose bound
+    # keeps phi(N) <= 5 * 10^4
+    _, kept = _span(n, [normalize_residue(-1, n), *units(n)], limit=None)
+    return kept[1:]  # -1 comes first, and is kept unless it is 1 (N <= 2)

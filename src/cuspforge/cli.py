@@ -125,16 +125,16 @@ def _dispatch(args) -> tuple[dict, dict, str | None]:
     if getattr(args, "level", None) is not None:
         _positive_level(args.level)
     if cmd == "genus":
-        profile = genus_delta(args.level, _delta_for(args, args.level))
+        profile = genus_delta(_delta_for(args, args.level))
         return {"level": args.level, "group": _group_tag(args)}, profile.to_json(), None
 
     if cmd == "cusps":
         tag = _group_tag(args)
         params = {"level": args.level, "group": tag}
         if tag in (GAMMA0, GAMMA1):
-            return params, {"cusps": atlas(args.level, tag).to_json()}, None
+            return params, {"cusps": [c.to_json() for c in atlas(args.level, tag)]}, None
         delta = _delta_for(args, args.level)
-        orbits = atlas_delta(args.level, delta)
+        orbits = atlas_delta(delta)
         return (
             params,
             {

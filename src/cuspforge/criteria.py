@@ -154,7 +154,7 @@ def lemma_genus_check(n: int, d: int) -> bool:
     g = g1(n)
     if g < 2:
         raise GenusTooSmall(f"g_1({n}) = {g} < 2")
-    return schoeneberg(g, e, genus_delta(n, delta_d(n, d)).g)
+    return schoeneberg(g, e, genus_delta(delta_d(n, d)).g)
 
 
 def fricke_reduce(n: int, d: int) -> int:
@@ -239,7 +239,7 @@ def certify_x1_20() -> tuple[GapSequence, Verdict]:
     if images != expected:
         raise RuntimeError(f"Atkin-Lehner images {images} != {expected}")
     cusps = {s} | set(images.values())
-    if cusps != set(atlas(n, GAMMA1).irregular()):
+    if cusps != {c for c in atlas(n, GAMMA1) if c.irregular}:
         raise RuntimeError("propagated cusps are not exactly the irregular ones")
 
     step = CertStep(
@@ -302,7 +302,7 @@ def _x1_verdict(n: int, d: int, fac, exps) -> Verdict:
             {"phi_product": phi_d * phi_nd, "threshold": _threshold(e), "e": e},
         )
         return Verdict(WEIERSTRASS, None, (*steps, step))
-    g, g_quot = g1_of(n, fac), genus_delta(n, delta_d(n, d0)).g
+    g, g_quot = g1_of(n, fac), genus_delta(delta_d(n, d0)).g
     if schoeneberg(g, e, g_quot):
         step = CertStep(RULE_LEMMA_GENUS, {"g1": g, "e": e, "g_quotient": g_quot})
         return Verdict(WEIERSTRASS, None, (*steps, step))

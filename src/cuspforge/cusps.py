@@ -14,7 +14,6 @@ from math import gcd
 from typing import NamedTuple
 
 from .arith import (
-    Record,
     cofactor_gcd,
     cusp_sum,
     delta_d,
@@ -26,7 +25,6 @@ from .arith import (
 )
 from .errors import (
     AtlasTooLarge,
-    LevelMismatch,
     NotCoprime,
     NotIrregular,
     NotPrime,
@@ -66,6 +64,7 @@ class CuspClass(NamedTuple):
             "d": self.d,
             "e": self.e,
             "irregular": self.irregular,
+            "width": width_and_stabilizer_sign(self)[0],
         }
 
     def __str__(self) -> str:
@@ -157,45 +156,8 @@ def _diamond_orbit(c: CuspClass, delta) -> set[CuspClass]:
     return {diamond_image_x1(c, a) for a in delta.elements}
 
 
-class CuspAtlas(Record):
-    """The cusp classes of one curve, in atlas order."""
-
-    __slots__ = ("level", "group", "cusps")
-
-    def __init__(self, level: int, group: str, cusps: tuple[CuspClass, ...]):
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "cusps", cusps)
-
-    def with_d(self, d: int) -> tuple[CuspClass, ...]:
-        return tuple(c for c in self.cusps if c.d == d)
-
-    def per_d_counts(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for c in self.cusps:
-            out[c.d] = out.get(c.d, 0) + 1
-        return out
-
-    def irregular(self) -> tuple[CuspClass, ...]:
-        return tuple(c for c in self.cusps if c.irregular)
-
-    def __len__(self) -> int:
-        return len(self.cusps)
-
-    def __iter__(self):
-        return iter(self.cusps)
-
-    def to_json(self) -> list[dict]:
-        out = []
-        for c in self.cusps:
-            entry = c.to_json()
-            entry["width"] = width_and_stabilizer_sign(self.level, self.group, c)[0]
-            out.append(entry)
-        return out
-
-
 @lru_cache(maxsize=8)
-def atlas(n: int, group: str = GAMMA1) -> CuspAtlas:
+def atlas(n: int, group: str = GAMMA1) -> tuple[CuspClass, ...]:
     """Complete duplicate-free cusp atlas of X_1(N) or X_0(N), sorted.
 
     The Gamma_1 atlas lists the fixed points of `canonicalize_x1` in order:
@@ -225,7 +187,7 @@ def atlas(n: int, group: str = GAMMA1) -> CuspAtlas:
             cusps += sorted(_class_x0(n, x, d) for x in range(e) if gcd(x, e) == 1)
     else:
         raise ValueError(f"unknown group tag {group!r}")
-    return CuspAtlas(n, group, tuple(cusps))
+    return tuple(cusps)
 
 
 class DeltaOrbit(NamedTuple):
@@ -239,13 +201,12 @@ class DeltaOrbit(NamedTuple):
         return len(self.members)
 
 
-def atlas_delta(n: int, delta) -> tuple[DeltaOrbit, ...]:
-    """Cusps of X_Delta(N) as diamond orbits of the X_1(N) atlas."""
-    if delta.level != n:
-        raise LevelMismatch(f"subgroup lives at level {delta.level}, not {n}")
+def atlas_delta(delta) -> tuple[DeltaOrbit, ...]:
+    """Cusps of X_Delta(N), N = delta.level, as diamond orbits of the
+    X_1(N) atlas."""
     seen: set[CuspClass] = set()
     orbits = []
-    for c in atlas(n, GAMMA1):
+    for c in atlas(delta.level, GAMMA1):
         if c in seen:
             continue
         orbit = _diamond_orbit(c, delta)
@@ -268,21 +229,19 @@ def lift_to_coprime(n: int, x: int, y: int) -> tuple[int, int]:
     return a, c
 
 
-def width_and_stabilizer_sign(n: int, group: str, c: CuspClass) -> tuple[int, bool]:
-    """Width h of the cusp and whether sigma T^h sigma^-1 lies in the group
-    itself (True) or only as minus a group element (False).
+def width_and_stabilizer_sign(c: CuspClass) -> tuple[int, bool]:
+    """Width h of the cusp on its group, at its level, and whether
+    sigma T^h sigma^-1 lies in the group itself (True) or only as minus a
+    group element (False).
 
     With d = gcd(y, N), h = N/gcd(d^2, N) on Gamma_0(N) and h = N/d on
     Gamma_1(N).  The one exception is the classically irregular cusp
     (1 : 2) of X_1(4): width 1, with sigma T sigma^-1 in -Gamma_1(4) only
     (Diamond-Shurman, GTM 228, section 3.8).
     """
-    if c.level != n:
-        raise LevelMismatch(f"cusp lives at level {c.level}, not {n}")
-    if group == GAMMA0:
+    n = c.level
+    if c.group == GAMMA0:
         return n // gcd(c.d * c.d, n), True
-    if group != GAMMA1:
-        raise ValueError(f"unknown group tag {group!r}")
     if n == 4 and c.d == 2:
         return 1, False
     return n // c.d, True
@@ -298,7 +257,7 @@ def ramification_x1_to_delta(n: int, d: int) -> int:
     if cofactor_gcd(n, d) == 1:
         raise NotIrregular(f"cusps with d = {d} at level {n} are regular")
     delta = delta_d(n, d)
-    return max(len(_diamond_orbit(c, delta)) for c in atlas(n, GAMMA1).with_d(d))
+    return max(len(_diamond_orbit(c, delta)) for c in atlas(n, GAMMA1) if c.d == d)
 
 
 def ramification_x0_tower(p: int, m: int, x: int) -> int:

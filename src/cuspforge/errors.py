@@ -74,6 +74,10 @@ class TruncationTooLarge(DomainError):
     """A series expansion whose length or work exceeds the cost bound."""
 
 
+class DivisorTooLarge(DomainError):
+    """A cusp divisor with more (cusp, block) pairs than the cost bound."""
+
+
 class AtlasTooLarge(DomainError):
     """An X_1(N) atlas with more cusps than the cost bound."""
 

@@ -24,8 +24,9 @@ a `Fraction` is built only at the boundary, by `ord_at_cusp_exact` and
 `QSeries.leading_exponent`.  The formula is cross-validated three ways
 (product expansion at the infinity cusp, degree-0 divisors, and the
 pinned pole orders at level 20), and against the Bernoulli oracle on
-Fractions in the tests; a mismatch raises instead of being patched over.  The level-20 certificate built from F_EXPONENTS and
-G_EXPONENTS lives in `criteria`, which sits above this module.
+Fractions in the tests; a mismatch raises instead of being patched over.
+The level-20 certificate built from F_EXPONENTS and G_EXPONENTS lives in
+`criteria`, which sits above this module.
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ from fractions import Fraction
 from operator import add, sub
 from typing import NamedTuple
 
+from .arith import cusp_sum
 from .cusps import GAMMA1, CuspClass, atlas, width_and_stabilizer_sign
 from .errors import (
+    DivisorTooLarge,
     DomainError,
     LevelMismatch,
     NotAFunction,
@@ -51,6 +54,15 @@ from .errors import (
 # MAX_TERMS coefficients of the trivial quotient took 0.02 s.
 MAX_TERMS = 10**6
 MAX_WORK = 3 * 10**7
+
+# Cost bound of one cusp divisor in (cusp, block) pairs: the X_1(N) cusp
+# count, read off its closed form, times the number of blocks E_r.  On a
+# 2-vCPU host with CPython 3.11 a pair costs about 270 ns when the quotient
+# is a function (a non-integral order ends the loop early): all 2499 blocks
+# at level 4999, 1.25 * 10^7 pairs, took 3.4 s in process and 5.1 s as an
+# `eta div` process, and 1581 blocks at level 3163, just inside the bound,
+# took 2.1 s as a process.
+MAX_DIVISOR_PAIRS = 5 * 10**6
 
 
 def b2_scaled(t: int, delta: int) -> int:
@@ -176,7 +188,7 @@ def _order_over_12n(q: EtaQuotient, c: CuspClass) -> tuple[int, int]:
     if c.level != n or c.group != GAMMA1:
         raise LevelMismatch(f"cusp {c} is not an X_1({n}) class")
     delta = c.d
-    width, _ = width_and_stabilizer_sign(n, GAMMA1, c)
+    width, _ = width_and_stabilizer_sign(c)
     total = sum(k * b2_scaled(c.x * r % delta, delta) for r, k in q.exponents)
     return width * total, 12 * n
 
@@ -225,7 +237,14 @@ class CuspDivisor(NamedTuple):
 
 
 def divisor(q: EtaQuotient) -> CuspDivisor:
-    """Full cusp divisor; raises unless the total degree is zero."""
+    """Full cusp divisor; raises unless the total degree is zero.  Past
+    `MAX_DIVISOR_PAIRS` it is refused before the atlas is built."""
+    pairs = cusp_sum(q.level) // 2 * len(q.exponents)
+    if pairs > MAX_DIVISOR_PAIRS:
+        raise DivisorTooLarge(
+            f"{pairs} (cusp, block) pairs at level {q.level} exceed the cost "
+            f"bound {MAX_DIVISOR_PAIRS}"
+        )
     entries = []
     total = 0
     for c in atlas(q.level, GAMMA1):

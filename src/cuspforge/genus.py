@@ -45,7 +45,6 @@ from .errors import NonIntegralGenus
 
 
 class GenusProfile(NamedTuple):
-    level: int
     delta: DeltaSubgroup
     mu: Fraction
     nu2: Fraction
@@ -58,7 +57,7 @@ class GenusProfile(NamedTuple):
             return int(v) if v.denominator == 1 else str(v)
 
         return {
-            "N": self.level,
+            "N": self.delta.level,
             "delta": list(self.delta.elements),
             "mu": enc(self.mu),
             "nu2": enc(self.nu2),
@@ -73,62 +72,64 @@ def _psi(n: int, fac=None) -> int:
     return prod(p ** (a - 1) * (p + 1) for p, a in fac or factorize(n))
 
 
-# Each *_num is |Delta| times the count, an integer.
+# Each *_num is |Delta| times the count, an integer; N is delta.level.
 
 
-def _mu_num(n: int) -> int:
-    return _psi(n) * totient(n)
+def _mu_num(delta: DeltaSubgroup) -> int:
+    return _psi(delta.level) * totient(delta.level)
 
 
-def _nu2_num(n: int, delta: DeltaSubgroup) -> int:
+def _nu2_num(delta: DeltaSubgroup) -> int:
+    n = delta.level
     return sum(1 for b in delta.elements if (b * b + 1) % n == 0) * totient(n)
 
 
-def _nu3_num(n: int, delta: DeltaSubgroup) -> int:
+def _nu3_num(delta: DeltaSubgroup) -> int:
+    n = delta.level
     return sum(1 for b in delta.elements if (b * b - b + 1) % n == 0) * totient(n)
 
 
-def _nu_inf_num(n: int, delta: DeltaSubgroup) -> int:
+def _nu_inf_num(delta: DeltaSubgroup) -> int:
+    n = delta.level
     return sum(
-        totient(d) * totient(n // d) * (len(delta) // projection_image_size(n, d, delta))
+        totient(d) * totient(n // d) * (len(delta) // projection_image_size(d, delta))
         for d in divisors(n)
     )
 
 
-def mu(n: int, delta: DeltaSubgroup) -> Fraction:
+def mu(delta: DeltaSubgroup) -> Fraction:
     """Degree of X_Delta(N) over X(1)."""
-    return Fraction(_mu_num(n), len(delta))
+    return Fraction(_mu_num(delta), len(delta))
 
 
-def nu2(n: int, delta: DeltaSubgroup) -> Fraction:
+def nu2(delta: DeltaSubgroup) -> Fraction:
     """Number of elliptic points of order 2."""
-    return Fraction(_nu2_num(n, delta), len(delta))
+    return Fraction(_nu2_num(delta), len(delta))
 
 
-def nu3(n: int, delta: DeltaSubgroup) -> Fraction:
+def nu3(delta: DeltaSubgroup) -> Fraction:
     """Number of elliptic points of order 3."""
-    return Fraction(_nu3_num(n, delta), len(delta))
+    return Fraction(_nu3_num(delta), len(delta))
 
 
-def nu_inf(n: int, delta: DeltaSubgroup) -> Fraction:
+def nu_inf(delta: DeltaSubgroup) -> Fraction:
     """Number of cusps of X_Delta(N)."""
-    return Fraction(_nu_inf_num(n, delta), len(delta))
+    return Fraction(_nu_inf_num(delta), len(delta))
 
 
 @lru_cache(maxsize=256)
-def genus_delta(n: int, delta: DeltaSubgroup) -> GenusProfile:
-    if delta.level != n:
-        raise ValueError("subgroup level does not match")
+def genus_delta(delta: DeltaSubgroup) -> GenusProfile:
+    """The genus profile of X_Delta(N), N = delta.level."""
     size = len(delta)
-    m_, n2, n3 = _mu_num(n), _nu2_num(n, delta), _nu3_num(n, delta)
-    ni = _nu_inf_num(n, delta)
+    m_, n2, n3 = _mu_num(delta), _nu2_num(delta), _nu3_num(delta)
+    ni = _nu_inf_num(delta)
     num = 12 * size + m_ - 3 * n2 - 4 * n3 - 6 * ni  # 12 |Delta| g
     g, rem = divmod(num, 12 * size)
     if rem or g < 0:
-        raise NonIntegralGenus(f"g({n}, {delta.elements}) = {Fraction(num, 12 * size)}")
-    return GenusProfile(
-        n, delta, *(Fraction(v, size) for v in (m_, n2, n3, ni)), g
-    )
+        raise NonIntegralGenus(
+            f"g({delta.level}, {delta.elements}) = {Fraction(num, 12 * size)}"
+        )
+    return GenusProfile(delta, *(Fraction(v, size) for v in (m_, n2, n3, ni)), g)
 
 
 def g1_of(n: int, fac) -> int:

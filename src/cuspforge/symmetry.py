@@ -73,17 +73,15 @@ def act_atkin_lehner(op: AtkinLehnerOp, c: CuspClass) -> CuspClass:
     return _act_matrix(op.matrix, c)
 
 
-def act_sp(p: int, n: int, c: CuspClass) -> CuspClass:
+def act_sp(p: int, c: CuspClass) -> CuspClass:
     """Image under S_p = (1, 1/p; 0, 1): a/c maps to (pa + c)/(pc).
 
-    Normalizes Gamma_0(p^2 M) for p = 2, 3 only.
+    Normalizes Gamma_0(p^2 M) for p = 2, 3 only; N = p^2 M is the level of c.
     """
     if p not in (2, 3):
         raise BadP(f"S_p is only in the normalizer for p = 2, 3 (got {p})")
-    if n % (p * p) != 0:
-        raise LevelNotDivisible(f"{p}^2 does not divide {n}")
-    if c.level != n:
-        raise LevelMismatch(f"cusp at level {c.level}, not {n}")
+    if c.level % (p * p) != 0:
+        raise LevelNotDivisible(f"{p}^2 does not divide {c.level}")
     if c.group != GAMMA0:
         raise LevelMismatch("S_p acts on X_0(N) cusp classes")
     return _act_matrix((p, 1, 0, p), c)

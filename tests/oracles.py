@@ -138,6 +138,26 @@ def bf_is_closed(n, elements):
     return all(((a * b) % n or n) in elems for a in elems for b in elems)
 
 
+def bf_unit_group_generators(n):
+    """Greedy generators of (Z/nZ)*: each unit, in increasing order, that
+    the span of -1 and the units kept so far misses, with the span built
+    again by search after each new generator."""
+    gens = []
+    span = {1 % n, -1 % n}
+    for u in range(1, n):
+        if gcd(u, n) == 1 and u not in span:
+            gens.append(u)
+            span, stack = {1 % n}, [1 % n]
+            while stack:
+                a = stack.pop()
+                for g in (n - 1, *gens):
+                    b = a * g % n
+                    if b not in span:
+                        span.add(b)
+                        stack.append(b)
+    return gens
+
+
 def bf_projection_image_size(n, d, elements):
     """Size of the image of the residues in (Z/lcm(d, n/d)Z)*, as a set of
     reductions."""

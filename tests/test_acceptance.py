@@ -2,10 +2,11 @@
 per criterion on stdout (run with pytest -s to watch them stream)."""
 
 import time
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
-from cuspforge.arith import delta_d, divisors, full_units, pm_one, totient
+from cuspforge.arith import delta_d, divisors, pm_one, totient
 from cuspforge.criteria import (
     NOT_WEIERSTRASS,
     UNKNOWN,
@@ -58,8 +59,8 @@ def test_criterion_2_cusp_count_equivalence():
         x1 = bf_x1_orbits(n)
         counts1 = bf_counts_by_d(n, x1[0])
         counts0 = bf_counts_by_d(n, bf_x0_orbits(n, x1))
-        atlas1 = atlas(n, GAMMA1).per_d_counts()
-        atlas0 = atlas(n, GAMMA0).per_d_counts()
+        atlas1 = Counter(c.d for c in atlas(n, GAMMA1))
+        atlas0 = Counter(c.d for c in atlas(n, GAMMA0))
         for d in divisors(n):
             closed1 = totient(d) * totient(n // d) // 2
             closed0 = totient(gcd(d, n // d))
@@ -92,8 +93,8 @@ def test_criterion_4_cusp_number_inequality():
             if e == 1:
                 continue
             if base is None:
-                base = nu_inf(n, pm_one(n))
-            lhs = e * nu_inf(n, delta_d(n, d)) - base
+                base = nu_inf(pm_one(n))
+            lhs = e * nu_inf(delta_d(n, d)) - base
             rhs = Fraction((e - 1) * totient(d) * totient(n // d), 2)
             assert lhs >= rhs, (n, d)
             checked += 1
@@ -107,13 +108,13 @@ def test_criterion_5_mu_identity():
     # collapse mod N/e, Delta_2 = {+-1}, and the degree-e covering behind
     # the identity does not exist; assert that exception explicitly.
     assert delta_d(4, 2) == pm_one(4)
-    assert mu(4, pm_one(4)) == mu(4, delta_d(4, 2))
+    assert mu(pm_one(4)) == mu(delta_d(4, 2))
     checked = 0
     for n in range(5, 301):
         for d in divisors(n):
             e = gcd(d, n // d)
             if e > 1:
-                assert mu(n, pm_one(n)) == e * mu(n, delta_d(n, d)), (n, d)
+                assert mu(pm_one(n)) == e * mu(delta_d(n, d)), (n, d)
                 checked += 1
     assert checked > 400
     _report(5, f"mu identity exact on {checked} pairs (sole degenerate level: 4)", t0)
@@ -139,7 +140,7 @@ def test_criterion_6_eta_certificate():
     assert images[20] == canonicalize_x1(20, 1, 2)
     assert images[5] == canonicalize_x1(20, 1, 6)
     orbit = set(cusp_orbits_x1(20).orbit_of(s))
-    assert orbit == set(atlas(20, GAMMA1).irregular())
+    assert orbit == {c for c in atlas(20, GAMMA1) if c.irregular}
 
     # series at the default truncation agree with the closed-form orders
     inf = canonicalize_x1(20, 1, 20)

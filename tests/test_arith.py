@@ -39,6 +39,7 @@ from oracles import (
     bf_phi,
     bf_phi_table,
     bf_projection_image_size,
+    bf_unit_group_generators,
 )
 
 
@@ -122,19 +123,19 @@ def test_delta_d_contains_pm_one():
 
 
 def test_projection_image_size_values():
-    assert projection_image_size(20, 20, pm_one(20)) == 2
-    assert projection_image_size(20, 2, delta_d(20, 2)) == 2
-    assert projection_image_size(20, 1, delta_d(20, 2)) == 4
+    assert projection_image_size(20, pm_one(20)) == 2
+    assert projection_image_size(2, delta_d(20, 2)) == 2
+    assert projection_image_size(1, delta_d(20, 2)) == 4
 
 
 def test_projection_of_delta_d_is_two():
     # |pi_d(Delta_d)| = 2 whenever e > 1, except N = 4 where +-1 collapse
     # mod N/e = 2 (the only level with N/e <= 2)
-    assert projection_image_size(4, 2, delta_d(4, 2)) == 1
+    assert projection_image_size(2, delta_d(4, 2)) == 1
     for n in range(5, 301):
         for d in divisors(n):
             if gcd(d, n // d) > 1:
-                assert projection_image_size(n, d, delta_d(n, d)) == 2
+                assert projection_image_size(d, delta_d(n, d)) == 2
 
 
 def test_projection_monotone_under_inclusion():
@@ -145,9 +146,7 @@ def test_projection_monotone_under_inclusion():
         small = subgroup_generated(n, (g,))
         big = full_units(n)
         for d in divisors(n):
-            assert projection_image_size(n, d, small) <= projection_image_size(
-                n, d, big
-            )
+            assert projection_image_size(d, small) <= projection_image_size(d, big)
 
 
 def test_projection_image_size_matches_set_oracle():
@@ -159,7 +158,7 @@ def test_projection_image_size_matches_set_oracle():
         for delta in groups:
             for d in divisors(n):
                 expected = bf_projection_image_size(n, d, delta.elements)
-                assert projection_image_size(n, d, delta) == expected, (n, d, delta)
+                assert projection_image_size(d, delta) == expected, (n, d, delta)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -169,7 +168,7 @@ def test_projection_image_size_matches_set_oracle_random_subgroups(data):
     gens = data.draw(st.lists(st.sampled_from(units(n)), max_size=3))
     delta = subgroup_generated(n, tuple(gens))
     for d in divisors(n):
-        assert projection_image_size(n, d, delta) == bf_projection_image_size(
+        assert projection_image_size(d, delta) == bf_projection_image_size(
             n, d, delta.elements
         )
 
@@ -184,6 +183,11 @@ def test_unit_group_generators_generate():
     for n in range(1, 80):
         gens = unit_group_generators(n)
         assert set(subgroup_generated(n, tuple(gens)).elements) == set(units(n))
+
+
+def test_unit_group_generators_match_oracle():
+    for n in range(1, 501):
+        assert unit_group_generators(n) == bf_unit_group_generators(n), n
 
 
 def test_subgroup_validation_rejects_unclosed():

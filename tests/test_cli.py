@@ -203,6 +203,19 @@ def test_oversized_atlas_is_refused_quickly(argv, spec, tmp_path, monkeypatch):
     assert json.loads(text)["error"]["type"] == "AtlasTooLarge"
 
 
+def test_oversized_divisor_is_refused_quickly(tmp_path):
+    # X_1(49999) has 49998 cusps, inside the atlas bound, but times 24999
+    # blocks that is 1.25 * 10^9 (cusp, block) pairs: still running after
+    # 30 s before the divisor bound
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"level": 49999, "exponents": {r: 12 for r in range(1, 25000)}}))
+    t0 = time.perf_counter()
+    code, text = _run(["eta", "div", "--spec", str(spec), "--terms", "1"])
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert json.loads(text)["error"]["type"] == "DivisorTooLarge"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -144,7 +145,7 @@ def test_canonicalize_x0_errors():
 def test_atlas_x1_20():
     a = atlas(20, GAMMA1)
     assert len(a) == 20
-    irregular = {c.key() for c in a.irregular()}
+    irregular = {c.key() for c in a if c.irregular}
     assert irregular == {"1:2", "1:6", "1:10", "3:10"}
 
 
@@ -158,7 +159,7 @@ def test_atlas_x1_is_the_sorted_scan():
             for y in range(1, n + 1)
             if gcd(gcd(x, y), n) == 1
         }
-        assert atlas(n, GAMMA1).cusps == tuple(sorted(scan)), n
+        assert atlas(n, GAMMA1) == tuple(sorted(scan)), n
 
 
 def test_x0_image_is_the_class_of_a_lift():
@@ -189,7 +190,7 @@ def test_atlas_x0_cost_bound():
 
 def test_atlas_x0_12_counts():
     # phi(gcd(d, N/d)) cusps for each d
-    assert atlas(12, GAMMA0).per_d_counts() == {1: 1, 2: 1, 3: 1, 4: 1, 6: 1, 12: 1}
+    assert Counter(c.d for c in atlas(12, GAMMA0)) == {1: 1, 2: 1, 3: 1, 4: 1, 6: 1, 12: 1}
 
 
 def test_atlas_trivial_level():
@@ -207,8 +208,8 @@ def test_irregular_iff_e_gt_1_and_squarefree_regular():
 
 def test_atlas_counts_match_closed_forms_small():
     for n in range(5, 61):
-        counts1 = atlas(n, GAMMA1).per_d_counts()
-        counts0 = atlas(n, GAMMA0).per_d_counts()
+        counts1 = Counter(c.d for c in atlas(n, GAMMA1))
+        counts0 = Counter(c.d for c in atlas(n, GAMMA0))
         for d in divisors(n):
             assert counts1[d] == totient(d) * totient(n // d) // 2
             assert counts0[d] == totient(gcd(d, n // d))
@@ -217,34 +218,34 @@ def test_atlas_counts_match_closed_forms_small():
 def test_atlas_matches_bruteforce_orbits_small():
     for n in range(5, 41):
         orbits1, _ = bf_x1_orbits(n)
-        assert bf_counts_by_d(n, orbits1) == atlas(n, GAMMA1).per_d_counts()
+        assert bf_counts_by_d(n, orbits1) == Counter(c.d for c in atlas(n, GAMMA1))
         orbits0 = bf_x0_orbits(n)
-        assert bf_counts_by_d(n, orbits0) == atlas(n, GAMMA0).per_d_counts()
+        assert bf_counts_by_d(n, orbits0) == Counter(c.d for c in atlas(n, GAMMA0))
 
 
 def test_atlas_delta_orbit_sizes():
-    orbits = atlas_delta(20, delta_d(20, 2))
+    orbits = atlas_delta(delta_d(20, 2))
     sizes = {o.representative.key(): o.orbit_size for o in orbits}
     # the irregular cusps are fixed by Delta_2; the count matches nu_inf
     assert sizes["1:10"] == 1 and sizes["1:2"] == 1
-    assert len(orbits) == genus_delta(20, delta_d(20, 2)).nu_inf == 12
+    assert len(orbits) == genus_delta(delta_d(20, 2)).nu_inf == 12
 
 
 def test_widths_gamma0_20():
     inf = canonicalize_x0(20, 1, 20)
     zero = canonicalize_x0(20, 1, 1)
-    assert width_and_stabilizer_sign(20, GAMMA0, inf) == (1, True)
-    assert width_and_stabilizer_sign(20, GAMMA0, zero) == (20, True)
+    assert width_and_stabilizer_sign(inf) == (1, True)
+    assert width_and_stabilizer_sign(zero) == (20, True)
 
 
 def test_width_gamma1_20_irregular():
     s = canonicalize_x1(20, 1, 10)
-    assert width_and_stabilizer_sign(20, GAMMA1, s)[0] == 2
+    assert width_and_stabilizer_sign(s)[0] == 2
 
 
 def test_width_gamma1_4_classically_irregular():
     # the lone classical (stabilizer-sign) irregular cusp
-    h, plus = width_and_stabilizer_sign(4, GAMMA1, canonicalize_x1(4, 1, 2))
+    h, plus = width_and_stabilizer_sign(canonicalize_x1(4, 1, 2))
     assert (h, plus) == (1, False)
 
 
@@ -252,7 +253,7 @@ def test_widths_match_scan_oracle():
     for n in range(1, 201):
         for group in (GAMMA0, GAMMA1):
             for c in atlas(n, group):
-                assert width_and_stabilizer_sign(n, group, c) == bf_width_and_sign(
+                assert width_and_stabilizer_sign(c) == bf_width_and_sign(
                     n, group, c.x, c.y
                 ), (n, group, c)
 
@@ -261,9 +262,9 @@ def test_widths_sum_to_index():
     for n in range(2, 41):
         for group, delta in ((GAMMA1, pm_one(n)), (GAMMA0, full_units(n))):
             total = sum(
-                width_and_stabilizer_sign(n, group, c)[0] for c in atlas(n, group)
+                width_and_stabilizer_sign(c)[0] for c in atlas(n, group)
             )
-            assert total == mu(n, delta)
+            assert total == mu(delta)
 
 
 def test_ramification_x1_to_delta():
@@ -283,5 +284,5 @@ def test_ramification_x0_tower():
 
 
 def test_atlas_json_shape():
-    entry = atlas(20, GAMMA1).to_json()[0]
+    entry = atlas(20, GAMMA1)[0].to_json()
     assert set(entry) == {"x", "y", "d", "e", "irregular", "width"}

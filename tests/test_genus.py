@@ -1,8 +1,6 @@
 from fractions import Fraction
 from math import gcd
 
-import pytest
-
 from cuspforge.arith import (
     delta_d,
     divisors,
@@ -19,34 +17,34 @@ from oracles import bf_g1, bf_genus_profile
 
 
 def test_mu_values():
-    assert mu(20, pm_one(20)) == 144
-    assert mu(20, delta_d(20, 2)) == 72
-    assert mu(1, pm_one(1)) == 1
+    assert mu(pm_one(20)) == 144
+    assert mu(delta_d(20, 2)) == 72
+    assert mu(pm_one(1)) == 1
 
 
 def test_nu2_values():
-    assert nu2(20, pm_one(20)) == 0
-    assert nu2(13, full_units(13)) == 2
+    assert nu2(pm_one(20)) == 0
+    assert nu2(full_units(13)) == 2
     for n in range(4, 120):
-        assert nu2(n, pm_one(n)) == 0
-        assert nu3(n, pm_one(n)) == 0
+        assert nu2(pm_one(n)) == 0
+        assert nu3(pm_one(n)) == 0
 
 
 def test_nu3_values():
-    assert nu3(20, delta_d(20, 2)) == 0
-    assert nu3(7, full_units(7)) == 2
+    assert nu3(delta_d(20, 2)) == 0
+    assert nu3(full_units(7)) == 2
 
 
 def test_nu_inf_values():
-    assert nu_inf(20, pm_one(20)) == 20
-    assert nu_inf(20, delta_d(20, 2)) == 12
-    assert nu_inf(24, delta_d(24, 2)) == 16
+    assert nu_inf(pm_one(20)) == 20
+    assert nu_inf(delta_d(20, 2)) == 12
+    assert nu_inf(delta_d(24, 2)) == 16
 
 
 def test_genus_spot_values():
-    assert genus_delta(20, pm_one(20)).g == 3
-    assert genus_delta(20, delta_d(20, 2)).g == 1
-    assert genus_delta(24, delta_d(24, 2)).g == 1
+    assert genus_delta(pm_one(20)).g == 3
+    assert genus_delta(delta_d(20, 2)).g == 1
+    assert genus_delta(delta_d(24, 2)).g == 1
     assert g1(24) == 5
 
 
@@ -76,7 +74,7 @@ def test_genus_delta_matches_fraction_oracle():
         subgroups = {pm_one(n), full_units(n), *(delta_d(n, d) for d in divisors(n))}
         subgroups.update(_single_generator_subgroups(n))
         for delta in subgroups:
-            p = genus_delta(n, delta)
+            p = genus_delta(delta)
             assert (p.mu, p.nu2, p.nu3, p.nu_inf, p.g) == bf_genus_profile(
                 n, delta.elements
             ), (n, delta.elements)
@@ -84,20 +82,20 @@ def test_genus_delta_matches_fraction_oracle():
 
 def test_closed_forms_match_genus_delta():
     for n in range(1, 3001):
-        assert g1(n) == genus_delta(n, pm_one(n)).g, n
-        assert g0(n) == genus_delta(n, full_units(n)).g, n
+        assert g1(n) == genus_delta(pm_one(n)).g, n
+        assert g0(n) == genus_delta(full_units(n)).g, n
 
 
 def test_mu_identity_for_delta_d():
     # mu(N, {+-1}) = e * mu(N, Delta_d) whenever e > 1.  N = 4 is the lone
     # exception: +-1 collapse mod N/e = 2, so Delta_2 = {+-1} and the
     # degree-e covering behind the identity does not exist there.
-    assert mu(4, pm_one(4)) == mu(4, delta_d(4, 2))
+    assert mu(pm_one(4)) == mu(delta_d(4, 2))
     for n in range(5, 301):
         for d in divisors(n):
             e = gcd(d, n // d)
             if e > 1:
-                assert mu(n, pm_one(n)) == e * mu(n, delta_d(n, d))
+                assert mu(pm_one(n)) == e * mu(delta_d(n, d))
 
 
 def test_nu_inf_inequality():
@@ -109,17 +107,17 @@ def test_nu_inf_inequality():
             if e == 1:
                 continue
             if base is None:
-                base = nu_inf(n, pm_one(n))
-            lhs = e * nu_inf(n, delta_d(n, d)) - base
+                base = nu_inf(pm_one(n))
+            lhs = e * nu_inf(delta_d(n, d)) - base
             rhs = Fraction((e - 1) * totient(d) * totient(n // d), 2)
             assert lhs >= rhs, (n, d)
 
 
 def test_nu_inf_matches_atlas_sizes():
     for n in range(5, 121):
-        assert nu_inf(n, pm_one(n)) == len(atlas(n, GAMMA1))
+        assert nu_inf(pm_one(n)) == len(atlas(n, GAMMA1))
     for n in range(1, 121):
-        assert nu_inf(n, full_units(n)) == len(atlas(n, GAMMA0))
+        assert nu_inf(full_units(n)) == len(atlas(n, GAMMA0))
 
 
 def test_genus_integrality_single_generator_subgroups():
@@ -135,7 +133,7 @@ def test_genus_integrality_single_generator_subgroups():
             if key in seen:
                 continue
             seen.add(key)
-            profile = genus_delta(n, subgroup_generated(n, (g,)))
+            profile = genus_delta(subgroup_generated(n, (g,)))
             assert profile.g >= 0  # NonIntegralGenus would raise first
 
 
@@ -143,10 +141,10 @@ def test_genus_monotone_under_nesting():
     for n in (16, 20, 24, 36, 40, 60):
         for g in units(n):
             sub = subgroup_generated(n, (g,))
-            assert g1(n) >= genus_delta(n, sub).g >= g0(n)
+            assert g1(n) >= genus_delta(sub).g >= g0(n)
 
 
 def test_profile_internal_identity():
-    p = genus_delta(36, delta_d(36, 3))
+    p = genus_delta(delta_d(36, 3))
     assert p.g == 1 + p.mu / 12 - p.nu2 / 4 - p.nu3 / 3 - p.nu_inf / 2
     assert p.to_json()["g"] == p.g

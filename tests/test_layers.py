@@ -5,7 +5,8 @@
 
 Every relative import must point to a strictly earlier layer, and every
 import must sit at module level, so the import graph has no cycles and
-no cycle is hidden inside a function body.
+no cycle is hidden inside a function body.  Every name a module or a
+test file imports is used there, apart from the package's re-exports.
 """
 
 import ast
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cuspforge"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "cuspforge"
 
 LAYER = {
     "errors": 0,
@@ -81,3 +83,20 @@ def test_divisor_check_has_one_home():
                     if isinstance(node, ast.Raise) and "NotADivisor" in ast.dump(node):
                         sites.append(f"{module}.{fn.name}")
     assert sites == ["arith.cofactor_gcd"]
+
+
+IMPORTING_FILES = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+IMPORTING_FILES += sorted(TESTS.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", IMPORTING_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not imported - used, f"{path.name} imports {sorted(imported - used)} unused"

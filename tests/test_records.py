@@ -1,7 +1,7 @@
 """The package's records are frozen values.
 
 The plain records are NamedTuples; the ones that check their fields when
-built (`DeltaSubgroup`, `CuspAtlas`, `AtkinLehnerOp`) are slot classes on
+built (`DeltaSubgroup`, `AtkinLehnerOp`) are slot classes on
 `arith.Record`.  Either way no attribute can be set or deleted, cusp
 classes sort as their field tuples, and a `DeltaSubgroup` compares and
 hashes by level and elements only.  The package imports no `dataclasses`.
@@ -35,9 +35,8 @@ def _records():
     return [
         pm_one(20),
         canonicalize_x1(20, 1, 10),
-        atlas(20, GAMMA1),
-        atlas_delta(20, delta_d(20, 2))[0],
-        genus_delta(20, pm_one(20)),
+        atlas_delta(delta_d(20, 2))[0],
+        genus_delta(pm_one(20)),
         build_atkin_lehner(20, 4),
         cusp_orbits_x1(20),
         eta_series(20, 1, 5),
@@ -95,9 +94,9 @@ def test_delta_subgroup_identity_ignores_member_set():
     assert a is not b and a.elements == (1, 9, 11, 19)
     assert a == b and hash(a) == hash(b)
     assert a != DeltaSubgroup(20, (1, 19)) and a != (20, (1, 9, 11, 19))
-    genus_delta(20, b)
+    genus_delta(b)
     hits = genus_delta.cache_info().hits
-    assert genus_delta(20, a) is genus_delta(20, b)
+    assert genus_delta(a) is genus_delta(b)
     assert genus_delta.cache_info().hits == hits + 2
 
 
