@@ -316,11 +316,18 @@ def delta_d(n: int, d: int) -> DeltaSubgroup:
 
 
 def projection_image_size(d: int, delta: DeltaSubgroup) -> int:
-    """Size of the image of Delta in (Z/lcm(d, N/d)Z)*, N = delta.level.
+    """|pi_d(Delta)|, the size of the image of Delta in (Z/LZ)*, where
+    L = lcm(d, N/d) = N/e, e = gcd(d, N/d) and N = delta.level: |Delta|
+    over |Delta meet {1 + j*L : 0 <= j < e}|, the kernel of reduction
+    mod L (each 1 + j*L is a unit, since L has every prime of N).
 
-    With e = gcd(d, N/d) and m = lcm(d, N/d) = N/e, the kernel of reduction
-    mod m is {1 + j*m : 0 <= j < e} (m has every prime of N, so each is a
-    unit), and the image has size |Delta| / |Delta meet kernel|.
+    The cusps of X_Delta(N) rest on it.  The X_1(N) cusps with invariant
+    d are the unit pairs (x mod d, y/d mod N/d) up to a common sign, and
+    [a] sends (x, u) to (a*x, a^-1*u): it acts through a mod L, fixing
+    all of them when a = +-1 mod L and none otherwise.  So each
+    Delta-orbit among them has |pi_d(Delta)| / |{+-1 mod L}| members, and
+    they form phi(d) phi(N/d) / |pi_d(Delta)| orbits, an integer since
+    phi(d) phi(N/d) = phi(L) phi(e).
     """
     n = delta.level
     e = cofactor_gcd(n, d)

@@ -16,7 +16,7 @@ from .arith import full_units, pm_one, subgroup_generated
 from .criteria import certify_x1_20, survey_x1, x0_verdict, x1_verdict
 from .cusps import GAMMA0, GAMMA1, atlas, atlas_delta
 from .errors import BadFlag, BadSpec, DomainError, NotPositive, UnknownCommand
-from .etaq import EtaQuotient, divisor, eta_series, quotient_series
+from .etaq import EtaQuotient, check_terms, divisor, eta_series
 from .genus import genus_delta
 from .symmetry import cusp_orbits_x1
 
@@ -192,12 +192,12 @@ def _dispatch(args) -> tuple[dict, dict, str | None]:
         _require(args, ["spec"])
         quot = _read_spec(args.spec)
         div = divisor(quot)
-        series = quotient_series(quot, args.terms)
+        check_terms(quot, args.terms)  # checked only: the series is not printed
         return (
             {"what": "div", "spec": os.path.basename(args.spec)},
             {
                 "quotient": quot.to_json(),
-                "leading_exponent": str(series.leading_exponent()),
+                "leading_exponent": str(quot.leading_exponent()),
                 "divisor": div.to_json(),
             },
             None,

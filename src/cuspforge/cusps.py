@@ -21,6 +21,7 @@ from .arith import (
     inv_mod,
     is_prime,
     normalize_residue,
+    projection_image_size,
     x0_cusp_count,
 )
 from .errors import (
@@ -151,11 +152,6 @@ def x0_image(c: CuspClass) -> CuspClass:
     return _class_x0(c.level, c.x * (c.y // c.d), c.d)
 
 
-def _diamond_orbit(c: CuspClass, delta) -> set[CuspClass]:
-    """The orbit {[a]c : a in Delta} of a Gamma_1 cusp class."""
-    return {diamond_image_x1(c, a) for a in delta.elements}
-
-
 @lru_cache(maxsize=8)
 def atlas(n: int, group: str = GAMMA1) -> tuple[CuspClass, ...]:
     """Complete duplicate-free cusp atlas of X_1(N) or X_0(N), sorted.
@@ -203,17 +199,16 @@ class DeltaOrbit(NamedTuple):
 
 def atlas_delta(delta) -> tuple[DeltaOrbit, ...]:
     """Cusps of X_Delta(N), N = delta.level, as diamond orbits of the
-    X_1(N) atlas."""
+    sorted X_1(N) atlas (sizes at `projection_image_size`): the first cusp
+    not yet seen is the least member of its orbit, so orbits come sorted."""
     seen: set[CuspClass] = set()
     orbits = []
     for c in atlas(delta.level, GAMMA1):
-        if c in seen:
-            continue
-        orbit = _diamond_orbit(c, delta)
-        seen |= orbit
-        members = tuple(sorted(orbit))
-        orbits.append(DeltaOrbit(members[0], members))
-    return tuple(sorted(orbits, key=lambda o: o.representative))
+        if c not in seen:
+            orbit = {diamond_image_x1(c, a) for a in delta.elements}
+            seen |= orbit
+            orbits.append(DeltaOrbit(c, tuple(sorted(orbit))))
+    return tuple(orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +247,14 @@ def width_and_stabilizer_sign(c: CuspClass) -> tuple[int, bool]:
 
 
 def ramification_x1_to_delta(n: int, d: int) -> int:
-    """Largest diamond orbit, over Delta_d, of the X_1(N) cusps with
-    invariant d; total ramification of X_1(N) -> X_{Delta_d}(N) means 1."""
-    if cofactor_gcd(n, d) == 1:
+    """Size of each Delta_d-orbit of the X_1(N) cusps with invariant d,
+    |Delta_d mod L| / |{+-1 mod L}| (see `projection_image_size`); 1 means
+    X_1(N) -> X_{Delta_d}(N) is totally ramified there."""
+    e = cofactor_gcd(n, d)
+    if e == 1:
         raise NotIrregular(f"cusps with d = {d} at level {n} are regular")
-    delta = delta_d(n, d)
-    return max(len(_diamond_orbit(c, delta)) for c in atlas(n, GAMMA1) if c.d == d)
+    m = n // e
+    return projection_image_size(d, delta_d(n, d)) // len({1 % m, -1 % m})
 
 
 def ramification_x0_tower(p: int, m: int, x: int) -> int:

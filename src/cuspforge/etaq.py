@@ -13,18 +13,20 @@ multiplies or divides by each factor (1 - q^e) in place.
 
 Both the leading exponent and the orders at cusps come from one integer
 formula, b(t, delta) = 6t^2 - 6t*delta + delta^2 = 6 delta^2 B(t/delta):
-the leading numerator over 12N is sum_r k_r b(r, N), and the order of
-the quotient at a cusp (x : y) of X_1(N), in the local parameter, is
+the leading numerator over 12N is sum_r k_r b(r, N) (`EtaQuotient.lead`,
+read without expanding anything), and the order of the quotient at a
+cusp (x : y) of X_1(N), in the local parameter, is
 
     width * sum_r k_r b(x*r mod delta, delta) / 12N,   delta = gcd(y, N),
 
 that is width * delta^2 * B2~(x*r/delta) / (2N) per block, with B2~ the
 1-periodic extension of B.  `ord_at_cusp` checks integrality with divmod;
 a `Fraction` is built only at the boundary, by `ord_at_cusp_exact` and
-`QSeries.leading_exponent`.  The formula is cross-validated three ways
-(product expansion at the infinity cusp, degree-0 divisors, and the
-pinned pole orders at level 20), and against the Bernoulli oracle on
-Fractions in the tests; a mismatch raises instead of being patched over.
+the two `leading_exponent` methods.  The formula is cross-validated
+three ways (product expansion at the infinity cusp, degree-0 divisors,
+and the pinned pole orders at level 20), and against the Bernoulli
+oracle on Fractions in the tests; a mismatch raises instead of being
+patched over.
 The level-20 certificate built from F_EXPONENTS and G_EXPONENTS lives in
 `criteria`, which sits above this module.
 """
@@ -104,10 +106,6 @@ class QSeries(NamedTuple):
         }
 
 
-def default_terms(n: int) -> int:
-    return 10 * n
-
-
 class EtaQuotient(NamedTuple):
     """A finite product prod E_r^(n_r) at one level, keyed by folded r."""
 
@@ -129,6 +127,14 @@ class EtaQuotient(NamedTuple):
     def exponent_map(self) -> dict[int, int]:
         return dict(self.exponents)
 
+    @property
+    def lead(self) -> int:
+        """The leading exponent's numerator over 12N, sum_r k_r b(r, N)."""
+        return sum(k * b2_scaled(r, self.level) for r, k in self.exponents)
+
+    def leading_exponent(self) -> Fraction:
+        return Fraction(self.lead, 12 * self.level)
+
     def to_json(self) -> dict:
         return {
             "level": self.level,
@@ -149,17 +155,12 @@ def eta_series(n: int, r: int, terms: int | None = None) -> QSeries:
     return quotient_series(EtaQuotient.make(n, {r: 1}), terms)
 
 
-def quotient_series(q: EtaQuotient, terms: int | None = None) -> QSeries:
-    """The product series of an eta quotient, exact for `terms` whole
-    q-steps beyond its leading exponent (default 10N).
-
-    Each factor (1 - q^e) of E_r with e < terms is applied |k_r| times:
-    a descending pass multiplies by it, an ascending prefix pass in
-    blocks of e divides by it.
-    """
+def check_terms(q: EtaQuotient, terms: int | None) -> int:
+    """`terms` (default 10N), refused below 1 or when the expansion of q
+    to that many whole q-steps passes the cost bound."""
     n = q.level
     if terms is None:
-        terms = default_terms(n)
+        terms = 10 * n
     if terms < 1:
         raise TruncationTooSmall("need at least one term")
     passes = sum(
@@ -170,6 +171,19 @@ def quotient_series(q: EtaQuotient, terms: int | None = None) -> QSeries:
         raise TruncationTooLarge(
             f"{terms} terms times {passes} factor passes exceed the cost bound"
         )
+    return terms
+
+
+def quotient_series(q: EtaQuotient, terms: int | None = None) -> QSeries:
+    """The product series of an eta quotient, exact for `terms` whole
+    q-steps beyond its leading exponent (default 10N).
+
+    Each factor (1 - q^e) of E_r with e < terms is applied |k_r| times:
+    a descending pass multiplies by it, an ascending prefix pass in
+    blocks of e divides by it.
+    """
+    n = q.level
+    terms = check_terms(q, terms)
     c = [1] + [0] * (terms - 1)
     for r, k in q.exponents:
         for e in (*range(r, terms, n), *range(n - r, terms, n)):
@@ -178,8 +192,7 @@ def quotient_series(q: EtaQuotient, terms: int | None = None) -> QSeries:
             for _ in range(-k):
                 for i in range(e, terms, e):
                     c[i : i + e] = map(add, c[i : i + e], c[i - e : i])
-    lead = sum(k * b2_scaled(r, n) for r, k in q.exponents)
-    return QSeries(n, lead, tuple(c))
+    return QSeries(n, q.lead, tuple(c))
 
 
 def _order_over_12n(q: EtaQuotient, c: CuspClass) -> tuple[int, int]:

@@ -21,12 +21,11 @@ from .cusps import (
     CuspClass,
     atlas,
     canonicalize_x1,
-    diamond_image_x1,
     lift_to_coprime,
     x0_class_of_pair,
     x0_image,
 )
-from .errors import BadP, LevelMismatch, LevelNotDivisible, NotExactDivisor
+from .errors import BadP, LevelMismatch, LevelNotDivisible, NotCoprime, NotExactDivisor
 
 
 class AtkinLehnerOp(Record):
@@ -88,8 +87,12 @@ def act_sp(p: int, c: CuspClass) -> CuspClass:
 
 
 def fixed_cusps(n: int, a: int) -> tuple[CuspClass, ...]:
-    """All X_1(N) atlas cusps fixed by the diamond [a]."""
-    return tuple(c for c in atlas(n, GAMMA1) if diamond_image_x1(c, a) == c)
+    """All X_1(N) atlas cusps fixed by the diamond [a]: those whose
+    a mod N/e is +-1 (see `projection_image_size`)."""
+    cusps = atlas(n, GAMMA1)  # refuses oversized levels first
+    if gcd(a, n) != 1:
+        raise NotCoprime(f"{a} is not a unit mod {n}")
+    return tuple(c for c in cusps if a % (m := n // c.e) in (1 % m, -1 % m))
 
 
 def exact_divisors(n: int) -> list[int]:

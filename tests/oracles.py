@@ -227,6 +227,38 @@ def x1_equivalent(n, p, q):
     return False
 
 
+def bf_fixed_cusps(n, a, pairs):
+    """The cusps (x, y) among the pairs that the diamond [a] fixes: those
+    whose image (a x, a^-1 y) passes the literal congruence test against
+    (x, y)."""
+    a_inv = pow(a, -1, n)
+    return [(x, y) for x, y in pairs if x1_equivalent(n, (a * x, a_inv * y), (x, y))]
+
+
+def bf_ramification_x1_to_delta(n, d, pairs):
+    """Largest orbit, under Delta_d = {units a = +-1 mod lcm(d, n/d)}, of
+    the cusps (x, y) among the pairs with gcd(y, n) = d; an orbit counts
+    its images that are pairwise inequivalent under the literal
+    congruence test."""
+    m = d * (n // d) // gcd(d, n // d)
+    delta = [
+        a
+        for a in range(1, n + 1)
+        if gcd(a, n) == 1 and ((a - 1) % m == 0 or (a + 1) % m == 0)
+    ]
+    largest = 0
+    for x, y in pairs:
+        if gcd(y, n) != d:
+            continue
+        classes = []
+        for a in delta:
+            image = (a * x, pow(a, -1, n) * y)
+            if not any(x1_equivalent(n, image, c) for c in classes):
+                classes.append(image)
+        largest = max(largest, len(classes))
+    return largest
+
+
 def _bf_egcd(a, b):
     """(s, t) with a*s + b*t = gcd(a, b) >= 0."""
     old_r, r = a, b

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cuspforge.cli import _SLICE, _emit, run
+from cuspforge.etaq import F_EXPONENTS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -176,6 +177,21 @@ def test_oversized_series_is_refused_quickly():
     t0 = time.perf_counter()
     code, text = _run(["eta", "series", "--level", "2", "--r", "1", "--terms", "100000000"])
     assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert json.loads(text)["error"]["type"] == "TruncationTooLarge"
+
+
+def test_eta_div_checks_terms_without_expanding(tmp_path, monkeypatch):
+    # the series is not printed: 5000 terms cost no more than 400, and
+    # --terms is still checked after the divisor
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text(json.dumps({"level": 20, "exponents": F_EXPONENTS}))
+    t0 = time.perf_counter()
+    code, text = _run(["eta", "div", "--spec", "f.json", "--terms", "5000"])
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 0
+    assert text == _run(["eta", "div", "--spec", "f.json", "--terms", "400"])[1]
+    code, text = _run(["eta", "div", "--spec", "f.json", "--terms", "10000000"])
     assert code == 2
     assert json.loads(text)["error"]["type"] == "TruncationTooLarge"
 

@@ -22,7 +22,16 @@ from cuspforge.cusps import (
     x0_class_of_pair,
     x0_image,
 )
-from cuspforge.arith import cusp_sum, delta_d, divisors, pm_one, x0_cusp_count
+from cuspforge.arith import (
+    cusp_sum,
+    delta_d,
+    divisors,
+    pm_one,
+    projection_image_size,
+    subgroup_generated,
+    units,
+    x0_cusp_count,
+)
 from cuspforge.errors import (
     AtlasTooLarge,
     NotADivisor,
@@ -31,11 +40,12 @@ from cuspforge.errors import (
     NotPrimitive,
     PNotDividingM,
 )
-from cuspforge.genus import genus_delta, mu
+from cuspforge.genus import genus_delta, mu, nu_inf
 from cuspforge.arith import full_units
 
 from oracles import (
     bf_counts_by_d,
+    bf_ramification_x1_to_delta,
     bf_width_and_sign,
     bf_x0_orbits,
     bf_x1_orbits,
@@ -231,6 +241,22 @@ def test_atlas_delta_orbit_sizes():
     assert len(orbits) == genus_delta(delta_d(20, 2)).nu_inf == 12
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_atlas_delta_follows_the_bucket_model(data):
+    # nu_inf(Delta) orbits; one with invariant d has |pi_d(Delta)| / |{+-1 mod L}|
+    # members, L = N/e
+    n = data.draw(st.integers(1, 300))
+    gens = data.draw(st.lists(st.sampled_from(units(n)), max_size=3))
+    delta = subgroup_generated(n, tuple(gens))
+    orbits = atlas_delta(delta)
+    assert len(orbits) == nu_inf(delta)
+    for o in orbits:
+        c, m = o.representative, n // o.representative.e
+        assert {x.d for x in o.members} == {c.d}
+        assert o.orbit_size == projection_image_size(c.d, delta) // len({1 % m, -1 % m})
+
+
 def test_widths_gamma0_20():
     inf = canonicalize_x0(20, 1, 20)
     zero = canonicalize_x0(20, 1, 1)
@@ -273,6 +299,18 @@ def test_ramification_x1_to_delta():
     assert ramification_x1_to_delta(36, 6) == 1
     with pytest.raises(NotIrregular):
         ramification_x1_to_delta(20, 4)
+
+
+IRREGULAR_LEVELS = [n for n in range(4, 501) if any(gcd(d, n // d) > 1 for d in divisors(n))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_ramification_x1_to_delta_matches_scan_oracle(data):
+    n = data.draw(st.sampled_from(IRREGULAR_LEVELS))
+    d = data.draw(st.sampled_from([d for d in divisors(n) if gcd(d, n // d) > 1]))
+    pairs = [(c.x, c.y) for c in atlas(n, GAMMA1)]
+    assert ramification_x1_to_delta(n, d) == bf_ramification_x1_to_delta(n, d, pairs)
 
 
 def test_ramification_x0_tower():

@@ -7,6 +7,9 @@ Every relative import must point to a strictly earlier layer, and every
 import must sit at module level, so the import graph has no cycles and
 no cycle is hidden inside a function body.  Every name a module or a
 test file imports is used there, apart from the package's re-exports.
+The arithmetic is exact: no module divides with `/` or touches a float,
+and only `etaq`, whose leading exponents and cusp orders are rational,
+imports `fractions`.
 """
 
 import ast
@@ -14,6 +17,9 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+from cuspforge.arith import subgroup_generated
+from cuspforge.genus import genus_delta
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "cuspforge"
@@ -83,6 +89,37 @@ def test_divisor_check_has_one_home():
                     if isinstance(node, ast.Raise) and "NotADivisor" in ast.dump(node):
                         sites.append(f"{module}.{fn.name}")
     assert sites == ["arith.cofactor_gcd"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_true_division_or_float(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        where = f"{module}.py:{getattr(node, 'lineno', '?')}"
+        op = getattr(node, "op", None)
+        assert not isinstance(op, ast.Div), f"{where} divides with /"
+        assert not (isinstance(node, ast.Constant) and isinstance(node.value, float)), where
+        assert not (isinstance(node, ast.Name) and node.id == "float"), f"{where} uses float"
+
+
+def test_only_etaq_imports_fractions():
+    importers = set()
+    for module in MODULES:
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+            if isinstance(node, ast.Import):
+                names = {a.name for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {node.module}
+            else:
+                continue
+            if "fractions" in names:
+                importers.add(module)
+    assert importers <= {"etaq"}
+
+
+def test_genus_counts_are_ints():
+    p = genus_delta(subgroup_generated(720, (7,)))
+    assert [type(v) for v in p[1:]] == [int] * 5
 
 
 IMPORTING_FILES = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]

@@ -2,6 +2,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspforge.arith import delta_d, divisors, units
 from cuspforge.cusps import (
@@ -12,7 +14,7 @@ from cuspforge.cusps import (
     canonicalize_x1,
     diamond_image_x1,
 )
-from cuspforge.errors import BadP, LevelNotDivisible, NotExactDivisor
+from cuspforge.errors import BadP, LevelNotDivisible, NotCoprime, NotExactDivisor
 from cuspforge.symmetry import (
     AtkinLehnerOp,
     act_atkin_lehner,
@@ -23,7 +25,7 @@ from cuspforge.symmetry import (
     fixed_cusps,
 )
 
-from oracles import bf_al_orbits, bf_x1_normalizer_orbits, bf_x1_orbits
+from oracles import bf_al_orbits, bf_fixed_cusps, bf_x1_normalizer_orbits, bf_x1_orbits
 
 
 def test_act_diamond_examples():
@@ -60,6 +62,20 @@ def test_fixed_cusps_examples():
     assert {c for c in atlas(20, GAMMA1) if c.irregular} <= fixed9
     assert len(fixed_cusps(20, 19)) == 20
     assert fixed_cusps(13, 5) == ()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_fixed_cusps_match_scan_oracle(data):
+    n = data.draw(st.integers(1, 500))
+    a = data.draw(st.sampled_from(units(n))) + n * data.draw(st.integers(-2, 2))
+    pairs = [(c.x, c.y) for c in atlas(n, GAMMA1)]
+    assert [(c.x, c.y) for c in fixed_cusps(n, a)] == bf_fixed_cusps(n, a, pairs)
+
+
+def test_fixed_cusps_refuses_a_non_unit():
+    with pytest.raises(NotCoprime):
+        fixed_cusps(20, 4)
 
 
 def test_lewittes_near_miss_at_level_20():
