@@ -55,7 +55,7 @@ from .etaq import (
     ord_at_cusp_exact,
     quotient_series,
 )
-from .genus import GenusProfile, g0, g1, genus_delta, mu, nu2, nu3, nu_inf
+from .genus import GenusProfile, g0, g1, genus_delta
 from .symmetry import (
     AtkinLehnerOp,
     act_atkin_lehner,

@@ -8,9 +8,11 @@ totients, divisors, the cusp counts `cusp_sum` and `x0_cusp_count` (closed
 forms per prime power), and `phi_split`, which gives phi(d), phi(N/d) and
 gcd(d, N/d) from the exponents of d without factoring d or N/d.
 
-`cofactor_gcd` is the one check that d divides N: every function of
-(N, d) calls it and reads e = gcd(d, N/d) off it, and `check_level` is
-the one check of the factorization bound.
+`check_positive` is the one check that a level is at least 1, and
+`check_level` the one check of the factorization bound.  `cofactor_gcd`
+is the one check that d divides N: every function of (N, d) calls it and
+reads e = gcd(d, N/d) off it, and `irregular_e` adds the one check that
+e > 1 for those that need an irregular bucket.
 
 Residues are normalized to 1..N, so the trivial groups mod 1 and mod 2
 collapse to {1} and no downstream formula needs a special case.  Everything
@@ -22,7 +24,14 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
-from .errors import LevelTooLarge, NonUnitGenerator, NotADivisor, UnitGroupTooLarge
+from .errors import (
+    LevelTooLarge,
+    NonUnitGenerator,
+    NotADivisor,
+    NotIrregular,
+    NotPositive,
+    UnitGroupTooLarge,
+)
 
 # Largest level `factorize` accepts, checked before any trial division.  The
 # worst case is the largest prime within the bound, 999999999989: trial
@@ -44,6 +53,12 @@ def normalize_residue(a: int, n: int) -> int:
     return r if r != 0 else n
 
 
+def check_positive(n: int) -> None:
+    """Refuse a level below 1."""
+    if n < 1:
+        raise NotPositive(f"level must be at least 1, got {n}")
+
+
 def check_level(n: int) -> None:
     """Refuse n past MAX_LEVEL, before anything trial-divides it."""
     if n > MAX_LEVEL:
@@ -51,17 +66,26 @@ def check_level(n: int) -> None:
 
 
 def cofactor_gcd(n: int, d: int) -> int:
-    """e = gcd(d, N/d) for a divisor d of N; raises unless d | N, d >= 1."""
+    """e = gcd(d, N/d) for a divisor d of N; raises unless N >= 1 and d | N,
+    d >= 1."""
+    check_positive(n)
     if d < 1 or n % d != 0:
         raise NotADivisor(f"{d} does not divide {n}")
     return gcd(d, n // d)
 
 
+def irregular_e(n: int, d: int) -> int:
+    """e = gcd(d, N/d) of an irregular bucket d | N; raises unless e > 1."""
+    e = cofactor_gcd(n, d)
+    if e == 1:
+        raise NotIrregular(f"(N, d) = ({n}, {d}) has e = 1")
+    return e
+
+
 @lru_cache(maxsize=8192)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization ((p, exponent), ...) by trial division."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_positive(n)
     check_level(n)
     out = []
     m = n
@@ -169,8 +193,7 @@ def divisors(n: int) -> list[int]:
 
 def units(n: int) -> list[int]:
     """The units of Z/nZ as residues in 1..n; [1] for n = 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_positive(n)
     return [a for a in range(1, n + 1) if gcd(a, n) == 1]
 
 
@@ -279,6 +302,7 @@ class DeltaSubgroup(Record):
 
 def subgroup_generated(n: int, gens=()) -> DeltaSubgroup:
     """Smallest subgroup of (Z/nZ)* containing the generators and +-1."""
+    check_positive(n)
     return _subgroup_generated(n, tuple(sorted({g % n for g in gens})))
 
 

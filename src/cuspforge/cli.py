@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import __version__
-from .arith import full_units, pm_one, subgroup_generated
+from .arith import check_positive, full_units, pm_one, subgroup_generated
 from .criteria import certify_x1_20, survey_x1, x0_verdict, x1_verdict
 from .cusps import GAMMA0, GAMMA1, atlas, atlas_delta
 from .errors import BadFlag, BadSpec, DomainError, NotPositive, UnknownCommand
@@ -99,12 +99,6 @@ def _require(args, names):
             raise BadFlag(f"--{name} is required here")
 
 
-def _positive_level(level: int) -> int:
-    if level < 1:
-        raise NotPositive(f"level must be at least 1, got {level}")
-    return level
-
-
 def _read_spec(path: str) -> EtaQuotient:
     try:
         with open(path) as fh:
@@ -116,14 +110,15 @@ def _read_spec(path: str) -> EtaQuotient:
         exponents = {int(r): int(k) for r, k in spec["exponents"].items()}
     except (LookupError, TypeError, AttributeError, ValueError) as exc:
         raise BadSpec(f'{path} is not {{"level": N, "exponents": {{r: k}}}}: {exc!r}')
-    return EtaQuotient.make(_positive_level(level), exponents)
+    check_positive(level)
+    return EtaQuotient.make(level, exponents)
 
 
 def _dispatch(args) -> tuple[dict, dict, str | None]:
     """Returns (params, result, raw_text); raw_text bypasses the envelope."""
     cmd = args.command
     if getattr(args, "level", None) is not None:
-        _positive_level(args.level)
+        check_positive(args.level)
     if cmd == "genus":
         profile = genus_delta(_delta_for(args, args.level))
         return {"level": args.level, "group": _group_tag(args)}, profile.to_json(), None

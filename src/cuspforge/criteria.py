@@ -7,7 +7,8 @@ small certified fact table (N = 16, 18) or the eta-quotient certificate
 (N = 20), which `certify_x1_20` recomputes here from the quotients F and
 G of `etaq`.  Every function of (N, d) checks d through the one guard
 `arith.cofactor_gcd`; the three that need an irregular bucket share
-`_irregular_e` on top of it.  The X_0(p^2 M) verdicts encode the
+`arith.irregular_e` on top of it, and the two that need g_1(N) >= 2
+share `_x1_genus`.  The X_0(p^2 M) verdicts encode the
 classification theorems for the cusps equivalent to (1 : p): one
 decision returns the single (status, rule, data) step, and the level
 p^2 M is checked against `MAX_LEVEL` before p is factored.  Cases those
@@ -27,6 +28,7 @@ from .arith import (
     exponents_of,
     factorize,
     factorizations,
+    irregular_e,
     is_prime,
     phi_split,
 )
@@ -38,7 +40,6 @@ from .errors import (
     InconsistentGapCount,
     NonzeroDegree,
     NotAFunction,
-    NotIrregular,
     NotPrime,
     SurveyTooLarge,
 )
@@ -72,9 +73,6 @@ class Verdict(NamedTuple):
     status: str
     weight: int | None
     certificate: tuple[CertStep, ...]
-
-    def rules(self) -> tuple[str, ...]:
-        return tuple(s.rule for s in self.certificate)
 
     def decisive_rule(self) -> str:
         return self.certificate[-1].rule
@@ -133,28 +131,25 @@ def _threshold(e: int) -> str:
     return f"{num}/{den}" if den > 1 else str(num)
 
 
-def _irregular_e(n: int, d: int) -> int:
-    """e = gcd(d, N/d) of an irregular bucket d | N; raises unless e > 1."""
-    e = cofactor_gcd(n, d)
-    if e == 1:
-        raise NotIrregular(f"(N, d) = ({n}, {d}) has e = 1")
-    return e
+def _x1_genus(n: int) -> int:
+    """g_1(N); raises unless it is at least 2."""
+    g = g1(n)
+    if g < 2:
+        raise GenusTooSmall(f"g_1({n}) = {g} < 2")
+    return g
 
 
 def lemma_cusp_inequality(n: int, d: int) -> bool:
     """phi(d) * phi(N/d) >= 8 + 4/(e - 1), exact rational comparison."""
-    e = _irregular_e(n, d)
+    e = irregular_e(n, d)
     phi_d, phi_nd, _ = _phi_split(n, d)
     return _cusp_inequality(phi_d * phi_nd, e)
 
 
 def lemma_genus_check(n: int, d: int) -> bool:
     """g_1(N) - e * g_{Delta_d}(N) >= e."""
-    e = _irregular_e(n, d)
-    g = g1(n)
-    if g < 2:
-        raise GenusTooSmall(f"g_1({n}) = {g} < 2")
-    return schoeneberg(g, e, genus_delta(delta_d(n, d)).g)
+    e = irregular_e(n, d)
+    return schoeneberg(_x1_genus(n), e, genus_delta(delta_d(n, d)).g)
 
 
 def fricke_reduce(n: int, d: int) -> int:
@@ -271,10 +266,8 @@ _X1_FACTS = {
 def x1_verdict(n: int, d: int) -> Verdict:
     """Decide whether the X_1(N) cusps with invariant d are Weierstrass
     points, with the chain of rules that settled it."""
-    _irregular_e(n, d)
-    g = g1(n)
-    if g < 2:
-        raise GenusTooSmall(f"g_1({n}) = {g} < 2")
+    irregular_e(n, d)
+    _x1_genus(n)
     fac = factorize(n)
     return _x1_verdict(n, d, fac, exponents_of(fac, d))
 
@@ -284,25 +277,22 @@ def _x1_verdict(n: int, d: int, fac, exps) -> Verdict:
     over its primes.  The caller has checked that d | N, e > 1 and
     g_1(N) >= 2.  Fricke reduction keeps phi(d) phi(N/d) and e, so the cusp
     inequality is the same before and after it, and it decided the verdict
-    exactly when LemmaCuspIneq is the decisive rule.
+    exactly when LemmaCuspIneq is the decisive rule.  It keeps Delta_d as
+    well, which depends on d only through e, so the quotient-genus test
+    reads Delta_d at d itself.
     """
     phi_d, phi_nd, e = phi_split(fac, exps)
     steps = ()
-    d0 = d
     if phi_d > phi_nd:
-        d0 = n // d
-        steps = (
-            CertStep(
-                RULE_FRICKE, {"from_d": d, "to_d": d0, "phi_d": phi_d, "phi_nd": phi_nd}
-            ),
-        )
+        data = {"from_d": d, "to_d": n // d, "phi_d": phi_d, "phi_nd": phi_nd}
+        steps = (CertStep(RULE_FRICKE, data),)
     if _cusp_inequality(phi_d * phi_nd, e):
         step = CertStep(
             RULE_LEMMA_CUSP,
             {"phi_product": phi_d * phi_nd, "threshold": _threshold(e), "e": e},
         )
         return Verdict(WEIERSTRASS, None, (*steps, step))
-    g, g_quot = g1_of(n, fac), genus_delta(delta_d(n, d0)).g
+    g, g_quot = g1_of(n, fac), genus_delta(delta_d(n, d)).g
     if schoeneberg(g, e, g_quot):
         step = CertStep(RULE_LEMMA_GENUS, {"g1": g, "e": e, "g_quotient": g_quot})
         return Verdict(WEIERSTRASS, None, (*steps, step))
@@ -355,7 +345,7 @@ def _x0_decision(p: int, m: int, n: int) -> tuple[str, str, dict]:
     if m % p == 0:
         # total ramification holds, so the quotient-genus test is sound
         big, small = g0(n), g0(p * m)
-        if big - p * small >= p:
+        if schoeneberg(big, p, small):
             return WEIERSTRASS, RULE_LEMMA_GENUS, {"g0_n": big, "g0_pm": small, "p": p}
         if n == 81:
             note = "0-cusp of X_0(81) is not a Weierstrass point"
@@ -408,9 +398,6 @@ class SurveyReport(NamedTuple):
     max_n: int
     rows: tuple[SurveyRow, ...]
     lemma_cusp_failures: dict[int, tuple[int, ...]]
-
-    def non_weierstrass_levels(self) -> tuple[int, ...]:
-        return tuple(sorted({r.n for r in self.rows if r.status == NOT_WEIERSTRASS}))
 
     def to_json(self) -> dict:
         return {

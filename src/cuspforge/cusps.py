@@ -14,11 +14,13 @@ from math import gcd
 from typing import NamedTuple
 
 from .arith import (
+    check_positive,
     cofactor_gcd,
     cusp_sum,
     delta_d,
     divisors,
     inv_mod,
+    irregular_e,
     is_prime,
     normalize_residue,
     projection_image_size,
@@ -26,8 +28,8 @@ from .arith import (
 )
 from .errors import (
     AtlasTooLarge,
+    DomainError,
     NotCoprime,
-    NotIrregular,
     NotPrime,
     NotPrimitive,
     PNotDividingM,
@@ -85,8 +87,7 @@ def canonicalize_x1(n: int, x: int, y: int) -> CuspClass:
     orbit x + dZ; equals the minimum of the scanned congruence test
     (x', y') = +-(x + j*y, y).
     """
-    if n < 1:
-        raise ValueError("level must be positive")
+    check_positive(n)
     x %= n
     y = normalize_residue(y, n)
     _check_primitive(n, x, y)
@@ -160,8 +161,7 @@ def atlas(n: int, group: str = GAMMA1) -> tuple[CuspClass, ...]:
     d | N ascending, y = d*u (u a unit mod N/d) with y <= -y mod N, then the
     units x mod d, only those with x <= -x mod d when y = -y mod N.
     """
-    if n < 1:
-        raise ValueError("level must be positive")
+    check_positive(n)
     cusps = []
     if group == GAMMA1:
         if cusp_sum(n) > MAX_CUSP_SUM:  # before any work of order N
@@ -250,10 +250,7 @@ def ramification_x1_to_delta(n: int, d: int) -> int:
     """Size of each Delta_d-orbit of the X_1(N) cusps with invariant d,
     |Delta_d mod L| / |{+-1 mod L}| (see `projection_image_size`); 1 means
     X_1(N) -> X_{Delta_d}(N) is totally ramified there."""
-    e = cofactor_gcd(n, d)
-    if e == 1:
-        raise NotIrregular(f"cusps with d = {d} at level {n} are regular")
-    m = n // e
+    m = n // irregular_e(n, d)
     return projection_image_size(d, delta_d(n, d)) // len({1 % m, -1 % m})
 
 
@@ -263,6 +260,8 @@ def ramification_x0_tower(p: int, m: int, x: int) -> int:
     totally ramified there."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    if m < 1:
+        raise DomainError("M must be positive")
     if m % p != 0:
         raise PNotDividingM(f"{p} does not divide {m}")
     if gcd(x, p) != 1:

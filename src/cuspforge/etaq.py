@@ -37,11 +37,10 @@ from fractions import Fraction
 from operator import add, sub
 from typing import NamedTuple
 
-from .arith import cusp_sum
+from .arith import check_positive, cusp_sum
 from .cusps import GAMMA1, CuspClass, atlas, width_and_stabilizer_sign
 from .errors import (
     DivisorTooLarge,
-    DomainError,
     LevelMismatch,
     NotAFunction,
     RCongruentZero,
@@ -124,9 +123,6 @@ class EtaQuotient(NamedTuple):
         folded = {r: k for r, k in folded.items() if k != 0}
         return EtaQuotient(level, tuple(sorted(folded.items())))
 
-    def exponent_map(self) -> dict[int, int]:
-        return dict(self.exponents)
-
     @property
     def lead(self) -> int:
         """The leading exponent's numerator over 12N, sum_r k_r b(r, N)."""
@@ -148,8 +144,7 @@ def eta_series(n: int, r: int, terms: int | None = None) -> QSeries:
     `terms` counts whole q-steps kept beyond the leading exponent
     (default 10N).  The series for r and N - r coincide.
     """
-    if n < 1:
-        raise DomainError("level must be positive")
+    check_positive(n)
     if r % n == 0:
         raise RCongruentZero(f"r = {r} is 0 mod {n}")
     return quotient_series(EtaQuotient.make(n, {r: 1}), terms)
@@ -235,9 +230,6 @@ class CuspDivisor(NamedTuple):
 
     def pole_part(self) -> dict[CuspClass, int]:
         return {c: o for c, o in self.orders if o < 0}
-
-    def zero_part(self) -> dict[CuspClass, int]:
-        return {c: o for c, o in self.orders if o > 0}
 
     def to_json(self) -> dict:
         return {

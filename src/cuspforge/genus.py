@@ -88,26 +88,6 @@ def genus_delta(delta: DeltaSubgroup) -> GenusProfile:
     return GenusProfile(delta, mu_, nu2_, nu3_, nu_inf_, g)
 
 
-def mu(delta: DeltaSubgroup) -> int:
-    """Degree of X_Delta(N) over X(1)."""
-    return genus_delta(delta).mu
-
-
-def nu2(delta: DeltaSubgroup) -> int:
-    """Number of elliptic points of order 2."""
-    return genus_delta(delta).nu2
-
-
-def nu3(delta: DeltaSubgroup) -> int:
-    """Number of elliptic points of order 3."""
-    return genus_delta(delta).nu3
-
-
-def nu_inf(delta: DeltaSubgroup) -> int:
-    """Number of cusps of X_Delta(N)."""
-    return genus_delta(delta).nu_inf
-
-
 def g1_of(n: int, fac) -> int:
     """Genus of X_1(N), closed form over fac = factorize(N)."""
     if n < 5:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .arith import Record, divisors, unit_group_generators
+from .arith import Record, check_positive, divisors, unit_group_generators
 from .cusps import (
     GAMMA0,
     GAMMA1,
@@ -45,6 +45,7 @@ class AtkinLehnerOp(Record):
 def build_atkin_lehner(n: int, q: int) -> AtkinLehnerOp:
     """A matrix (Q*alpha, beta; N, Q) with determinant Q, via the smallest
     nonnegative alpha solving Q*alpha = 1 mod N/Q."""
+    check_positive(n)
     if q < 1 or n % q != 0 or gcd(q, n // q) != 1:
         raise NotExactDivisor(f"{q} is not an exact divisor of {n}")
     m = n // q
@@ -104,12 +105,6 @@ class OrbitReport(NamedTuple):
     orbits: tuple[tuple[CuspClass, ...], ...]
     generators: tuple[str, ...]
     normalizer_possibly_incomplete: bool
-
-    def orbit_of(self, c: CuspClass) -> tuple[CuspClass, ...]:
-        for orb in self.orbits:
-            if c in orb:
-                return orb
-        raise KeyError(f"{c} not in any orbit")
 
     def to_json(self) -> dict:
         return {

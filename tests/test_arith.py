@@ -122,6 +122,15 @@ def test_delta_d_contains_pm_one():
             assert base <= set(delta_d(n, d).elements)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 500))
+def test_delta_d_depends_on_d_only_through_e(n):
+    # Delta_d is the units = +-1 mod N/e, and d and N/d share e = gcd(d, N/d)
+    for d in divisors(n):
+        if gcd(d, n // d) > 1:
+            assert delta_d(n, d) == delta_d(n, n // d)
+
+
 def test_projection_image_size_values():
     assert projection_image_size(20, pm_one(20)) == 2
     assert projection_image_size(2, delta_d(20, 2)) == 2

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspforge.arith import MAX_LEVEL, divisors, factorize
+from cuspforge.arith import (
+    MAX_LEVEL,
+    delta_d,
+    divisors,
+    factorize,
+    subgroup_generated,
+    units,
+)
 from cuspforge.criteria import (
     MAX_SURVEY,
     NOT_WEIERSTRASS,
@@ -32,13 +39,50 @@ from cuspforge.errors import (
     InconsistentGapCount,
     LevelTooLarge,
     NotIrregular,
+    NotPositive,
     NotPrime,
     SurveyTooLarge,
 )
+from cuspforge.cusps import (
+    atlas,
+    canonicalize_x0,
+    canonicalize_x1,
+    ramification_x0_tower,
+    ramification_x1_to_delta,
+)
+from cuspforge.etaq import eta_series
 from cuspforge.genus import g0, g1
-from cuspforge.symmetry import cusp_orbits_x1
+from cuspforge.symmetry import build_atkin_lehner, cusp_orbits_x1
 
 from oracles import bf_al_orbits, bf_divisors, bf_phi_table
+
+
+@pytest.mark.parametrize(
+    "fn, args, error",
+    [
+        (canonicalize_x0, (0, 1, 4), NotPositive),
+        (x1_verdict, (-20, 2), NotPositive),
+        (lemma_cusp_inequality, (0, 4), NotPositive),
+        (fricke_reduce, (0, 4), NotPositive),
+        (delta_d, (0, 4), NotPositive),
+        (ramification_x1_to_delta, (0, 4), NotPositive),
+        (build_atkin_lehner, (0, 1), NotPositive),
+        (subgroup_generated, (0, ()), NotPositive),
+        (factorize, (0,), NotPositive),
+        (units, (-3,), NotPositive),
+        (canonicalize_x1, (0, 1, 1), NotPositive),
+        (atlas, (0,), NotPositive),
+        (eta_series, (0, 1), NotPositive),
+        (ramification_x0_tower, (2, 0, 1), DomainError),
+        (ramification_x0_tower, (2, -2, 1), DomainError),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else repr(v),
+)
+def test_levels_below_one_are_refused(fn, args, error):
+    # a level N or M below 1 is a DomainError, never a ZeroDivisionError,
+    # a plain ValueError or a silent answer
+    with pytest.raises(error, match="at least 1|M must be positive"):
+        fn(*args)
 
 
 def test_schoeneberg_examples():
@@ -112,9 +156,11 @@ def test_x1_verdict_18():
 def test_x1_verdict_20():
     v = x1_verdict(20, 10)
     assert v.status == WEIERSTRASS and v.weight == 2
-    assert v.rules() == ("FrickeDualityReduction", "EtaCertificate")
+    rules = tuple(s.rule for s in v.certificate)
+    assert rules == ("FrickeDualityReduction", "EtaCertificate")
     v2 = x1_verdict(20, 2)
-    assert v2.status == WEIERSTRASS and v2.rules() == ("EtaCertificate",)
+    assert v2.status == WEIERSTRASS
+    assert tuple(s.rule for s in v2.certificate) == ("EtaCertificate",)
 
 
 def test_x1_verdict_lemma_cases():
@@ -135,7 +181,7 @@ def test_x1_verdict_never_uses_fact_table_when_lemma_fires():
             v = x1_verdict(n, d)
             d0 = fricke_reduce(n, d)
             if lemma_genus_check(n, d0):
-                assert "FactTable" not in v.rules()
+                assert "FactTable" not in (s.rule for s in v.certificate)
                 assert v.status == WEIERSTRASS
 
 
@@ -199,7 +245,7 @@ def test_x0_lemma_43_consistency():
             v = x0_verdict(p, m)
             if g0(n) - p * g0(p * m) >= p:
                 assert v.status == WEIERSTRASS
-                assert v.rules() == ("LemmaGenus",)
+                assert tuple(s.rule for s in v.certificate) == ("LemmaGenus",)
 
 
 def test_gap_sequence_examples():
@@ -242,7 +288,8 @@ def test_survey_failure_lists():
 
 def test_survey_only_18_fails():
     rep = survey_x1(100)
-    assert rep.non_weierstrass_levels() == (18,)
+    failing = {r.n for r in rep.rows if r.status == NOT_WEIERSTRASS}
+    assert tuple(sorted(failing)) == (18,)
     for row in rep.rows:
         assert row.status in (WEIERSTRASS, NOT_WEIERSTRASS)
 

@@ -40,7 +40,7 @@ from cuspforge.errors import (
     NotPrimitive,
     PNotDividingM,
 )
-from cuspforge.genus import genus_delta, mu, nu_inf
+from cuspforge.genus import genus_delta
 from cuspforge.arith import full_units
 
 from oracles import (
@@ -250,7 +250,7 @@ def test_atlas_delta_follows_the_bucket_model(data):
     gens = data.draw(st.lists(st.sampled_from(units(n)), max_size=3))
     delta = subgroup_generated(n, tuple(gens))
     orbits = atlas_delta(delta)
-    assert len(orbits) == nu_inf(delta)
+    assert len(orbits) == genus_delta(delta).nu_inf
     for o in orbits:
         c, m = o.representative, n // o.representative.e
         assert {x.d for x in o.members} == {c.d}
@@ -290,7 +290,7 @@ def test_widths_sum_to_index():
             total = sum(
                 width_and_stabilizer_sign(c)[0] for c in atlas(n, group)
             )
-            assert total == mu(delta)
+            assert total == genus_delta(delta).mu
 
 
 def test_ramification_x1_to_delta():

@@ -11,34 +11,34 @@ from cuspforge.arith import (
     units,
 )
 from cuspforge.cusps import GAMMA0, GAMMA1, atlas
-from cuspforge.genus import g0, g1, genus_delta, mu, nu2, nu3, nu_inf
+from cuspforge.genus import g0, g1, genus_delta
 
 from oracles import bf_g1, bf_genus_profile
 
 
 def test_mu_values():
-    assert mu(pm_one(20)) == 144
-    assert mu(delta_d(20, 2)) == 72
-    assert mu(pm_one(1)) == 1
+    assert genus_delta(pm_one(20)).mu == 144
+    assert genus_delta(delta_d(20, 2)).mu == 72
+    assert genus_delta(pm_one(1)).mu == 1
 
 
 def test_nu2_values():
-    assert nu2(pm_one(20)) == 0
-    assert nu2(full_units(13)) == 2
+    assert genus_delta(pm_one(20)).nu2 == 0
+    assert genus_delta(full_units(13)).nu2 == 2
     for n in range(4, 120):
-        assert nu2(pm_one(n)) == 0
-        assert nu3(pm_one(n)) == 0
+        assert genus_delta(pm_one(n)).nu2 == 0
+        assert genus_delta(pm_one(n)).nu3 == 0
 
 
 def test_nu3_values():
-    assert nu3(delta_d(20, 2)) == 0
-    assert nu3(full_units(7)) == 2
+    assert genus_delta(delta_d(20, 2)).nu3 == 0
+    assert genus_delta(full_units(7)).nu3 == 2
 
 
 def test_nu_inf_values():
-    assert nu_inf(pm_one(20)) == 20
-    assert nu_inf(delta_d(20, 2)) == 12
-    assert nu_inf(delta_d(24, 2)) == 16
+    assert genus_delta(pm_one(20)).nu_inf == 20
+    assert genus_delta(delta_d(20, 2)).nu_inf == 12
+    assert genus_delta(delta_d(24, 2)).nu_inf == 16
 
 
 def test_genus_spot_values():
@@ -90,12 +90,12 @@ def test_mu_identity_for_delta_d():
     # mu(N, {+-1}) = e * mu(N, Delta_d) whenever e > 1.  N = 4 is the lone
     # exception: +-1 collapse mod N/e = 2, so Delta_2 = {+-1} and the
     # degree-e covering behind the identity does not exist there.
-    assert mu(pm_one(4)) == mu(delta_d(4, 2))
+    assert genus_delta(pm_one(4)).mu == genus_delta(delta_d(4, 2)).mu
     for n in range(5, 301):
         for d in divisors(n):
             e = gcd(d, n // d)
             if e > 1:
-                assert mu(pm_one(n)) == e * mu(delta_d(n, d))
+                assert genus_delta(pm_one(n)).mu == e * genus_delta(delta_d(n, d)).mu
 
 
 def test_nu_inf_inequality():
@@ -107,17 +107,17 @@ def test_nu_inf_inequality():
             if e == 1:
                 continue
             if base is None:
-                base = nu_inf(pm_one(n))
-            lhs = e * nu_inf(delta_d(n, d)) - base
+                base = genus_delta(pm_one(n)).nu_inf
+            lhs = e * genus_delta(delta_d(n, d)).nu_inf - base
             rhs = Fraction((e - 1) * totient(d) * totient(n // d), 2)
             assert lhs >= rhs, (n, d)
 
 
 def test_nu_inf_matches_atlas_sizes():
     for n in range(5, 121):
-        assert nu_inf(pm_one(n)) == len(atlas(n, GAMMA1))
+        assert genus_delta(pm_one(n)).nu_inf == len(atlas(n, GAMMA1))
     for n in range(1, 121):
-        assert nu_inf(full_units(n)) == len(atlas(n, GAMMA0))
+        assert genus_delta(full_units(n)).nu_inf == len(atlas(n, GAMMA0))
 
 
 def test_genus_integrality_single_generator_subgroups():

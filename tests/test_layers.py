@@ -6,7 +6,9 @@
 Every relative import must point to a strictly earlier layer, and every
 import must sit at module level, so the import graph has no cycles and
 no cycle is hidden inside a function body.  Every name a module or a
-test file imports is used there, apart from the package's re-exports.
+test file imports is used there, apart from the package's re-exports,
+and every public function, class and method of the package is named
+somewhere in it or re-exported as library API.
 The arithmetic is exact: no module divides with `/` or touches a float,
 and only `etaq`, whose leading exponents and cusp orders are rational,
 imports `fractions`.
@@ -14,6 +16,8 @@ imports `fractions`.
 
 import ast
 import importlib
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,6 +27,7 @@ from cuspforge.genus import genus_delta
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "cuspforge"
+README = TESTS.parent / "README.md"
 
 LAYER = {
     "errors": 0,
@@ -91,6 +96,19 @@ def test_divisor_check_has_one_home():
     assert sites == ["arith.cofactor_gcd"]
 
 
+def test_irregular_check_has_one_home():
+    # every function that needs e = gcd(d, N/d) > 1 asks arith.irregular_e
+    sites = []
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Raise) and "NotIrregular" in ast.dump(node):
+                        sites.append(f"{module}.{fn.name}")
+    assert sites == ["arith.irregular_e"]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_true_division_or_float(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
@@ -137,3 +155,61 @@ def test_every_imported_name_is_used(path):
             imported |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not imported - used, f"{path.name} imports {sorted(imported - used)} unused"
+
+
+def _named(node) -> Counter:
+    """How often each identifier is named under node, as a variable or an
+    attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _public_defs(tree):
+    """(qualified name, node) of each public top-level function or class,
+    and of each public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+            yield node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and item.name[0] != "_":
+                    yield f"{node.name}.{item.name}", item
+
+
+def _reexports() -> set[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+
+
+def test_every_public_symbol_has_a_caller():
+    # a public symbol is named in src outside its own definition, or it is
+    # library API: re-exported by __init__
+    trees = {m: ast.parse((PACKAGE / f"{m}.py").read_text()) for m in MODULES}
+    named = sum((_named(tree) for tree in trees.values()), Counter())
+    exported = _reexports()
+    unreached = [
+        f"{module}.{qualname}"
+        for module, tree in trees.items()
+        for qualname, node in _public_defs(tree)
+        if named[node.name] == _named(node)[node.name] and node.name not in exported
+    ]
+    assert not unreached, f"public but never called: {unreached}"
+
+
+def test_every_reexport_is_documented():
+    text = README.read_text()
+    match = re.search(r"^## Library API\n(.*?)(?=^## |\Z)", text, re.M | re.S)
+    assert match, "README has no Library API section"
+    missing = [
+        name
+        for name in sorted(_reexports())
+        if not re.search(rf"`{re.escape(name)}[`(]", match.group(1))
+    ]
+    assert not missing, f"re-exported but not in README's Library API: {missing}"
