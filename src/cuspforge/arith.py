@@ -1,8 +1,7 @@
 """Exact arithmetic mod N: factorizations, totients, divisors, and
 subgroups of (Z/NZ)*.
 
-`factorize` works by trial division up to `MAX_LEVEL`; `factorizations`
-reads a whole range off one smallest-prime-factor sieve.  Everything else
+`factorize` works by trial division up to `MAX_LEVEL`.  Everything else
 that depends on N only through its primes is read off a factorization:
 totients, divisors, the cusp counts `cusp_sum` and `x0_cusp_count` (closed
 forms per prime power), and `phi_split`, which gives phi(d), phi(N/d) and
@@ -22,7 +21,7 @@ here is integer arithmetic; no floats.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, prod
 
 from .errors import (
     LevelTooLarge,
@@ -101,25 +100,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if m > 1:
         out.append((m, 1))
     return tuple(out)
-
-
-def factorizations(limit: int) -> list[tuple[tuple[int, int], ...]]:
-    """factorize(n) at index n for 1 <= n <= limit (index 0 holds ()),
-    read off one smallest-prime-factor sieve."""
-    spf = list(range(limit + 1))
-    for p in range(isqrt(limit), 1, -1):
-        # descending, so the smallest prime factor is written last
-        if all(p % q for q in range(2, isqrt(p) + 1)):
-            spf[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
-    out: list[tuple[tuple[int, int], ...]] = [(), ()]
-    for n in range(2, limit + 1):
-        p = spf[n]
-        rest = out[n // p]
-        if rest and rest[0][0] == p:
-            out.append(((p, rest[0][1] + 1),) + rest[1:])
-        else:
-            out.append(((p, 1),) + rest)
-    return out[: limit + 1]
 
 
 def totient(n: int) -> int:
@@ -332,9 +312,15 @@ def delta_d(n: int, d: int) -> DeltaSubgroup:
     """Units congruent to +-1 mod N/e, where e = gcd(d, N/d).
 
     These are exactly the diamond operators fixing every cusp whose
-    denominator invariant is d.
+    denominator invariant is d.  There are 2e of them once N/e > 2, so a
+    d with 2e past `MAX_UNITS` is refused before any is listed.
     """
-    m = n // cofactor_gcd(n, d)
+    e = cofactor_gcd(n, d)
+    if 2 * e > MAX_UNITS:
+        raise UnitGroupTooLarge(
+            f"Delta_{d} of level {n} has {2 * e} elements, past {MAX_UNITS}"
+        )
+    m = n // e
     lifts = {normalize_residue(s + k * m, n) for k in range(n // m) for s in (1, -1)}
     return DeltaSubgroup(n, tuple(sorted(a for a in lifts if gcd(a, n) == 1)))
 

@@ -17,7 +17,6 @@ theorems leave open stay Unknown.
 
 from __future__ import annotations
 
-from itertools import compress
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -27,7 +26,6 @@ from .arith import (
     delta_d,
     exponents_of,
     factorize,
-    factorizations,
     irregular_e,
     is_prime,
     phi_split,
@@ -44,7 +42,7 @@ from .errors import (
     SurveyTooLarge,
 )
 from .etaq import F_EXPONENTS, G_EXPONENTS, EtaQuotient, divisor
-from .genus import g0, g1, g1_of, genus_delta
+from .genus import g0, g1, genus_delta
 from .symmetry import act_atkin_lehner, build_atkin_lehner
 
 WEIERSTRASS = "Weierstrass"
@@ -265,23 +263,16 @@ _X1_FACTS = {
 
 def x1_verdict(n: int, d: int) -> Verdict:
     """Decide whether the X_1(N) cusps with invariant d are Weierstrass
-    points, with the chain of rules that settled it."""
-    irregular_e(n, d)
-    _x1_genus(n)
-    fac = factorize(n)
-    return _x1_verdict(n, d, fac, exponents_of(fac, d))
+    points, with the chain of rules that settled it.
 
-
-def _x1_verdict(n: int, d: int, fac, exps) -> Verdict:
-    """The verdict body: fac is factorize(N) and exps the exponents of d
-    over its primes.  The caller has checked that d | N, e > 1 and
-    g_1(N) >= 2.  Fricke reduction keeps phi(d) phi(N/d) and e, so the cusp
-    inequality is the same before and after it, and it decided the verdict
-    exactly when LemmaCuspIneq is the decisive rule.  It keeps Delta_d as
-    well, which depends on d only through e, so the quotient-genus test
-    reads Delta_d at d itself.
+    Fricke reduction keeps phi(d) phi(N/d) and e, so the cusp inequality is
+    the same before and after it.  It keeps Delta_d as well, which depends
+    on d only through e, so the quotient-genus test reads Delta_d at d
+    itself.
     """
-    phi_d, phi_nd, e = phi_split(fac, exps)
+    e = irregular_e(n, d)
+    g = _x1_genus(n)
+    phi_d, phi_nd, _ = _phi_split(n, d)
     steps = ()
     if phi_d > phi_nd:
         data = {"from_d": d, "to_d": n // d, "phi_d": phi_d, "phi_nd": phi_nd}
@@ -292,7 +283,7 @@ def _x1_verdict(n: int, d: int, fac, exps) -> Verdict:
             {"phi_product": phi_d * phi_nd, "threshold": _threshold(e), "e": e},
         )
         return Verdict(WEIERSTRASS, None, (*steps, step))
-    g, g_quot = g1_of(n, fac), genus_delta(delta_d(n, d)).g
+    g_quot = genus_delta(delta_d(n, d)).g
     if schoeneberg(g, e, g_quot):
         step = CertStep(RULE_LEMMA_GENUS, {"g1": g, "e": e, "g_quotient": g_quot})
         return Verdict(WEIERSTRASS, None, (*steps, step))
@@ -414,60 +405,62 @@ class SurveyReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-# Largest survey bound accepted, checked before the sieve.  On a 2-vCPU host
-# with CPython 3.11, `survey x1 --max 200000` took 2.4 s and 60 MB as a
-# process and printed 15 MB of JSON (128342 rows); --max 100000 took 1.0 s.
+# Largest survey bound accepted.  On a 2-vCPU host with CPython 3.11,
+# `survey x1 --max 200000` took 0.65 s and 55 MB as a process and printed
+# 15 MB of JSON (128342 rows); --max 100000 took 0.35 s.  Most of that is
+# the rows and their JSON, which the bound keeps in reason.
 MAX_SURVEY = 2 * 10**5
 
-
-def _bucket_divisors(fac) -> list[tuple[int, tuple[int, ...]]]:
-    """(r, exponents of r) for the divisors r > 1 of prod p^(a // 2) over
-    the factorization fac, in increasing order of r."""
-    out = [(1, ())]
-    for p, a in fac:
-        if a == 1:
-            out = [(r, exps + (0,)) for r, exps in out]
-        else:
-            out = [(r * p**c, exps + (c,)) for r, exps in out for c in range(a // 2 + 1)]
-    out.sort()
-    return out[1:]
+# Every irregular bucket past this level passes the cusp inequality; see
+# `survey_x1`.
+LEMMA_CUSP_LEVEL = 90
 
 
 def survey_x1(max_n: int) -> SurveyReport:
     """Verdicts for every irregular cusp bucket with 13 <= N <= max_n and
     g_1(N) >= 2, plus the per-d failure sets of the cusp-count inequality.
 
-    The levels are factored by one sieve, and every quantity of a level is
-    read off its factorization: the genus, the buckets with their exponent
-    vectors, and phi(d), phi(N/d) and e for each verdict, which shares its
-    body with `x1_verdict`.  The run is serial, since serial beat a process
-    pool at every size measured on two cores.  Past `MAX_SURVEY` the
-    survey is refused before the sieve is built.
+    The buckets of N are the r > 1 with r^2 | N, one per value of
+    e = gcd(d, N/d) = r.  Up to `LEMMA_CUSP_LEVEL` each runs through
+    `x1_verdict`.  Past it every row is (N, r, Weierstrass, LemmaCuspIneq),
+    read off the bucket set alone, since g_1(N) >= 2 for N > 15 and the
+    cusp inequality phi(d) phi(N/d) >= 8 + 4/(e - 1) holds:
+    - phi(d) phi(N/d) e = phi(N) phi(e), prime by prime.
+    - e not in {1, 2, 3, 4, 6} gives phi(e) >= 4, and phi(e) divides both
+      phi(d) and phi(N/d), as e divides d and N/d.  So the product is at
+      least 16, more than the threshold, which is at most 12.
+    - e = 2, 3, 4 and 6 pass once phi(N) >= 24, 15, 19 and 27, in that
+      order, since the product is phi(N) phi(e) / e.
+    - phi(N) <= 26 forces N <= 90: phi(n) >= sqrt(n) for n > 6 bounds N
+      by 676, and a scan to 676 finds 90 as the largest.
+    So the failure sets come from the levels up to 90 alone.  Past
+    `MAX_SURVEY` the survey is refused.
     """
     if max_n < 13:
         raise DomainError("survey needs max_n >= 13")
     if max_n > MAX_SURVEY:
         raise SurveyTooLarge(f"survey max {max_n} is past the bound {MAX_SURVEY}")
-    facs = factorizations(max_n)
-    # The buckets atkin_lehner_reduce(N, d) = gcd(d, N/d) > 1 are the
-    # divisors e > 1 of prod p^(a // 2), so only levels with a square
-    # factor have any; mark those.
-    square = bytearray(max_n + 1)
-    for p in range(2, isqrt(max_n) + 1):
-        square[p * p :: p * p] = b"\1" * (max_n // (p * p))
     rows = []
     failures: dict[int, list[int]] = {2: [], 3: [], 4: [], 6: []}
-    for n in compress(range(13, max_n + 1), square[13:]):
-        fac = facs[n]
-        if g1_of(n, fac) < 2:
+    for n in range(13, min(max_n, LEMMA_CUSP_LEVEL) + 1):
+        if g1(n) < 2:
             continue
-        for r, exps in _bucket_divisors(fac):
-            verdict = _x1_verdict(n, r, fac, exps)
+        for r in range(2, isqrt(n) + 1):
+            if n % (r * r):
+                continue
+            verdict = x1_verdict(n, r)
             rule = verdict.decisive_rule()
             rows.append(SurveyRow(n, r, verdict.status, rule))
-            # the verdict evaluated the cusp inequality at r (see _x1_verdict)
+            # x1_verdict tries the cusp inequality first, so any other
+            # decisive rule means it failed
             if r in failures and rule != RULE_LEMMA_CUSP:
                 failures[r].append(n)
+    buckets = sorted(
+        (n, r)
+        for r in range(2, isqrt(max_n) + 1)
+        for n in range(r * r * (LEMMA_CUSP_LEVEL // (r * r) + 1), max_n + 1, r * r)
+    )
+    rows += [SurveyRow(n, r, WEIERSTRASS, RULE_LEMMA_CUSP) for n, r in buckets]
     return SurveyReport(
         max_n, tuple(rows), {d: tuple(v) for d, v in failures.items()}
     )

@@ -14,6 +14,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .arith import (
+    check_level,
     check_positive,
     cofactor_gcd,
     cusp_sum,
@@ -257,7 +258,10 @@ def ramification_x1_to_delta(n: int, d: int) -> int:
 def ramification_x0_tower(p: int, m: int, x: int) -> int:
     """Number of distinct Gamma_0(p^2 M) classes among the p coset images
     of the cusp x/p; 1 means the degree-p map X_0(p^2 M) -> X_0(pM) is
-    totally ramified there."""
+    totally ramified there.  The level is checked before p is factored, and
+    since p | M it bounds the loop: p^3 <= p^2 M <= 10^12 gives p < 10^4.
+    """
+    check_level(p * p * m)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if m < 1:

@@ -20,10 +20,8 @@ and 3.9), built from multiplicative sums over the prime powers p^a || N:
 
 with nu2 = prod (1 + (-1/p)) unless 4 | N and nu3 = prod (1 + (-3/p))
 unless 9 | N; the second holds for N >= 5, and X_1(N) has genus 0 below
-that.  Both read one factorization of N; `g1_of`
-takes it as given (the survey passes its sieve's), and the cached `g1`
-feeds it `factorize(N)`.  The tests hold both to `genus_delta` at
-Delta = all units and Delta = {+-1}.
+that.  Both read one factorization of N.  The tests hold both to
+`genus_delta` at Delta = all units and Delta = {+-1}.
 """
 
 from __future__ import annotations
@@ -88,18 +86,14 @@ def genus_delta(delta: DeltaSubgroup) -> GenusProfile:
     return GenusProfile(delta, mu_, nu2_, nu3_, nu_inf_, g)
 
 
-def g1_of(n: int, fac) -> int:
-    """Genus of X_1(N), closed form over fac = factorize(N)."""
-    if n < 5:
-        return 0
-    index = prod(p ** (2 * a - 2) * (p * p - 1) for p, a in fac)
-    return (24 + index - 6 * cusp_sum(n, fac)) // 24
-
-
 @lru_cache(maxsize=8192)
 def g1(n: int) -> int:
     """Genus of X_1(N), closed form."""
-    return g1_of(n, factorize(n)) if n >= 5 else 0
+    if n < 5:
+        return 0
+    fac = factorize(n)
+    index = prod(p ** (2 * a - 2) * (p * p - 1) for p, a in fac)
+    return (24 + index - 6 * cusp_sum(n, fac)) // 24
 
 
 @lru_cache(maxsize=8192)

@@ -2,12 +2,15 @@
 
 Everything here works from raw definitions (orbit closure under the
 generating moves, literal formula evaluation with its own totient and
-divisor loops) and deliberately shares no logic with the package.
+divisor loops) and deliberately shares no logic with the package.  The
+one exception is `bf_survey_x1`, the survey as a scan that runs the
+package's own verdict on every bucket: it checks the lemma that lets
+`survey_x1` skip that scan, not the verdict rules.
 """
 
 from fractions import Fraction
 from functools import cache, reduce
-from math import gcd
+from math import gcd, isqrt
 
 
 def bf_phi(n):
@@ -16,12 +19,64 @@ def bf_phi(n):
 
 @cache
 def bf_phi_table(limit):
-    """[0, bf_phi(1), ..., bf_phi(limit)], counted once per limit."""
-    return [0] + [bf_phi(n) for n in range(1, limit + 1)]
+    """[0, phi(1), ..., phi(limit)] by Euler's sieve: phi(m) loses
+    phi(m)/p for each prime p | m, a prime being an entry still equal to
+    its index."""
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:
+            for m in range(p, limit + 1, p):
+                phi[m] -= phi[m] // p
+    return phi
 
 
 def bf_divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def bf_factorizations(limit):
+    """The prime factorization ((p, exponent), ...) of n at index n for
+    1 <= n <= limit (index 0 holds ()), read off one smallest-prime-factor
+    sieve."""
+    spf = list(range(limit + 1))
+    for p in range(isqrt(limit), 1, -1):
+        # descending, so the smallest prime factor is written last
+        if all(p % q for q in range(2, isqrt(p) + 1)):
+            spf[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
+    out = [(), ()]
+    for n in range(2, limit + 1):
+        p = spf[n]
+        rest = out[n // p]
+        if rest and rest[0][0] == p:
+            out.append(((p, rest[0][1] + 1),) + rest[1:])
+        else:
+            out.append(((p, 1),) + rest)
+    return out[: limit + 1]
+
+
+def bf_survey_x1(max_n):
+    """survey_x1(max_n) as one scan: x1_verdict on every bucket r > 1 with
+    r^2 | N of every level 13 <= N <= max_n with g_1(N) >= 2, and the
+    failure sets from lemma_cusp_inequality at r = 2, 3, 4 and 6."""
+    from cuspforge.criteria import (
+        SurveyReport,
+        SurveyRow,
+        lemma_cusp_inequality,
+        x1_verdict,
+    )
+    from cuspforge.genus import g1
+
+    rows, failures = [], {2: [], 3: [], 4: [], 6: []}
+    for n in range(13, max_n + 1):
+        if g1(n) < 2:
+            continue
+        for r in range(2, isqrt(n) + 1):
+            if n % (r * r) == 0:
+                verdict = x1_verdict(n, r)
+                rows.append(SurveyRow(n, r, verdict.status, verdict.decisive_rule()))
+                if r in failures and not lemma_cusp_inequality(n, r):
+                    failures[r].append(n)
+    return SurveyReport(max_n, tuple(rows), {d: tuple(v) for d, v in failures.items()})
 
 
 def bf_x1_orbits(n):

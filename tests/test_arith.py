@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd, prod
 
 import pytest
@@ -14,7 +15,6 @@ from cuspforge.arith import (
     delta_d,
     divisors,
     exponents_of,
-    factorizations,
     factorize,
     full_units,
     phi_split,
@@ -35,6 +35,7 @@ from cuspforge.errors import (
 
 from oracles import (
     bf_divisors,
+    bf_factorizations,
     bf_is_closed,
     bf_phi,
     bf_phi_table,
@@ -52,6 +53,8 @@ def test_totient_values():
 def test_totient_against_gcd_count():
     for n in range(1, 121):
         assert totient(n) == bf_phi(n)
+    # the sieve oracle against the count
+    assert bf_phi_table(1000)[1:] == [bf_phi(n) for n in range(1, 1001)]
 
 
 def test_divisors_values():
@@ -113,6 +116,17 @@ def test_delta_d_values():
 def test_delta_d_rejects_nondivisor():
     with pytest.raises(NotADivisor):
         delta_d(20, 3)
+
+
+def test_delta_d_size_bound_is_exact_and_refused_fast():
+    # Delta_d has 2e elements once N/e > 2: e = 10^4 sits on the bound
+    assert len(delta_d(10**8, 10**4)) == MAX_UNITS
+    start = time.perf_counter()
+    for n, d in ((10001**2, 10001), (10**10, 10**5)):
+        with pytest.raises(UnitGroupTooLarge):
+            delta_d(n, d)
+    # listing the second's 2 * 10^5 lifts, unbounded, takes about 0.66 s
+    assert time.perf_counter() - start < 0.1
 
 
 def test_delta_d_contains_pm_one():
@@ -235,7 +249,7 @@ def test_factorize_totient_divisors_against_sympy():
 
 
 def test_sieve_factorizations_against_sympy():
-    table = factorizations(10000)
+    table = bf_factorizations(10000)
     assert len(table) == 10001 and table[1] == ()
     for n in range(1, 10001):
         assert table[n] == tuple(sorted(sympy.factorint(n).items())), n
@@ -247,7 +261,7 @@ def test_cusp_counts_match_divisor_sums():
         divs = bf_divisors(n)
         assert cusp_sum(n) == sum(phi[d] * phi[n // d] for d in divs), n
         assert x0_cusp_count(n) == sum(phi[gcd(d, n // d)] for d in divs), n
-    table = factorizations(200)
+    table = bf_factorizations(200)
     for n in range(1, 201):
         assert cusp_sum(n, table[n]) == cusp_sum(n)
         assert x0_cusp_count(n, table[n]) == x0_cusp_count(n)

@@ -1,7 +1,8 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from cuspforge.arith import (
     units,
 )
 from cuspforge.criteria import (
+    LEMMA_CUSP_LEVEL,
     MAX_SURVEY,
     NOT_WEIERSTRASS,
     RULE_FRICKE,
@@ -54,7 +56,7 @@ from cuspforge.etaq import eta_series
 from cuspforge.genus import g0, g1
 from cuspforge.symmetry import build_atkin_lehner, cusp_orbits_x1
 
-from oracles import bf_al_orbits, bf_divisors, bf_phi_table
+from oracles import bf_al_orbits, bf_divisors, bf_phi_table, bf_survey_x1
 
 
 @pytest.mark.parametrize(
@@ -308,12 +310,15 @@ def test_threshold_matches_fraction():
 
 
 def test_survey_rows_match_x1_verdict():
-    rep = survey_x1(3000)
+    rep = survey_x1(20000)
+    # e = gcd(d, N/d) is symmetric in d and N/d, so d <= sqrt(N) gives every e
     buckets = [
         (n, e)
-        for n in range(13, 3001)
+        for n in range(13, 20001)
         if g1(n) >= 2
-        for e in sorted({gcd(d, n // d) for d in bf_divisors(n)} - {1})
+        for e in sorted(
+            {gcd(d, n // d) for d in range(1, isqrt(n) + 1) if n % d == 0} - {1}
+        )
     ]
     assert [(r.n, r.d) for r in rep.rows] == buckets
     failures = {2: [], 3: [], 4: [], 6: []}
@@ -323,6 +328,29 @@ def test_survey_rows_match_x1_verdict():
         if row.d in failures and not lemma_cusp_inequality(row.n, row.d):
             failures[row.d].append(row.n)
     assert rep.lemma_cusp_failures == {d: tuple(v) for d, v in failures.items()}
+
+
+@pytest.mark.parametrize("max_n", [13, 72, 90, 91, 3000])
+def test_survey_matches_the_verdict_scan(max_n):
+    assert survey_x1(max_n) == bf_survey_x1(max_n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 2999), st.data())
+def test_cusp_product_identity(n, data):
+    # phi(d) phi(N/d) e = phi(N) phi(e), e = gcd(d, N/d): the lemma that
+    # survey_x1 reads every row past LEMMA_CUSP_LEVEL off
+    d = data.draw(st.sampled_from(sympy.divisors(n)))
+    e = gcd(d, n // d)
+    phi = sympy.totient
+    assert phi(d) * phi(n // d) * e == phi(n) * phi(e), (n, d)
+
+
+def test_lemma_cusp_level_is_the_last_small_totient():
+    # the cusp inequality can fail only where phi(N) <= 26 (see survey_x1)
+    phi = bf_phi_table(MAX_SURVEY)
+    small = [n for n in range(1, MAX_SURVEY + 1) if phi[n] <= 26]
+    assert small[-1] == LEMMA_CUSP_LEVEL == 90
 
 
 def test_survey_bound():

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from math import gcd
 
@@ -34,6 +35,7 @@ from cuspforge.arith import (
 )
 from cuspforge.errors import (
     AtlasTooLarge,
+    LevelTooLarge,
     NotADivisor,
     NotCoprime,
     NotIrregular,
@@ -319,6 +321,19 @@ def test_ramification_x0_tower():
     assert ramification_x0_tower(2, 4, 1) == 1
     with pytest.raises(PNotDividingM):
         ramification_x0_tower(2, 3, 1)
+
+
+def test_ramification_x0_tower_is_bounded_by_the_level():
+    # p | M puts p^3 <= p^2 M, so the level bound refuses every prime past
+    # 10^4 before p is factored or a coset image is listed (listing all p
+    # images at p = M = 1000003 takes about 2 s)
+    start = time.perf_counter()
+    for p in (999983, 1000003, 999999999989):
+        with pytest.raises(LevelTooLarge):
+            ramification_x0_tower(p, p, 1)
+    assert time.perf_counter() - start < 1
+    # the largest prime the bound admits
+    assert ramification_x0_tower(9973, 9973, 1) == 1
 
 
 def test_atlas_json_shape():
