@@ -6,10 +6,10 @@ eta (series | div), certify (x1-20).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .arith import check_positive, full_units, pm_one, subgroup_generated
@@ -21,62 +21,109 @@ from .genus import genus_delta
 from .symmetry import cusp_orbits_x1
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise BadFlag(message)
+# Each command form, its flags with their kinds, and the flags it requires.
+# A kind is int, str, bool (a switch) or a tuple of choices, the first of
+# which is the default; an absent flag is None or False.  _WORD names the
+# value of a command's second word.
+_DELTA = {"gamma1": bool, "gamma0": bool, "delta": str}
+_EXCLUSIVE = "--gamma1, --gamma0 and --delta exclude each other"
+_FORMS = {
+    ("genus",): ({"level": int, **_DELTA}, {"level"}),
+    ("cusps",): ({"level": int, **_DELTA}, {"level"}),
+    ("orbits",): ({"level": int}, {"level"}),
+    ("verdict", "x1"): ({"level": int, "d": int}, {"level", "d"}),
+    ("verdict", "x0"): ({"p": int, "m": int}, {"p", "m"}),
+    ("survey", "x1"): ({"max": int, "format": ("json", "tsv"), "jobs": int}, {"max"}),
+    ("eta", "series"): ({"level": int, "r": int, "terms": int}, {"level", "r"}),
+    ("eta", "div"): ({"spec": str, "terms": int}, {"spec"}),
+    ("certify", "x1-20"): ({}, set()),
+}
+_WORD = {"verdict": "curve", "survey": "curve", "eta": "what", "certify": "target"}
+_HELP = ("-h", "--help")
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="cuspforge", description=__doc__)
-    sub = p.add_subparsers(dest="command")
+def _parse(argv) -> SimpleNamespace | None:
+    """The command, second word and flags of argv, read off _FORMS left to
+    right; None once -h or --help is read.
 
-    def add_delta_flags(sp):
-        grp = sp.add_mutually_exclusive_group()
-        grp.add_argument("--gamma1", action="store_true", help="Delta = {+-1} (default)")
-        grp.add_argument("--gamma0", action="store_true", help="Delta = all units")
-        grp.add_argument("--delta", help="comma-separated generators of Delta")
+    A flag is --name value or --name=value, and the last one given wins.
+    A separate value that starts with - must be a negative integer.  The
+    first token refused raises BadFlag; a missing flag, or one the form
+    does not take, is refused after the last token.
+    """
+    if not argv:
+        raise UnknownCommand("no command given; see --help")
+    command, tokens = argv[0], iter(argv[1:])
+    if command in _HELP:
+        return None
+    forms = {form[1:]: spec for form, spec in _FORMS.items() if form[0] == command}
+    if not forms:
+        raise BadFlag(f"unknown command {command!r}; see --help")
+    spec = forms.get(())
+    kinds = {name: kind for flags, _ in forms.values() for name, kind in flags.items()}
+    given = {}
+    for token in tokens:
+        if token in _HELP:
+            return None
+        if not token.startswith("--"):
+            if spec is not None or (token,) not in forms:
+                raise BadFlag(f"unexpected argument {token!r} to {command}")
+            spec, given[_WORD[command]] = forms[(token,)], token
+            continue
+        name, eq, value = token[2:].partition("=")
+        kind = kinds.get(name)
+        if kind is None:
+            raise BadFlag(f"{command} takes no --{name}")
+        if kind is bool:
+            if eq:
+                raise BadFlag(f"--{name} takes no value")
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value[:1] == "-" and not value[1:].isdecimal():
+                raise BadFlag(f"--{name} needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise BadFlag(f"--{name} takes an integer, got {value!r}")
+        elif type(kind) is tuple and value not in kind:
+            raise BadFlag(f"--{name} takes one of {', '.join(kind)}, got {value!r}")
+        if name in _DELTA and given.keys() & _DELTA.keys() - {name}:
+            raise BadFlag(_EXCLUSIVE)
+        given[name] = value
+    if spec is None:
+        raise BadFlag(f"{command} takes one of {', '.join(w for w, in forms)}")
+    flags, required = spec
+    stray = sorted(given.keys() - flags.keys() - {_WORD.get(command)})
+    if stray:
+        raise BadFlag(f"{command} {given[_WORD[command]]} takes no --{stray[0]}")
+    missing = sorted(required - given.keys())
+    if missing:
+        raise BadFlag(f"--{missing[0]} is required here")
+    unset = {
+        name: kind[0] if type(kind) is tuple else False if kind is bool else None
+        for name, kind in flags.items()
+    }
+    return SimpleNamespace(command=command, **{**unset, **given})
 
-    sp = sub.add_parser("genus", description="Genus profile of X_Delta(N).")
-    sp.add_argument("--level", type=int, required=True)
-    add_delta_flags(sp)
 
-    sp = sub.add_parser("cusps", description="Cusp atlas with widths.")
-    sp.add_argument("--level", type=int, required=True)
-    add_delta_flags(sp)
-
-    sp = sub.add_parser("orbits", description="Cusp orbits of X_1(N) under [a], W_Q.")
-    sp.add_argument("--level", type=int, required=True)
-
-    sp = sub.add_parser("verdict", description="Weierstrass verdict for irregular cusps.")
-    sp.add_argument("curve", choices=["x1", "x0"])
-    sp.add_argument("--level", type=int, help="N (x1 only)")
-    sp.add_argument("--d", type=int, help="divisor invariant of the cusps (x1 only)")
-    sp.add_argument("--p", type=int, help="prime p (x0 only)")
-    sp.add_argument("--m", type=int, help="M with N = p^2 M (x0 only)")
-
-    sp = sub.add_parser("survey", description="Verdicts for all levels up to a bound.")
-    sp.add_argument("curve", choices=["x1"])
-    sp.add_argument("--max", type=int, required=True)
-    sp.add_argument("--format", choices=["json", "tsv"], default="json")
-    sp.add_argument(
-        "--jobs", type=int, default=None, help="at least 1; the survey runs serially"
-    )
-
-    sp = sub.add_parser("eta", description="Eta-block series and quotient divisors.")
-    sp.add_argument("what", choices=["series", "div"])
-    sp.add_argument("--level", type=int, help="N (series)")
-    sp.add_argument("--r", type=int, help="residue r (series)")
-    sp.add_argument("--terms", type=int, default=None)
-    sp.add_argument("--spec", help="JSON file with {level, exponents} (div)")
-
-    sp = sub.add_parser("certify", description="Recompute a stored certificate.")
-    sp.add_argument("target", choices=["x1-20"])
-
-    return p
+def _usage() -> str:
+    """The -h text: one line per command form."""
+    lines = [__doc__.split("\n")[0], "", "usage:"]
+    for form, (flags, required) in _FORMS.items():
+        words = ["  cuspforge", *form]
+        for name, kind in flags.items():
+            text = f"--{name}" if kind is bool else f"--{name} " + (
+                "|".join(kind) if type(kind) is tuple else name.upper()
+            )
+            words.append(text if name in required else f"[{text}]")
+        lines.append(" ".join(words))
+    return "\n".join([*lines, "", _EXCLUSIVE + "."]) + "\n"
 
 
 def _group_tag(args) -> str:
-    return GAMMA0 if args.gamma0 else "delta" if args.delta else GAMMA1
+    return GAMMA0 if args.gamma0 else "delta" if args.delta is not None else GAMMA1
 
 
 def _delta_for(args, n: int):
@@ -84,19 +131,13 @@ def _delta_for(args, n: int):
     the Gamma_0 and Gamma_1 atlases need the tag alone."""
     if args.gamma0:
         return full_units(n)
-    if args.delta:
+    if args.delta is not None:
         try:
             gens = tuple(int(t) for t in args.delta.split(",") if t.strip())
         except ValueError:
             raise BadFlag(f"--delta takes comma-separated integers, got {args.delta!r}")
         return subgroup_generated(n, gens)
     return pm_one(n)
-
-
-def _require(args, names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise BadFlag(f"--{name} is required here")
 
 
 def _read_spec(path: str) -> EtaQuotient:
@@ -151,14 +192,12 @@ def _dispatch(args) -> tuple[dict, dict, str | None]:
 
     if cmd == "verdict":
         if args.curve == "x1":
-            _require(args, ["level", "d"])
             v = x1_verdict(args.level, args.d)
             return (
                 {"curve": "x1", "level": args.level, "d": args.d},
                 {"N": args.level, "d": args.d, **v.to_json()},
                 None,
             )
-        _require(args, ["p", "m"])
         v = x0_verdict(args.p, args.m)
         return (
             {"curve": "x0", "p": args.p, "m": args.m},
@@ -177,14 +216,12 @@ def _dispatch(args) -> tuple[dict, dict, str | None]:
 
     if cmd == "eta":
         if args.what == "series":
-            _require(args, ["level", "r"])
             series = eta_series(args.level, args.r, args.terms)
             return (
                 {"what": "series", "level": args.level, "r": args.r},
                 series.to_json(),
                 None,
             )
-        _require(args, ["spec"])
         quot = _read_spec(args.spec)
         div = divisor(quot)
         check_terms(quot, args.terms)  # checked only: the series is not printed
@@ -198,20 +235,17 @@ def _dispatch(args) -> tuple[dict, dict, str | None]:
             None,
         )
 
-    if cmd == "certify":
-        gapseq, verdict = certify_x1_20()
-        return (
-            {"target": "x1-20"},
-            {
-                "genus": gapseq.genus,
-                "gaps": list(gapseq.gaps),
-                "weight": gapseq.weight,
-                "verdict": verdict.to_json(),
-            },
-            None,
-        )
-
-    raise UnknownCommand("no command given; see --help")
+    gapseq, verdict = certify_x1_20()  # certify x1-20
+    return (
+        {"target": "x1-20"},
+        {
+            "genus": gapseq.genus,
+            "gaps": list(gapseq.gaps),
+            "weight": gapseq.weight,
+            "verdict": verdict.to_json(),
+        },
+        None,
+    )
 
 
 # rows per C-encoder call, and characters gathered before one write
@@ -282,10 +316,8 @@ def _emit(obj, out) -> None:
 def run(argv, stdout=None) -> int:
     out = stdout or sys.stdout
     try:
-        args = _build_parser().parse_args(argv)
-        params, result, raw = _dispatch(args)
-    except SystemExit as exc:  # argparse -h
-        return int(exc.code or 0)
+        args = _parse(argv)
+        params, result, raw = _dispatch(args) if args else ({}, {}, _usage())
     except Exception as exc:  # bad input exits 2, a broken invariant 1; never a traceback
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, out)
         return 2 if isinstance(exc, DomainError) else 1
@@ -303,15 +335,19 @@ def run(argv, stdout=None) -> int:
 
 
 def main() -> None:
+    """Run the command in sys.argv, flush stdout and stderr, and end the
+    process with os._exit: the interpreter's teardown would free, one by
+    one, objects that the process is about to drop anyway."""
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed the pipe: not an error; send what the
-        # interpreter still flushes at exit to the null device
+        # the reader closed the pipe: not an error; send anything still
+        # buffered for stdout to the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 0
-    sys.exit(code)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

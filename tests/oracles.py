@@ -5,12 +5,16 @@ generating moves, literal formula evaluation with its own totient and
 divisor loops) and deliberately shares no logic with the package.  The
 one exception is `bf_survey_x1`, the survey as a scan that runs the
 package's own verdict on every bucket: it checks the lemma that lets
-`survey_x1` skip that scan, not the verdict rules.
+`survey_x1` skip that scan, not the verdict rules.  `bf_quotient_series`
+and `build_parser` are the package's former eta kernel and argparse
+parser, kept to check the code that replaced them.
 """
 
+import argparse
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, isqrt
+from operator import add, sub
 
 
 def bf_phi(n):
@@ -482,10 +486,88 @@ def bf_eta_series(n, r, terms):
     return BfSeries(n, denom, coeffs, bound)
 
 
-def bf_quotient_series(n, exponents, terms):
+def bf_dict_quotient_series(n, exponents, terms):
     """prod E_r^k over the (r, k) pairs, by products of powers of the
     blocks; exact below the returned series' truncation."""
     result = BfSeries(n, 12 * n, {0: 1}, 12 * n * terms)
     for r, k in exponents:
         result = result * (bf_eta_series(n, r, terms) ** k)
     return result
+
+
+def bf_quotient_series(n, exponents, terms):
+    """The `terms` coefficients of prod E_r^k over the (r, k) pairs with
+    0 < r <= n/2, one factor (1 - q^e) of each block at a time: a
+    descending pass multiplies by it, an ascending prefix pass in blocks of
+    e divides by it.  This was the package's kernel before the triple
+    product."""
+    c = [1] + [0] * (terms - 1)
+    for r, k in exponents:
+        for e in (*range(r, terms, n), *range(n - r, terms, n)):
+            for _ in range(k):
+                c[e:] = map(sub, c[e:], c[:-e])
+            for _ in range(-k):
+                for i in range(e, terms, e):
+                    c[i : i + e] = map(add, c[i : i + e], c[i - e : i])
+    return tuple(c)
+
+
+class ParserRefused(Exception):
+    """The argparse oracle refused an argv."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ParserRefused(message)
+
+
+def build_parser():
+    """The CLI's argparse parser, which the table parser replaced: -h
+    prints its help and exits 0, and it raises ParserRefused where
+    argparse would exit 2."""
+    p = _Parser(prog="cuspforge", description="cuspforge command line.")
+    sub = p.add_subparsers(dest="command")
+
+    def add_delta_flags(sp):
+        grp = sp.add_mutually_exclusive_group()
+        grp.add_argument("--gamma1", action="store_true", help="Delta = {+-1} (default)")
+        grp.add_argument("--gamma0", action="store_true", help="Delta = all units")
+        grp.add_argument("--delta", help="comma-separated generators of Delta")
+
+    sp = sub.add_parser("genus", description="Genus profile of X_Delta(N).")
+    sp.add_argument("--level", type=int, required=True)
+    add_delta_flags(sp)
+
+    sp = sub.add_parser("cusps", description="Cusp atlas with widths.")
+    sp.add_argument("--level", type=int, required=True)
+    add_delta_flags(sp)
+
+    sp = sub.add_parser("orbits", description="Cusp orbits of X_1(N) under [a], W_Q.")
+    sp.add_argument("--level", type=int, required=True)
+
+    sp = sub.add_parser("verdict", description="Weierstrass verdict for irregular cusps.")
+    sp.add_argument("curve", choices=["x1", "x0"])
+    sp.add_argument("--level", type=int, help="N (x1 only)")
+    sp.add_argument("--d", type=int, help="divisor invariant of the cusps (x1 only)")
+    sp.add_argument("--p", type=int, help="prime p (x0 only)")
+    sp.add_argument("--m", type=int, help="M with N = p^2 M (x0 only)")
+
+    sp = sub.add_parser("survey", description="Verdicts for all levels up to a bound.")
+    sp.add_argument("curve", choices=["x1"])
+    sp.add_argument("--max", type=int, required=True)
+    sp.add_argument("--format", choices=["json", "tsv"], default="json")
+    sp.add_argument(
+        "--jobs", type=int, default=None, help="at least 1; the survey runs serially"
+    )
+
+    sp = sub.add_parser("eta", description="Eta-block series and quotient divisors.")
+    sp.add_argument("what", choices=["series", "div"])
+    sp.add_argument("--level", type=int, help="N (series)")
+    sp.add_argument("--r", type=int, help="residue r (series)")
+    sp.add_argument("--terms", type=int, default=None)
+    sp.add_argument("--spec", help="JSON file with {level, exponents} (div)")
+
+    sp = sub.add_parser("certify", description="Recompute a stored certificate.")
+    sp.add_argument("target", choices=["x1-20"])
+
+    return p

@@ -1,17 +1,23 @@
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cuspforge.cli import _SLICE, _emit, run
+from cuspforge.cli import _SLICE, _emit, _parse, run
+from cuspforge.errors import BadFlag
 from cuspforge.etaq import F_EXPONENTS
+
+from oracles import ParserRefused, build_parser
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -41,6 +47,45 @@ def test_genus_command():
 def test_genus_with_explicit_delta():
     result = _result(["genus", "--level", "20", "--delta", "9"])
     assert result["g"] == 1 and result["delta"] == [1, 9, 11, 19]
+
+
+def test_empty_delta_is_a_delta():
+    # --delta "" names Delta = {+-1} by its generators, as --delta , does
+    for command in ("genus", "cusps"):
+        empty = _run([command, "--level", "20", "--delta", ""])
+        assert empty == _run([command, "--level", "20", "--delta", ","])
+        assert json.loads(empty[1])["params"]["group"] == "delta"
+
+
+def test_empty_delta_lists_pm_one():
+    result = _result(["cusps", "--level", "20", "--delta", ""])
+    assert result["delta"] == [1, 19]
+    assert _result(["genus", "--level", "20", "--delta", ""])["delta"] == [1, 19]
+
+
+def test_flag_syntax():
+    # --flag=value, the last repeat of a flag wins, the form word may
+    # follow flags, and a negative integer is a value
+    want = _run(["verdict", "x1", "--level", "20", "--d", "2"])
+    assert want[0] == 0
+    assert _run(["verdict", "x1", "--level=20", "--d=2"]) == want
+    assert _run(["verdict", "x1", "--d", "5", "--level", "20", "--d", "2"]) == want
+    assert _run(["verdict", "--level", "20", "--d", "2", "x1"]) == want
+    code, text = _run(["genus", "--level", "-4", "--gamma1"])
+    assert json.loads(text)["error"]["type"] == "NotPositive"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verdict", "-h"], ["eta", "series", "--help"]])
+def test_help_lists_every_form(argv):
+    code, text = _run(argv)
+    assert code == 0
+    forms = [
+        " ".join(takewhile(lambda w: w[0] not in "-[", line.split()[1:]))
+        for line in text.splitlines()
+        if line.startswith("  cuspforge ")
+    ]
+    assert forms == ["genus", "cusps", "orbits", "verdict x1", "verdict x0", "survey x1",
+                     "eta series", "eta div", "certify x1-20"]
 
 
 def test_cusps_command():
@@ -162,6 +207,16 @@ def test_unknown_command():
         (["eta", "div", "--spec", "spec.json"], '{"level": 20, "exponents": {"1": 1}}', "NotAFunction"),
         (["eta", "div", "--spec", "spec.json", "--terms", "0"], '{"level": 20, "exponents": {}}', "TruncationTooSmall"),
         (["eta", "div", "--spec", "spec.json", "--terms", "-3"], '{"level": 20, "exponents": {}}', "TruncationTooSmall"),
+        # flags the chosen form does not take, and abbreviations
+        (["verdict", "x1", "--level", "20", "--d", "2", "--p", "3"], None, "BadFlag"),
+        (["verdict", "x0", "--p", "2", "--m", "16", "--level", "64"], None, "BadFlag"),
+        (["eta", "series", "--level", "20", "--r", "1", "--spec", "x"], None, "BadFlag"),
+        (["eta", "div", "--spec", "spec.json", "--r", "1"], None, "BadFlag"),
+        (["genus", "--lev", "20"], None, "BadFlag"),
+        (["genus", "--level", "20", "--gamma1=1"], None, "BadFlag"),
+        (["genus", "--level", "20", "--delta", "-x"], None, "BadFlag"),
+        (["genus", "--level", "20", "--delta", "--gamma1"], None, "BadFlag"),
+        (["genus", "--level", "20", "--gamma0", "--delta", "9"], None, "BadFlag"),
     ],
 )
 def test_invalid_input_exits_2(argv, spec, error, tmp_path, monkeypatch):
@@ -301,6 +356,46 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["result"]["g"] == 3
 
 
+def _main(argv):
+    """argv run through main in a fresh interpreter, stdout into a pipe."""
+    return subprocess.run(
+        [sys.executable, "-c", "from cuspforge.cli import main; main()", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": ""},
+        capture_output=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv", [["survey", "x1", "--max", "10000"], ["cusps", "--level", "2520", "--gamma1"]]
+)
+def test_main_writes_what_run_writes(argv):
+    # main ends the process with os._exit: everything must be flushed first
+    proc = _main(argv)
+    assert proc.returncode == 0 and proc.stderr == b""
+    want = _run(argv)[1].encode()
+    assert len(proc.stdout) > 500_000
+    assert hashlib.sha256(proc.stdout).hexdigest() == hashlib.sha256(want).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (["verdict", "x1", "--level", "20", "--d", "2", "--p", "3"], 2, "BadFlag"),
+        (["genus", "--level", "0", "--gamma1"], 2, "NotPositive"),
+        (["-h"], 0, None),
+    ],
+)
+def test_main_exit_codes(argv, code, error):
+    proc = _main(argv)
+    assert proc.returncode == code and proc.stderr == b""
+    if error:
+        assert json.loads(proc.stdout) == json.loads(_run(argv)[1])
+        assert json.loads(proc.stdout)["error"]["type"] == error
+    else:
+        assert proc.stdout.decode() == _run(argv)[1]
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 def test_closed_pipe_exits_quietly(unbuffered):
     # a reader that stops early, like `| head`, is not an error
@@ -401,14 +496,91 @@ VALUES = ["0", "1", "2", "3", "4", "7", "9", "12", "16", "18", "20", "-1", "-12"
           "x", "", "1,-1", "3,7", ",", "tsv", "json", "x1", "missing.json", "."]
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
+
+
+def _tokens(flag, values, joined):
+    """The flag and its values, the first joined as --flag=value if asked."""
+    if joined and values:
+        return [f"{flag}={values[0]}", *values[1:]]
+    return [flag, *values]
+
+
+ARGVS = st.builds(
+    lambda command, flags: command + [t for flag in flags for t in _tokens(*flag)],
     st.sampled_from(COMMANDS),
-    st.lists(st.tuples(st.sampled_from(FLAGS), st.lists(st.sampled_from(VALUES), max_size=2)), max_size=4),
+    st.lists(
+        st.tuples(
+            st.sampled_from(FLAGS), st.lists(st.sampled_from(VALUES), max_size=2), st.booleans()
+        ),
+        max_size=4,
+    ),
 )
-def test_any_short_argv_exits_0_1_or_2(command, flags):
-    argv = command + [token for flag, values in flags for token in (flag, *values)]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ARGVS)
+def test_any_short_argv_exits_0_1_or_2(argv):
     code, text = _run(argv)
     assert code in (0, 1, 2)
     if code:
         assert set(json.loads(text)) == {"error"}
+
+
+def _outcome(parse, argv):
+    """What a parser makes of argv: its flags as a dict, "help", or the
+    type of the exception it raised."""
+    try:
+        with redirect_stdout(io.StringIO()):
+            args = parse(argv)
+    except SystemExit as exc:  # argparse -h
+        assert exc.code == 0
+        return "help"
+    except Exception as exc:
+        return type(exc)
+    return "help" if args is None else vars(args)
+
+
+FORM_FLAGS = {
+    "genus": ["--level", "--gamma1", "--gamma0", "--delta"],
+    "cusps": ["--level", "--gamma1", "--gamma0", "--delta"],
+    "orbits": ["--level"],
+    "verdict x1": ["--level", "--d"],
+    "verdict x0": ["--p", "--m"],
+    "survey x1": ["--max", "--format", "--jobs"],
+    "eta series": ["--level", "--r", "--terms"],
+    "eta div": ["--spec", "--terms"],
+    "certify x1-20": [],
+}
+
+
+@st.composite
+def _form_argvs(draw):
+    """A form and mostly its own flags, so that most argvs are taken."""
+    form = draw(st.sampled_from(sorted(FORM_FLAGS)))
+    argv = form.split()
+    for flag in draw(st.lists(st.sampled_from(FORM_FLAGS[form] or FLAGS), max_size=4)):
+        values = [] if flag in ("--gamma1", "--gamma0") else [draw(st.sampled_from(VALUES))]
+        argv += _tokens(flag, values, draw(st.booleans()))
+    return argv
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ARGVS | _form_argvs())
+@example(["genus", "--level", "20", "--delta", "--gamma1"])
+@example(["genus", "--level", "20", "--delta", "-h"])
+@example(["genus", "--level", "-4", "--delta", "-1"])
+@example(["genus", "--level", "20", "--delta", "-"])
+@example(["verdict", "--d", "2", "x1", "--level", "20"])
+def test_parser_agrees_with_argparse_oracle(argv):
+    # the table parser takes nothing argparse refused, and what it takes it
+    # reads as argparse did; argparse's extra flags of the other form stay
+    # unset.  Abbreviations and flags of the other form it refuses.
+    new, old = _outcome(_parse, argv), _outcome(build_parser().parse_args, argv)
+    if isinstance(new, dict):
+        assert isinstance(old, dict), (argv, old)
+        assert new == {name: old[name] for name in new}
+        assert all(old[name] is None for name in old.keys() - new.keys())
+    if new == "help":
+        assert old == "help", (argv, old)
+    if old is ParserRefused:
+        assert new is BadFlag, (argv, new)

@@ -27,7 +27,7 @@ from cuspforge.etaq import (
 )
 from cuspforge.symmetry import cusp_orbits_x1
 
-from oracles import bernoulli2, bf_ord_at_cusp, bf_quotient_series
+from oracles import bernoulli2, bf_dict_quotient_series, bf_ord_at_cusp, bf_quotient_series
 
 
 def test_bernoulli2_values():
@@ -116,7 +116,7 @@ def test_quotient_series_leading_exponent_matches_order_formula():
 
 def _assert_agrees_with_oracle(q, terms):
     series = quotient_series(q, terms)
-    bf = bf_quotient_series(q.level, q.exponents, terms)
+    bf = bf_dict_quotient_series(q.level, q.exponents, terms)
     d = series.denom
     assert bf.truncation <= series.truncation
     assert all(k >= series.lead and (k - series.lead) % d == 0 for k in bf.coeffs)
@@ -134,6 +134,29 @@ def test_dense_kernel_matches_dict_oracle():
         _assert_agrees_with_oracle(_random_quotient(rng, n), rng.randrange(1, 201))
     for exps in (F_EXPONENTS, G_EXPONENTS):
         _assert_agrees_with_oracle(EtaQuotient.make(20, exps), 200)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_triple_product_kernel_matches_factor_kernel(data):
+    # theta_r / P(q^N) against one factor (1 - q^e) at a time
+    n = data.draw(st.integers(2, 70))
+    q = data.draw(_quotients(n))
+    if data.draw(st.booleans()):  # a block at r = N/2, where theta's terms pair up
+        q = EtaQuotient.make(n, {**dict(q.exponents), n // 2: data.draw(st.integers(-3, 3))})
+    terms = data.draw(st.integers(1, 400))
+    assert quotient_series(q, terms).coeffs == bf_quotient_series(n, q.exponents, terms)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 23, 50, -1, -4])
+def test_high_powers_at_level_2(k):
+    # at N = 2 the only block is r = 1 = N/2, and k divisions by P stack up
+    q = EtaQuotient.make(2, {1: k})
+    assert quotient_series(q, 120).coeffs == bf_quotient_series(2, q.exponents, 120)
+
+
+def test_long_block_matches_factor_kernel():
+    assert eta_series(60, 7, 10000).coeffs == bf_quotient_series(60, ((7, 1),), 10000)
 
 
 def _cauchy(a, b):

@@ -117,3 +117,5 @@ def test_import_loads_no_dataclasses():
     loaded = set(json.loads(proc.stdout))
     assert "cuspforge.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    # nor argparse and its gettext: the CLI reads argv off a table
+    assert not loaded & {"argparse", "gettext"}
