@@ -33,12 +33,8 @@ from .criteria import (
     GapSequence,
     SurveyReport,
     Verdict,
-    atkin_lehner_reduce,
     certify_x1_20,
-    fricke_reduce,
     gap_sequence_from_nongaps,
-    lemma_cusp_inequality,
-    lemma_genus_check,
     lewittes,
     schoeneberg,
     survey_x1,
@@ -59,7 +55,6 @@ from .genus import GenusProfile, g0, g1, genus_delta
 from .symmetry import (
     AtkinLehnerOp,
     act_atkin_lehner,
-    act_sp,
     build_atkin_lehner,
     cusp_orbits_x1,
     fixed_cusps,

@@ -147,10 +147,13 @@ def _read_spec(path: str) -> EtaQuotient:
     except (OSError, ValueError) as exc:
         raise BadSpec(f"cannot read {path}: {exc}")
     try:
-        level = int(spec["level"])
-        exponents = {int(r): int(k) for r, k in spec["exponents"].items()}
+        level = spec["level"]
+        exponents = {int(r): k for r, k in spec["exponents"].items()}
     except (LookupError, TypeError, AttributeError, ValueError) as exc:
         raise BadSpec(f'{path} is not {{"level": N, "exponents": {{r: k}}}}: {exc!r}')
+    # int() would truncate 20.9 to 20 and read true as 1
+    if not all(type(v) is int for v in (level, *exponents.values())):
+        raise BadSpec(f"{path}: the level and each exponent must be JSON integers")
     check_positive(level)
     return EtaQuotient.make(level, exponents)
 

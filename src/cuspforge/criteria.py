@@ -1,18 +1,18 @@
 """Weierstrass verdicts for irregular cusps, with certificate chains.
 
-The X_1(N) pipeline tries, in order: reduce d across the Fricke duality,
-the arithmetic cusp-count inequality phi(d)phi(N/d) >= 8 + 4/(e-1), the
-quotient-genus inequality g_1(N) - e*g_{Delta_d}(N) >= e, and finally a
-small certified fact table (N = 16, 18) or the eta-quotient certificate
-(N = 20), which `certify_x1_20` recomputes here from the quotients F and
-G of `etaq`.  Every function of (N, d) checks d through the one guard
-`arith.cofactor_gcd`; the three that need an irregular bucket share
-`arith.irregular_e` on top of it, and the two that need g_1(N) >= 2
-share `_x1_genus`.  The X_0(p^2 M) verdicts encode the
-classification theorems for the cusps equivalent to (1 : p): one
-decision returns the single (status, rule, data) step, and the level
-p^2 M is checked against `MAX_LEVEL` before p is factored.  Cases those
-theorems leave open stay Unknown.
+`x1_verdict` is the one home of the X_1(N) argument.  It takes, in order,
+the Fricke choice of d or N/d, the cusp inequality
+phi(d)phi(N/d) >= 8 + 4/(e-1), the quotient-genus inequality
+g_1(N) - e*g_{Delta_d}(N) >= e, and finally a small certified fact table
+(N = 16, 18) or the eta-quotient certificate (N = 20), which
+`certify_x1_20` recomputes here from the quotients F and G of `etaq`.
+The certificate holds a Fricke step when d gives way to N/d, then the
+rule that decided, each with its data; callers read these facts there.
+(N, d) is checked by the one guard `arith.irregular_e`.  The X_0(p^2 M)
+verdicts encode the classification theorems for the cusps equivalent to
+(1 : p): one decision returns the single (status, rule, data) step, and
+the level p^2 M is checked against `MAX_LEVEL` before p is factored.
+Cases those theorems leave open stay Unknown.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import NamedTuple
 
 from .arith import (
     check_level,
-    cofactor_gcd,
     delta_d,
     exponents_of,
     factorize,
@@ -110,62 +109,12 @@ def lewittes(fixed_point_count: int) -> bool:
     return fixed_point_count > 4
 
 
-def _phi_split(n: int, d: int) -> tuple[int, int, int]:
-    """phi(d), phi(N/d) and e = gcd(d, N/d), read off factorize(N)."""
-    fac = factorize(n)
-    return phi_split(fac, exponents_of(fac, d))
-
-
-def _cusp_inequality(phi_product: int, e: int) -> bool:
-    """phi(d) phi(N/d) >= 8 + 4/(e - 1), times e - 1 > 0: exact in integers."""
-    return (phi_product - 8) * (e - 1) >= 4
-
-
 def _threshold(e: int) -> str:
     """str(8 + Fraction(4, e - 1)) from integers: (8e - 4)/(e - 1) in lowest
     terms, whose common factor divides 4 since 8e - 4 = 8(e - 1) + 4."""
     g = gcd(4, e - 1)
     num, den = (8 * e - 4) // g, (e - 1) // g
     return f"{num}/{den}" if den > 1 else str(num)
-
-
-def _x1_genus(n: int) -> int:
-    """g_1(N); raises unless it is at least 2."""
-    g = g1(n)
-    if g < 2:
-        raise GenusTooSmall(f"g_1({n}) = {g} < 2")
-    return g
-
-
-def lemma_cusp_inequality(n: int, d: int) -> bool:
-    """phi(d) * phi(N/d) >= 8 + 4/(e - 1), exact rational comparison."""
-    e = irregular_e(n, d)
-    phi_d, phi_nd, _ = _phi_split(n, d)
-    return _cusp_inequality(phi_d * phi_nd, e)
-
-
-def lemma_genus_check(n: int, d: int) -> bool:
-    """g_1(N) - e * g_{Delta_d}(N) >= e."""
-    e = irregular_e(n, d)
-    return schoeneberg(_x1_genus(n), e, genus_delta(delta_d(n, d)).g)
-
-
-def fricke_reduce(n: int, d: int) -> int:
-    """d or N/d, whichever has the smaller totient (ties keep d); the
-    Fricke involution carries the one family of cusps to the other."""
-    cofactor_gcd(n, d)
-    phi_d, phi_nd, _ = _phi_split(n, d)
-    return d if phi_d <= phi_nd else n // d
-
-
-def atkin_lehner_reduce(n: int, d: int) -> int:
-    """Smallest divisor in the full Atkin-Lehner orbit of d.
-
-    Each W_Q swaps the Q-part of d with Q/(Q-part): prime by prime the
-    exponent b of p in d may become a - b, where p^a || N.  The minimum
-    takes p^min(b, a-b) at every prime, which is gcd(d, N/d).
-    """
-    return cofactor_gcd(n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +220,17 @@ def x1_verdict(n: int, d: int) -> Verdict:
     itself.
     """
     e = irregular_e(n, d)
-    g = _x1_genus(n)
-    phi_d, phi_nd, _ = _phi_split(n, d)
+    g = g1(n)
+    if g < 2:
+        raise GenusTooSmall(f"g_1({n}) = {g} < 2")
+    fac = factorize(n)
+    phi_d, phi_nd, _ = phi_split(fac, exponents_of(fac, d))
     steps = ()
     if phi_d > phi_nd:
         data = {"from_d": d, "to_d": n // d, "phi_d": phi_d, "phi_nd": phi_nd}
         steps = (CertStep(RULE_FRICKE, data),)
-    if _cusp_inequality(phi_d * phi_nd, e):
+    # phi(d) phi(N/d) >= 8 + 4/(e - 1), times e - 1 > 0: exact in integers
+    if (phi_d * phi_nd - 8) * (e - 1) >= 4:
         step = CertStep(
             RULE_LEMMA_CUSP,
             {"phi_product": phi_d * phi_nd, "threshold": _threshold(e), "e": e},

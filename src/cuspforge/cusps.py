@@ -41,9 +41,10 @@ GAMMA1 = "gamma1"
 
 # Cost bound of the atlases: of the X_1(N) atlas in sum_{d | N} phi(d) phi(N/d),
 # twice its cusp count, and of the X_0(N) atlas in its cusp count.  On a
-# 2-vCPU host with CPython 3.11, `cusps --level N --gamma1` took 2.1-2.2 s
-# and 40 MB at N = 10080 and 49999 (sums 98304 and 99996), and
-# `cusps --level 99991^2 --gamma0` (99992 cusps) took 0.9 s.
+# 2-vCPU host with CPython 3.11, `cusps --level N --gamma1` took 0.25-0.27 s
+# and 35 MB at N = 10080 and 0.30 s and 37 MB at N = 49999 (sums 98304 and
+# 99996), and `cusps --level 99991^2 --gamma0` (99992 cusps) took 0.50 s
+# and 60 MB, each as a whole process.
 MAX_CUSP_SUM = 10**5
 
 

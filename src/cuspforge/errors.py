@@ -38,14 +38,6 @@ class LevelMismatch(DomainError):
     pass
 
 
-class BadP(DomainError):
-    pass
-
-
-class LevelNotDivisible(DomainError):
-    pass
-
-
 class PNotDividingM(DomainError):
     pass
 

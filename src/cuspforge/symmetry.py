@@ -1,4 +1,4 @@
-"""Automorphism actions on cusps: diamonds [a], Atkin-Lehner W_Q, and S_p.
+"""Automorphism actions on cusps: diamonds [a] and Atkin-Lehner W_Q.
 
 [a] sends (x : y) to (a*x : a^-1*y).  W_Q is realized by an integer matrix
 (Qx, y; Nz, Qw) of determinant Q; on X_0(N) classes the induced map does
@@ -25,7 +25,7 @@ from .cusps import (
     x0_class_of_pair,
     x0_image,
 )
-from .errors import BadP, LevelMismatch, LevelNotDivisible, NotCoprime, NotExactDivisor
+from .errors import LevelMismatch, NotCoprime, NotExactDivisor
 
 
 class AtkinLehnerOp(Record):
@@ -54,37 +54,19 @@ def build_atkin_lehner(n: int, q: int) -> AtkinLehnerOp:
     return AtkinLehnerOp(n, q, (q * alpha, beta, n, q))
 
 
-def _act_matrix(mat, c: CuspClass) -> CuspClass:
-    """Fractional-linear image of a cusp class under an integer matrix."""
+def act_atkin_lehner(op: AtkinLehnerOp, c: CuspClass) -> CuspClass:
+    """Fractional-linear image of a cusp class under the W_Q matrix."""
     n = c.level
+    if op.level != n:
+        raise LevelMismatch(f"operator at {op.level}, cusp at {n}")
     a0, c0 = lift_to_coprime(n, c.x, c.y)
-    p, q_, r, s = mat
+    p, q_, r, s = op.matrix
     a1, c1 = p * a0 + q_ * c0, r * a0 + s * c0
     g = gcd(a1, c1)
     a1, c1 = a1 // g, c1 // g
     if c.group == GAMMA0:
         return x0_class_of_pair(n, a1, c1)
     return canonicalize_x1(n, a1, c1)
-
-
-def act_atkin_lehner(op: AtkinLehnerOp, c: CuspClass) -> CuspClass:
-    if op.level != c.level:
-        raise LevelMismatch(f"operator at {op.level}, cusp at {c.level}")
-    return _act_matrix(op.matrix, c)
-
-
-def act_sp(p: int, c: CuspClass) -> CuspClass:
-    """Image under S_p = (1, 1/p; 0, 1): a/c maps to (pa + c)/(pc).
-
-    Normalizes Gamma_0(p^2 M) for p = 2, 3 only; N = p^2 M is the level of c.
-    """
-    if p not in (2, 3):
-        raise BadP(f"S_p is only in the normalizer for p = 2, 3 (got {p})")
-    if c.level % (p * p) != 0:
-        raise LevelNotDivisible(f"{p}^2 does not divide {c.level}")
-    if c.group != GAMMA0:
-        raise LevelMismatch("S_p acts on X_0(N) cusp classes")
-    return _act_matrix((p, 1, 0, p), c)
 
 
 def fixed_cusps(n: int, a: int) -> tuple[CuspClass, ...]:

@@ -3,11 +3,17 @@
 Everything here works from raw definitions (orbit closure under the
 generating moves, literal formula evaluation with its own totient and
 divisor loops) and deliberately shares no logic with the package.  The
-one exception is `bf_survey_x1`, the survey as a scan that runs the
-package's own verdict on every bucket: it checks the lemma that lets
-`survey_x1` skip that scan, not the verdict rules.  `bf_quotient_series`
-and `build_parser` are the package's former eta kernel and argparse
-parser, kept to check the code that replaced them.
+exceptions are of two kinds.  The (N, d) lemma oracles
+(`bf_cusp_inequality`, `bf_genus_check`, `bf_fricke_choice`, `bf_al_min`)
+validate (N, d) with the package's guards `cofactor_gcd` and
+`irregular_e`, so they refuse bad input with the package's errors, and
+the genus check reads g_1 and g_{Delta_d} off `g1`, `delta_d` and
+`genus_delta`, which other tests check against brute force.
+`bf_survey_x1` is the survey as a scan that runs the package's own
+verdict on every bucket: it checks the lemma that lets `survey_x1` skip
+that scan, not the verdict rules.  `bf_quotient_series` and
+`build_parser` are the package's former eta kernel and argparse parser,
+kept to check the code that replaced them.
 """
 
 import argparse
@@ -15,6 +21,11 @@ from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, isqrt
 from operator import add, sub
+
+from cuspforge.arith import cofactor_gcd, delta_d, irregular_e
+from cuspforge.criteria import SurveyReport, SurveyRow, x1_verdict
+from cuspforge.errors import GenusTooSmall
+from cuspforge.genus import g1, genus_delta
 
 
 def bf_phi(n):
@@ -58,18 +69,48 @@ def bf_factorizations(limit):
     return out[: limit + 1]
 
 
+def _bf_phi_pair(n, d):
+    """phi(d) and phi(N/d) off the sieve to the next power of two past N,
+    so that a scan over N builds few tables."""
+    phi = bf_phi_table(1 << n.bit_length())
+    return phi[d], phi[n // d]
+
+
+def bf_cusp_inequality(n, d):
+    """phi(d) phi(N/d) >= 8 + 4/(e - 1), e = gcd(d, N/d) > 1, compared as
+    Fractions over the oracle's own totient."""
+    e = irregular_e(n, d)
+    phi_d, phi_nd = _bf_phi_pair(n, d)
+    return phi_d * phi_nd >= 8 + Fraction(4, e - 1)
+
+
+def bf_genus_check(n, d):
+    """g_1(N) - e g_{Delta_d}(N) >= e, the quotient-genus test at d, on an
+    irregular bucket of a level with g_1(N) >= 2."""
+    e = irregular_e(n, d)
+    g = g1(n)
+    if g < 2:
+        raise GenusTooSmall(f"g_1({n}) = {g} < 2")
+    return g - e * genus_delta(delta_d(n, d)).g >= e
+
+
+def bf_fricke_choice(n, d):
+    """d or N/d, whichever has the smaller totient; a tie keeps d."""
+    cofactor_gcd(n, d)
+    phi_d, phi_nd = _bf_phi_pair(n, d)
+    return d if phi_d <= phi_nd else n // d
+
+
+def bf_al_min(n, d):
+    """The least divisor in the Atkin-Lehner orbit of d | N."""
+    cofactor_gcd(n, d)
+    return min(bf_al_orbits(n)[d])
+
+
 def bf_survey_x1(max_n):
     """survey_x1(max_n) as one scan: x1_verdict on every bucket r > 1 with
     r^2 | N of every level 13 <= N <= max_n with g_1(N) >= 2, and the
-    failure sets from lemma_cusp_inequality at r = 2, 3, 4 and 6."""
-    from cuspforge.criteria import (
-        SurveyReport,
-        SurveyRow,
-        lemma_cusp_inequality,
-        x1_verdict,
-    )
-    from cuspforge.genus import g1
-
+    failure sets from `bf_cusp_inequality` at r = 2, 3, 4 and 6."""
     rows, failures = [], {2: [], 3: [], 4: [], 6: []}
     for n in range(13, max_n + 1):
         if g1(n) < 2:
@@ -78,7 +119,7 @@ def bf_survey_x1(max_n):
             if n % (r * r) == 0:
                 verdict = x1_verdict(n, r)
                 rows.append(SurveyRow(n, r, verdict.status, verdict.decisive_rule()))
-                if r in failures and not lemma_cusp_inequality(n, r):
+                if r in failures and not bf_cusp_inequality(n, r):
                     failures[r].append(n)
     return SurveyReport(max_n, tuple(rows), {d: tuple(v) for d, v in failures.items()})
 
@@ -254,6 +295,7 @@ def bf_g1(n):
     return bf_genus_profile(n, {1 % n or n, (-1) % n or n})[-1]
 
 
+@cache
 def bf_al_orbits(n):
     """Orbit of every divisor of n under the Atkin-Lehner swaps, by closure:
     W_Q for Q || n sends d to (d/g)(Q/g) with g = gcd(d, Q)."""

@@ -217,6 +217,11 @@ def test_unknown_command():
         (["genus", "--level", "20", "--delta", "-x"], None, "BadFlag"),
         (["genus", "--level", "20", "--delta", "--gamma1"], None, "BadFlag"),
         (["genus", "--level", "20", "--gamma0", "--delta", "9"], None, "BadFlag"),
+        # spec values must be JSON integers, not anything int() accepts
+        (["eta", "div", "--spec", "spec.json"], '{"level": 20.9, "exponents": {}}', "BadSpec"),
+        (["eta", "div", "--spec", "spec.json"], '{"level": 20, "exponents": {"9": -2.7}}', "BadSpec"),
+        (["eta", "div", "--spec", "spec.json"], '{"level": true, "exponents": {}}', "BadSpec"),
+        (["eta", "div", "--spec", "spec.json"], '{"level": "20", "exponents": {}}', "BadSpec"),
     ],
 )
 def test_invalid_input_exits_2(argv, spec, error, tmp_path, monkeypatch):

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from cuspforge.arith import (
     MAX_LEVEL,
+    cofactor_gcd,
     delta_d,
     divisors,
     factorize,
+    irregular_e,
     subgroup_generated,
     units,
 )
@@ -20,14 +22,11 @@ from cuspforge.criteria import (
     NOT_WEIERSTRASS,
     RULE_FRICKE,
     RULE_LEMMA_CUSP,
+    RULE_LEMMA_GENUS,
     UNKNOWN,
     WEIERSTRASS,
     _threshold,
-    atkin_lehner_reduce,
-    fricke_reduce,
     gap_sequence_from_nongaps,
-    lemma_cusp_inequality,
-    lemma_genus_check,
     lewittes,
     schoeneberg,
     survey_x1,
@@ -56,7 +55,16 @@ from cuspforge.etaq import eta_series
 from cuspforge.genus import g0, g1
 from cuspforge.symmetry import build_atkin_lehner, cusp_orbits_x1
 
-from oracles import bf_al_orbits, bf_divisors, bf_phi_table, bf_survey_x1
+from oracles import (
+    bf_al_min,
+    bf_al_orbits,
+    bf_cusp_inequality,
+    bf_divisors,
+    bf_fricke_choice,
+    bf_genus_check,
+    bf_phi_table,
+    bf_survey_x1,
+)
 
 
 @pytest.mark.parametrize(
@@ -64,8 +72,8 @@ from oracles import bf_al_orbits, bf_divisors, bf_phi_table, bf_survey_x1
     [
         (canonicalize_x0, (0, 1, 4), NotPositive),
         (x1_verdict, (-20, 2), NotPositive),
-        (lemma_cusp_inequality, (0, 4), NotPositive),
-        (fricke_reduce, (0, 4), NotPositive),
+        (irregular_e, (0, 4), NotPositive),
+        (cofactor_gcd, (0, 4), NotPositive),
         (delta_d, (0, 4), NotPositive),
         (ramification_x1_to_delta, (0, 4), NotPositive),
         (build_atkin_lehner, (0, 1), NotPositive),
@@ -101,41 +109,62 @@ def test_lewittes_threshold():
     assert lewittes(20)
 
 
+def _steps(n, d):
+    return {s.rule: s.data for s in x1_verdict(n, d).certificate}
+
+
 def test_lemma_cusp_inequality_examples():
-    assert not lemma_cusp_inequality(20, 2)
-    assert lemma_cusp_inequality(100, 10)
-    assert lemma_cusp_inequality(52, 2)  # phi(2)phi(26) = 12 meets the bound
+    assert x1_verdict(20, 2).decisive_rule() != RULE_LEMMA_CUSP
+    assert not bf_cusp_inequality(20, 2)
+    # phi(10) phi(10) = 16 >= 8 + 4/9
+    assert _steps(100, 10)[RULE_LEMMA_CUSP] == {
+        "phi_product": 16, "threshold": "76/9", "e": 10
+    }
+    # phi(2) phi(26) = 12 meets the bound 8 + 4/1
+    assert _steps(52, 2)[RULE_LEMMA_CUSP] == {
+        "phi_product": 12, "threshold": "12", "e": 2
+    }
     with pytest.raises(NotIrregular):
-        lemma_cusp_inequality(20, 4)
+        x1_verdict(20, 4)
 
 
 def test_lemma_genus_check_examples():
-    assert lemma_genus_check(24, 2)
-    assert not lemma_genus_check(20, 2)
-    assert lemma_genus_check(36, 3)
+    assert _steps(24, 2)[RULE_LEMMA_GENUS] == {"g1": 5, "e": 2, "g_quotient": 1}
+    assert bf_genus_check(24, 2)
+    # g_1(20) - 2 g_{Delta_2}(20) = 1 < 2: the level-20 certificate decides
+    assert RULE_LEMMA_GENUS not in _steps(20, 2)
+    assert not bf_genus_check(20, 2)
+    assert bf_genus_check(36, 3)
     with pytest.raises(GenusTooSmall):
-        lemma_genus_check(12, 2)
+        x1_verdict(12, 2)
 
 
 def test_fricke_reduce_examples():
-    assert fricke_reduce(20, 10) == 2
-    assert fricke_reduce(36, 6) == 6
-    assert fricke_reduce(48, 4) == 4
+    assert _steps(20, 10)[RULE_FRICKE] == {
+        "from_d": 10, "to_d": 2, "phi_d": 4, "phi_nd": 1
+    }
+    assert RULE_FRICKE not in _steps(36, 6)  # a tie keeps d
+    assert RULE_FRICKE not in _steps(48, 4)
+    assert [bf_fricke_choice(*nd) for nd in ((20, 10), (36, 6), (48, 4))] == [2, 6, 4]
 
 
 def test_al_reduce():
-    assert atkin_lehner_reduce(24, 4) == 2
-    assert atkin_lehner_reduce(40, 4) == 2
-    assert atkin_lehner_reduce(16, 4) == 4
-    assert atkin_lehner_reduce(32, 8) == 4
-    assert atkin_lehner_reduce(18, 6) == 3
+    assert cofactor_gcd(24, 4) == bf_al_min(24, 4) == 2
+    assert cofactor_gcd(40, 4) == 2
+    assert cofactor_gcd(16, 4) == 4
+    assert cofactor_gcd(32, 8) == 4
+    assert cofactor_gcd(18, 6) == 3
     assert bf_al_orbits(24)[4] == {2, 4, 6, 12}
 
 
 def test_al_reduce_closed_form_matches_orbit_minimum():
+    # each W_Q swaps the Q-part of d with Q/(Q-part): prime by prime the
+    # exponent b of p in d may become a - b, where p^a || N, so the least
+    # divisor in the orbit takes p^min(b, a - b) at every prime, which is
+    # gcd(d, N/d)
     for n in range(1, 1501):
         for d, orbit in bf_al_orbits(n).items():
-            assert atkin_lehner_reduce(n, d) == min(orbit), (n, d)
+            assert cofactor_gcd(n, d) == min(orbit), (n, d)
 
 
 def test_al_orbit_preserves_e_and_phi_product():
@@ -181,8 +210,8 @@ def test_x1_verdict_never_uses_fact_table_when_lemma_fires():
             if gcd(d, n // d) == 1:
                 continue
             v = x1_verdict(n, d)
-            d0 = fricke_reduce(n, d)
-            if lemma_genus_check(n, d0):
+            d0 = bf_fricke_choice(n, d)
+            if bf_genus_check(n, d0):
                 assert "FactTable" not in (s.rule for s in v.certificate)
                 assert v.status == WEIERSTRASS
 
@@ -325,7 +354,7 @@ def test_survey_rows_match_x1_verdict():
     for row in rep.rows:
         verdict = x1_verdict(row.n, row.d)
         assert (row.status, row.rule) == (verdict.status, verdict.decisive_rule()), row
-        if row.d in failures and not lemma_cusp_inequality(row.n, row.d):
+        if row.d in failures and not bf_cusp_inequality(row.n, row.d):
             failures[row.d].append(row.n)
     assert rep.lemma_cusp_failures == {d: tuple(v) for d, v in failures.items()}
 

@@ -203,13 +203,27 @@ def test_every_public_symbol_has_a_caller():
     assert not unreached, f"public but never called: {unreached}"
 
 
-def test_every_reexport_is_documented():
+def _library_api() -> str:
     text = README.read_text()
     match = re.search(r"^## Library API\n(.*?)(?=^## |\Z)", text, re.M | re.S)
     assert match, "README has no Library API section"
+    return match.group(1)
+
+
+def test_every_reexport_is_documented():
+    api = _library_api()
     missing = [
         name
         for name in sorted(_reexports())
-        if not re.search(rf"`{re.escape(name)}[`(]", match.group(1))
+        if not re.search(rf"`{re.escape(name)}[`(]", api)
     ]
     assert not missing, f"re-exported but not in README's Library API: {missing}"
+
+
+def test_every_documented_name_is_a_reexport():
+    # the names a bullet lists before its dash, as `name` or `name(args)`
+    heads = re.findall(r"^- (.*?) — ", _library_api(), re.M)
+    named = {m for head in heads for m in re.findall(r"`(\w+)[`(]", head)}
+    assert len(heads) > 40 and len(named) > len(heads)
+    stale = sorted(named - _reexports())
+    assert not stale, f"in README's Library API but not re-exported: {stale}"

@@ -10,15 +10,13 @@ from cuspforge.cusps import (
     GAMMA0,
     GAMMA1,
     atlas,
-    canonicalize_x0,
     canonicalize_x1,
     diamond_image_x1,
 )
-from cuspforge.errors import BadP, LevelNotDivisible, NotCoprime, NotExactDivisor
+from cuspforge.errors import NotCoprime, NotExactDivisor
 from cuspforge.symmetry import (
     AtkinLehnerOp,
     act_atkin_lehner,
-    act_sp,
     build_atkin_lehner,
     cusp_orbits_x1,
     exact_divisors,
@@ -161,31 +159,6 @@ def test_atkin_lehner_matrix_choice_invariant_on_x0():
                     assert act_atkin_lehner(other, c) == act_atkin_lehner(
                         canonical, c
                     )
-
-
-def test_act_sp_examples():
-    for m in (3, 4, 5, 9):
-        n = 4 * m
-        zero = canonicalize_x0(n, 1, 1)
-        assert act_sp(2, zero) == canonicalize_x0(n, 1, 2)
-    for m in (2, 4, 5):
-        n = 9 * m
-        zero = canonicalize_x0(n, 1, 1)
-        assert act_sp(3, zero) == canonicalize_x0(n, 1, 3)
-
-
-def test_act_sp_order_two_on_x0_16():
-    c = canonicalize_x0(16, 1, 2)
-    once = act_sp(2, c)
-    assert once == canonicalize_x0(16, 1, 1)
-    assert act_sp(2, once) == c
-
-
-def test_act_sp_errors():
-    with pytest.raises(BadP):
-        act_sp(5, canonicalize_x0(100, 1, 1))
-    with pytest.raises(LevelNotDivisible):
-        act_sp(2, canonicalize_x0(6, 1, 1))
 
 
 def test_orbits_x1_20_irregular_single_orbit():
