@@ -81,6 +81,9 @@ def irregular_e(n: int, d: int) -> int:
     return e
 
 
+# The package's one cache: a command reads one level's primes many times,
+# and `verdict x0 --p 999983 --m 1` trial-divides p^2 M to about 10^6 for
+# `g0`, then reads it again there.  Everything else is recomputed per call.
 @lru_cache(maxsize=8192)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization ((p, exponent), ...) by trial division."""
@@ -124,16 +127,14 @@ def _x0_cusp_count_pp(p: int, a: int) -> int:
     return 2 * p**k if a % 2 else p ** (k - 1) * (p + 1)
 
 
-def cusp_sum(n: int, fac=None) -> int:
-    """sum over d | n of phi(d) phi(n/d): twice the cusp count of X_1(n), n >= 5.
-    `fac` is factorize(n), when the caller already has it."""
-    return prod(_cusp_sum_pp(p, a) for p, a in fac or factorize(n))
+def cusp_sum(n: int) -> int:
+    """sum over d | n of phi(d) phi(n/d): twice the cusp count of X_1(n), n >= 5."""
+    return prod(_cusp_sum_pp(p, a) for p, a in factorize(n))
 
 
-def x0_cusp_count(n: int, fac=None) -> int:
-    """sum over d | n of phi(gcd(d, n/d)): the cusp count of X_0(n).
-    `fac` is factorize(n), when the caller already has it."""
-    return prod(_x0_cusp_count_pp(p, a) for p, a in fac or factorize(n))
+def x0_cusp_count(n: int) -> int:
+    """sum over d | n of phi(gcd(d, n/d)): the cusp count of X_0(n)."""
+    return prod(_x0_cusp_count_pp(p, a) for p, a in factorize(n))
 
 
 def exponents_of(fac, d: int) -> tuple[int, ...]:
@@ -283,11 +284,7 @@ class DeltaSubgroup(Record):
 def subgroup_generated(n: int, gens=()) -> DeltaSubgroup:
     """Smallest subgroup of (Z/nZ)* containing the generators and +-1."""
     check_positive(n)
-    return _subgroup_generated(n, tuple(sorted({g % n for g in gens})))
-
-
-@lru_cache(maxsize=256)
-def _subgroup_generated(n: int, gens: tuple) -> DeltaSubgroup:
+    gens = sorted({g % n for g in gens})
     for g in gens:
         if gcd(g, n) != 1:
             raise NonUnitGenerator(f"generator {g} shares a factor with {n}")
@@ -307,7 +304,6 @@ def full_units(n: int) -> DeltaSubgroup:
     return DeltaSubgroup(n, tuple(units(n)))
 
 
-@lru_cache(maxsize=1024)
 def delta_d(n: int, d: int) -> DeltaSubgroup:
     """Units congruent to +-1 mod N/e, where e = gcd(d, N/d).
 

@@ -147,13 +147,17 @@ def _read_spec(path: str) -> EtaQuotient:
     except (OSError, ValueError) as exc:
         raise BadSpec(f"cannot read {path}: {exc}")
     try:
-        level = spec["level"]
+        level, keys = spec["level"], list(spec["exponents"])
         exponents = {int(r): k for r, k in spec["exponents"].items()}
     except (LookupError, TypeError, AttributeError, ValueError) as exc:
         raise BadSpec(f'{path} is not {{"level": N, "exponents": {{r: k}}}}: {exc!r}')
     # int() would truncate 20.9 to 20 and read true as 1
     if not all(type(v) is int for v in (level, *exponents.values())):
         raise BadSpec(f"{path}: the level and each exponent must be JSON integers")
+    # it would also read the keys "+2", " 4", "0_6" and "\u0662" (an
+    # Arabic-Indic digit) as the blocks 2, 4, 6 and 2
+    if [str(r) for r in exponents] != keys:
+        raise BadSpec(f"{path}: each exponent key must be an integer in plain decimal")
     check_positive(level)
     return EtaQuotient.make(level, exponents)
 

@@ -278,17 +278,19 @@ def x0_verdict(p: int, m: int) -> Verdict:
         raise NotPrime(f"{p} is not prime")
     if m < 1:
         raise DomainError("M must be positive")
-    if g0(n) < 2:
-        raise GenusTooSmall(f"g_0({n}) = {g0(n)} < 2")
-    status, rule, data = _x0_decision(p, m, n)
+    g = g0(n)
+    if g < 2:
+        raise GenusTooSmall(f"g_0({n}) = {g} < 2")
+    status, rule, data = _x0_decision(p, m, n, g)
     return Verdict(status, None, (CertStep(rule, data),))
 
 
-def _x0_decision(p: int, m: int, n: int) -> tuple[str, str, dict]:
-    """(status, rule, data) of the one step that decides X_0(n), n = p^2 M."""
+def _x0_decision(p: int, m: int, n: int, big: int) -> tuple[str, str, dict]:
+    """(status, rule, data) of the one step that decides X_0(n), n = p^2 M,
+    given big = g_0(n)."""
     if m % p == 0:
         # total ramification holds, so the quotient-genus test is sound
-        big, small = g0(n), g0(p * m)
+        small = g0(p * m)
         if schoeneberg(big, p, small):
             return WEIERSTRASS, RULE_LEMMA_GENUS, {"g0_n": big, "g0_pm": small, "p": p}
         if n == 81:

@@ -9,7 +9,6 @@ invariants; a cusp is irregular exactly when e > 1.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -155,7 +154,6 @@ def x0_image(c: CuspClass) -> CuspClass:
     return _class_x0(c.level, c.x * (c.y // c.d), c.d)
 
 
-@lru_cache(maxsize=8)
 def atlas(n: int, group: str = GAMMA1) -> tuple[CuspClass, ...]:
     """Complete duplicate-free cusp atlas of X_1(N) or X_0(N), sorted.
 

@@ -26,7 +26,6 @@ that.  Both read one factorization of N.  The tests hold both to
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import prod
 from typing import NamedTuple
 
@@ -62,12 +61,11 @@ class GenusProfile(NamedTuple):
         }
 
 
-def _psi(n: int, fac=None) -> int:
+def _psi(n: int) -> int:
     """N prod_{p|N} (1 + 1/p), the index of Gamma_0(N) in SL2(Z)."""
-    return prod(p ** (a - 1) * (p + 1) for p, a in fac or factorize(n))
+    return prod(p ** (a - 1) * (p + 1) for p, a in factorize(n))
 
 
-@lru_cache(maxsize=256)
 def genus_delta(delta: DeltaSubgroup) -> GenusProfile:
     """The genus profile of X_Delta(N), N = delta.level."""
     n = delta.level
@@ -86,17 +84,15 @@ def genus_delta(delta: DeltaSubgroup) -> GenusProfile:
     return GenusProfile(delta, mu_, nu2_, nu3_, nu_inf_, g)
 
 
-@lru_cache(maxsize=8192)
 def g1(n: int) -> int:
     """Genus of X_1(N), closed form."""
     if n < 5:
         return 0
     fac = factorize(n)
     index = prod(p ** (2 * a - 2) * (p * p - 1) for p, a in fac)
-    return (24 + index - 6 * cusp_sum(n, fac)) // 24
+    return (24 + index - 6 * cusp_sum(n)) // 24
 
 
-@lru_cache(maxsize=8192)
 def g0(n: int) -> int:
     """Genus of X_0(N), closed form."""
     fac = factorize(n)
@@ -105,4 +101,4 @@ def g0(n: int) -> int:
         # 1 + (-1/p) and 1 + (-3/p); 4 | N and 9 | N leave no elliptic points
         nu2_ *= (a == 1) if p == 2 else 2 * (p % 4 == 1)
         nu3_ *= (a == 1) if p == 3 else 2 * (p % 3 == 1)
-    return (12 + _psi(n, fac) - 3 * nu2_ - 4 * nu3_ - 6 * x0_cusp_count(n, fac)) // 12
+    return (12 + _psi(n) - 3 * nu2_ - 4 * nu3_ - 6 * x0_cusp_count(n)) // 12

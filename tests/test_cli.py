@@ -149,6 +149,13 @@ def test_eta_div_command(tmp_path):
     assert result["divisor"]["degree"] == 0
     orders = {o["cusp"]: o["order"] for o in result["divisor"]["orders"]}
     assert orders["1:10"] == -3
+    # plain decimal keys fold mod N and up to sign: 22 is block 2, -1 block 1
+    spec.write_text(
+        json.dumps(
+            {"level": 20, "exponents": {"22": 1, "4": 2, "6": 2, "-1": -2, "8": -1, "9": -2}}
+        )
+    )
+    assert _result(["eta", "div", "--spec", str(spec)]) == result
 
 
 def test_certify_command():
@@ -222,6 +229,14 @@ def test_unknown_command():
         (["eta", "div", "--spec", "spec.json"], '{"level": 20, "exponents": {"9": -2.7}}', "BadSpec"),
         (["eta", "div", "--spec", "spec.json"], '{"level": true, "exponents": {}}', "BadSpec"),
         (["eta", "div", "--spec", "spec.json"], '{"level": "20", "exponents": {}}', "BadSpec"),
+        # F's spec with one key that int() reads as its block but that is not
+        # plain decimal ("\u0662" is an Arabic-Indic 2)
+        (["eta", "div", "--spec", "spec.json"], '{"level": 20, "exponents": {"+2": 1, "4": 2, "6": 2, "1": -2, "8": -1, "9": -2}}', "BadSpec"),
+        (["eta", "div", "--spec", "spec.json"], '{"level": 20, "exponents": {"2": 1, " 4": 2, "6": 2, "1": -2, "8": -1, "9": -2}}', "BadSpec"),
+        (["eta", "div", "--spec", "spec.json"], '{"level": 20, "exponents": {"2": 1, "4": 2, "0_6": 2, "1": -2, "8": -1, "9": -2}}', "BadSpec"),
+        (["eta", "div", "--spec", "spec.json"], '{"level": 20, "exponents": {"\\u0662": 1, "4": 2, "6": 2, "1": -2, "8": -1, "9": -2}}', "BadSpec"),
+        (["eta", "div", "--spec", "spec.json"], '{"level": 20, "exponents": {"2": 1, "04": 2, "6": 2, "1": -2, "8": -1, "9": -2}}', "BadSpec"),
+        (["eta", "div", "--spec", "spec.json"], '{"level": 20, "exponents": {"0": 1}}', "RCongruentZero"),
     ],
 )
 def test_invalid_input_exits_2(argv, spec, error, tmp_path, monkeypatch):

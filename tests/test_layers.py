@@ -17,12 +17,14 @@ imports `fractions`.
 import ast
 import importlib
 import re
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from cuspforge.arith import subgroup_generated
+from cuspforge.arith import delta_d, factorize, subgroup_generated
+from cuspforge.cusps import GAMMA1, atlas
 from cuspforge.genus import genus_delta
 
 TESTS = Path(__file__).resolve().parent
@@ -71,16 +73,35 @@ def test_no_function_local_imports(module):
 
 
 def test_every_cache_is_bounded():
-    # a long-lived process must not grow a cache without bound
+    # factorize holds the one cache, for the trial divisions a command
+    # repeats; a long-lived process must not grow it without bound, and a
+    # new cache needs a reason stated here
     caches = {}
     for module in MODULES:
         mod = importlib.import_module(f"cuspforge.{module}")
         for name, obj in vars(mod).items():
             if hasattr(obj, "cache_parameters") and obj.__module__ == mod.__name__:
                 caches[f"{module}.{name}"] = obj.cache_parameters()["maxsize"]
-    assert caches
-    unbounded = [name for name, size in caches.items() if size is None]
-    assert not unbounded, f"unbounded caches: {unbounded}"
+    assert set(caches) == {"arith.factorize"}
+    assert caches["arith.factorize"] is not None
+
+
+def test_results_are_not_retained():
+    # large Delta_d groups and X_1(N) atlases are dropped with their results
+    levels = [10**8 * k for k in (1, 3, 7, 9, 11)] + [49999, 49993]
+    for n in levels:
+        factorize(n)  # the one cache may keep these
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in levels[:5]:
+            delta_d(n, 10**4)
+        atlas(49999, GAMMA1)
+        atlas(49993, GAMMA1)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20, f"{kept} bytes kept"
 
 
 def test_divisor_check_has_one_home():
