@@ -1,12 +1,15 @@
-"""Golden verdicts: one sha256 over the JSON, or the error type and
-message, of every x0/x1 verdict and criterion case below.
+"""Golden verdicts: sha256 digests over the JSON, or the error type and
+message, of every x0/x1 verdict and criterion case below, one digest per
+curve so that each can be re-recorded on its own.
 
-The digest was recorded before the (N, d) guard, the cusp-order formula
-and the X_0 decision steps each moved to one place; any change to these
-answers is a regression, not a reason to re-record.  The lemma lines
-were recorded from library functions that `x1_verdict` has since
-absorbed; the oracles of `tests/oracles.py` now make them, under the
-same names.
+`GOLDEN_X0` covers the X_0(p^2 M) verdicts, `GOLDEN_X1` the per-(N, d)
+criterion lines and `GOLDEN_SURVEY` the X_1 survey to 3000.  The three
+were split off one digest over the same cases in the same order, which
+was recorded before the (N, d) guard, the cusp-order formula and the X_0
+decision steps each moved to one place; any change to these answers is
+a regression, not a reason to re-record.  The lemma lines were recorded
+from library functions that `x1_verdict` has since absorbed; the oracles
+of `tests/oracles.py` now make them, under the same names.
 """
 
 import hashlib
@@ -18,6 +21,9 @@ from cuspforge.arith import divisors
 from oracles import bf_al_min, bf_cusp_inequality, bf_fricke_choice, bf_genus_check
 
 GOLDEN = "2ca38fe866dd3094fd3d81ba73cc9a74de51c50be8c806ebc9b5dea3639107ca"
+GOLDEN_X0 = "bc8caff8243831e941a15ccdfd190252f9b0e03fb34f07a9008efd509de6b04d"
+GOLDEN_X1 = "3e9b5fddb6a971de34f4faaaf6ce876391d6b163d68b6f35a51a7c3b615dc2eb"
+GOLDEN_SURVEY = "6341825de49d2dd594a4344bae750080d46133773a0ecc84cbb984e6caac95d1"
 
 CRITERIA = (
     ("x1_verdict", x1_verdict),
@@ -37,20 +43,26 @@ def _answer(fn, *args):
 
 
 def _cases():
+    """(group, case) pairs, the group naming the digest the case goes to."""
     for p in range(-3, 60):
         for m in range(-2, 120):
-            yield ["x0", p, m, _answer(x0_verdict, p, m)]
+            yield "x0", ["x0", p, m, _answer(x0_verdict, p, m)]
     for n in range(1, 1501):
         # every divisor, d = 0 and a few non-divisors
         extra = [0, -1, n + 1] + [k for k in (7, 12, 25) if n % k]
         for d in divisors(n) + extra:
             for name, fn in CRITERIA:
-                yield [name, n, d, _answer(fn, n, d)]
-    yield ["survey_x1", 3000, _answer(survey_x1, 3000)]
+                yield "x1", [name, n, d, _answer(fn, n, d)]
+    yield "survey", ["survey_x1", 3000, _answer(survey_x1, 3000)]
 
 
 def test_verdicts_match_parent_digest():
-    h = hashlib.sha256()
-    for case in _cases():
-        h.update(json.dumps(case).encode() + b"\n")
-    assert h.hexdigest() == GOLDEN
+    whole = hashlib.sha256()
+    parts = {group: hashlib.sha256() for group in ("x0", "x1", "survey")}
+    for group, case in _cases():
+        line = json.dumps(case).encode() + b"\n"
+        whole.update(line)
+        parts[group].update(line)
+    got = {group: h.hexdigest() for group, h in parts.items()}
+    assert whole.hexdigest() == GOLDEN
+    assert got == {"x0": GOLDEN_X0, "x1": GOLDEN_X1, "survey": GOLDEN_SURVEY}
