@@ -3,9 +3,8 @@ subgroups of (Z/NZ)*.
 
 `factorize` works by trial division up to `MAX_LEVEL`.  Everything else
 that depends on N only through its primes is read off a factorization:
-totients, divisors, the cusp counts `cusp_sum` and `x0_cusp_count` (closed
-forms per prime power), and `phi_split`, which gives phi(d), phi(N/d) and
-gcd(d, N/d) from the exponents of d without factoring d or N/d.
+totients, divisors and the cusp counts `cusp_sum` and `x0_cusp_count`
+(closed forms per prime power).
 
 `check_positive` is the one check that a level is at least 1, and
 `check_level` the one check of the factorization bound.  `cofactor_gcd`
@@ -137,33 +136,6 @@ def x0_cusp_count(n: int) -> int:
     return prod(_x0_cusp_count_pp(p, a) for p, a in factorize(n))
 
 
-def exponents_of(fac, d: int) -> tuple[int, ...]:
-    """The exponent in d of each prime of the factorization fac, in order;
-    d must divide the number fac factors."""
-    out = []
-    for p, _ in fac:
-        b = 0
-        while d % p == 0:
-            d //= p
-            b += 1
-        out.append(b)
-    return tuple(out)
-
-
-def phi_split(fac, exps) -> tuple[int, int, int]:
-    """(phi(d), phi(N/d), gcd(d, N/d)) for N = prod p^a (the factorization
-    fac) and d = prod p^b (the exponents exps, in the same order)."""
-    phi_d = phi_nd = e = 1
-    for (p, a), b in zip(fac, exps):
-        c = a - b
-        if b:
-            phi_d *= p ** (b - 1) * (p - 1)
-            e *= p ** (b if b < c else c)
-        if c:
-            phi_nd *= p ** (c - 1) * (p - 1)
-    return phi_d, phi_nd, e
-
-
 def divisors(n: int) -> list[int]:
     """All divisors of n in increasing order."""
     out = [1]
@@ -184,8 +156,6 @@ def is_prime(n: int) -> bool:
 
 def inv_mod(a: int, n: int) -> int:
     """Inverse of a mod n, normalized to 1..n."""
-    if n == 1:
-        return 1
     return normalize_residue(pow(a, -1, n), n)
 
 

@@ -20,16 +20,8 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .arith import (
-    check_level,
-    delta_d,
-    exponents_of,
-    factorize,
-    irregular_e,
-    is_prime,
-    phi_split,
-)
-from .cusps import GAMMA1, atlas, canonicalize_x1
+from .arith import check_level, delta_d, factorize, irregular_e, is_prime, totient
+from .cusps import GAMMA1, atlas, canonicalize_x1, ramification_x0_tower
 from .errors import (
     BadGenus,
     DomainError,
@@ -223,8 +215,7 @@ def x1_verdict(n: int, d: int) -> Verdict:
     g = g1(n)
     if g < 2:
         raise GenusTooSmall(f"g_1({n}) = {g} < 2")
-    fac = factorize(n)
-    phi_d, phi_nd, _ = phi_split(fac, exponents_of(fac, d))
+    phi_d, phi_nd = totient(d), totient(n // d)
     steps = ()
     if phi_d > phi_nd:
         data = {"from_d": d, "to_d": n // d, "phi_d": phi_d, "phi_nd": phi_nd}
@@ -289,7 +280,10 @@ def _x0_decision(p: int, m: int, n: int, big: int) -> tuple[str, str, dict]:
     """(status, rule, data) of the one step that decides X_0(n), n = p^2 M,
     given big = g_0(n)."""
     if m % p == 0:
-        # total ramification holds, so the quotient-genus test is sound
+        # the quotient-genus test needs X_0(n) -> X_0(pM) totally ramified
+        # at (1 : p)
+        if ramification_x0_tower(p, m, 1) != 1:
+            raise RuntimeError(f"X_0({n}) -> X_0({p * m}) is not totally ramified")
         small = g0(p * m)
         if schoeneberg(big, p, small):
             return WEIERSTRASS, RULE_LEMMA_GENUS, {"g0_n": big, "g0_pm": small, "p": p}

@@ -255,10 +255,11 @@ def ramification_x1_to_delta(n: int, d: int) -> int:
 
 
 def ramification_x0_tower(p: int, m: int, x: int) -> int:
-    """Number of distinct Gamma_0(p^2 M) classes among the p coset images
-    of the cusp x/p; 1 means the degree-p map X_0(p^2 M) -> X_0(pM) is
-    totally ramified there.  The level is checked before p is factored, and
-    since p | M it bounds the loop: p^3 <= p^2 M <= 10^12 gives p < 10^4.
+    """Number of points of X_0(p^2 M) over the cusp x/p of X_0(pM), p | M,
+    read off the cusp widths: the degree p of the map over its ramification
+    index, the width M of the cusp upstairs over its width M/p downstairs.
+    So it is 1, and the map is totally ramified there, for every x prime
+    to p.  The level is checked before p is factored.
     """
     check_level(p * p * m)
     if not is_prime(p):
@@ -269,10 +270,8 @@ def ramification_x0_tower(p: int, m: int, x: int) -> int:
         raise PNotDividingM(f"{p} does not divide {m}")
     if gcd(x, p) != 1:
         raise NotCoprime(f"gcd({x}, {p}) > 1")
-    n = p * p * m
-    images = set()
-    for k in range(p):
-        # right coset representative tau -> tau/(k p M tau + 1) acts on
-        # the pair (x, p) as (x, k p M x + p)
-        images.add(x0_class_of_pair(n, x, k * p * m * x + p))
-    return len(images)
+    down, up = (
+        width_and_stabilizer_sign(canonicalize_x0(n, x, p))[0]
+        for n in (p * m, p * p * m)
+    )
+    return p * down // up

@@ -1,6 +1,6 @@
 import random
 import time
-from math import gcd, prod
+from math import gcd
 
 import pytest
 import sympy
@@ -14,10 +14,9 @@ from cuspforge.arith import (
     cusp_sum,
     delta_d,
     divisors,
-    exponents_of,
     factorize,
     full_units,
-    phi_split,
+    inv_mod,
     pm_one,
     projection_image_size,
     subgroup_generated,
@@ -200,6 +199,7 @@ def test_trivial_levels_collapse():
     assert pm_one(1).elements == (1,)
     assert pm_one(2).elements == (1,)
     assert full_units(1).elements == (1,)
+    assert all(inv_mod(a, 1) == 1 for a in range(-2, 3))
 
 
 def test_unit_group_generators_generate():
@@ -261,16 +261,6 @@ def test_cusp_counts_match_divisor_sums():
         divs = bf_divisors(n)
         assert cusp_sum(n) == sum(phi[d] * phi[n // d] for d in divs), n
         assert x0_cusp_count(n) == sum(phi[gcd(d, n // d)] for d in divs), n
-
-
-def test_phi_split_matches_oracle():
-    phi = bf_phi_table(3000)
-    for n in range(1, 3001):
-        fac = factorize(n)
-        for d in bf_divisors(n):
-            exps = exponents_of(fac, d)
-            assert d == prod(p**b for (p, _), b in zip(fac, exps)), (n, d)
-            assert phi_split(fac, exps) == (phi[d], phi[n // d], gcd(d, n // d)), (n, d)
 
 
 def test_level_bound_is_checked_before_trial_division():

@@ -47,6 +47,7 @@ from cuspforge.arith import full_units
 
 from oracles import (
     bf_counts_by_d,
+    bf_ramification_x0_tower,
     bf_ramification_x1_to_delta,
     bf_width_and_sign,
     bf_x0_orbits,
@@ -323,10 +324,19 @@ def test_ramification_x0_tower():
         ramification_x0_tower(2, 3, 1)
 
 
+def test_ramification_x0_tower_matches_scan_oracle():
+    cases = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for m in range(p, 2000 // (p * p) + 1, p):
+            for x in [x for x in range(1, 3 * p) if x % p] + [p * m + 1]:
+                assert ramification_x0_tower(p, m, x) == bf_ramification_x0_tower(p, m, x)
+                cases += 1
+    assert cases == 1852
+
+
 def test_ramification_x0_tower_is_bounded_by_the_level():
     # p | M puts p^3 <= p^2 M, so the level bound refuses every prime past
-    # 10^4 before p is factored or a coset image is listed (listing all p
-    # images at p = M = 1000003 takes about 2 s)
+    # 10^4 before p is factored or a cusp width is read
     start = time.perf_counter()
     for p in (999983, 1000003, 999999999989):
         with pytest.raises(LevelTooLarge):
