@@ -151,14 +151,11 @@ def _read_spec(path: str) -> EtaQuotient:
         exponents = {int(r): k for r, k in spec["exponents"].items()}
     except (LookupError, TypeError, AttributeError, ValueError) as exc:
         raise BadSpec(f'{path} is not {{"level": N, "exponents": {{r: k}}}}: {exc!r}')
-    # int() would truncate 20.9 to 20 and read true as 1
-    if not all(type(v) is int for v in (level, *exponents.values())):
-        raise BadSpec(f"{path}: the level and each exponent must be JSON integers")
-    # it would also read the keys "+2", " 4", "0_6" and "\u0662" (an
-    # Arabic-Indic digit) as the blocks 2, 4, 6 and 2
+    # int() would read the keys "+2", " 4", "0_6" and "\u0662" (an
+    # Arabic-Indic digit) as the blocks 2, 4, 6 and 2; `make` checks the
+    # level and the values
     if [str(r) for r in exponents] != keys:
         raise BadSpec(f"{path}: each exponent key must be an integer in plain decimal")
-    check_positive(level)
     return EtaQuotient.make(level, exponents)
 
 

@@ -104,7 +104,9 @@ class NotPositive(DomainError):
 
 
 class BadSpec(DomainError):
-    """An eta-quotient spec file that is missing, not JSON, or malformed."""
+    """An eta-quotient spec that is malformed: a spec file that is missing
+    or not JSON, or an exponent map whose level, keys or values are not
+    ints."""
 
 
 class NotAFunction(DomainError):

@@ -44,6 +44,7 @@ from typing import NamedTuple
 from .arith import check_positive, cusp_sum
 from .cusps import GAMMA1, CuspClass, atlas, width_and_stabilizer_sign
 from .errors import (
+    BadSpec,
     DivisorTooLarge,
     LevelMismatch,
     NotAFunction,
@@ -120,13 +121,19 @@ class EtaQuotient(NamedTuple):
 
     @staticmethod
     def make(level: int, exponents: dict) -> "EtaQuotient":
+        """The quotient prod E_r^(k_r) of the exponent map {r: k_r}, with r
+        folded to min(r, N - r) mod N.  The level, each r and each k_r must
+        be an int, not merely something int() accepts: it would truncate
+        2.5 to 2 and read True as 1."""
+        if not all(type(v) is int for v in (level, *exponents, *exponents.values())):
+            raise BadSpec("the level and each exponent key and value must be ints")
+        check_positive(level)
         folded: dict[int, int] = {}
         for r, k in exponents.items():
-            r = int(r) % level
-            if r == 0:
-                raise RCongruentZero(f"exponent key is 0 mod {level}")
-            r = min(r, level - r)
-            folded[r] = folded.get(r, 0) + int(k)
+            if r % level == 0:
+                raise RCongruentZero(f"r = {r} is 0 mod {level}")
+            r = min(r % level, -r % level)
+            folded[r] = folded.get(r, 0) + k
         folded = {r: k for r, k in folded.items() if k != 0}
         return EtaQuotient(level, tuple(sorted(folded.items())))
 
@@ -151,9 +158,6 @@ def eta_series(n: int, r: int, terms: int | None = None) -> QSeries:
     `terms` counts whole q-steps kept beyond the leading exponent
     (default 10N).  The series for r and N - r coincide.
     """
-    check_positive(n)
-    if r % n == 0:
-        raise RCongruentZero(f"r = {r} is 0 mod {n}")
     return quotient_series(EtaQuotient.make(n, {r: 1}), terms)
 
 

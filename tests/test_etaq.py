@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cuspforge.criteria import WEIERSTRASS, certify_x1_20
 from cuspforge.cusps import GAMMA1, atlas, canonicalize_x1
 from cuspforge.errors import (
+    BadSpec,
     NotAFunction,
     RCongruentZero,
     TruncationTooLarge,
@@ -58,6 +59,23 @@ def test_eta_series_rejects_zero_residue():
         eta_series(20, 40, 10)
     with pytest.raises(TruncationTooSmall):
         eta_series(20, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (EtaQuotient.make, (20, {2: 1, 4.9: 2})),
+        (EtaQuotient.make, (20, {2: 1.5, 4: 2})),
+        (EtaQuotient.make, (20, {2: True})),
+        (EtaQuotient.make, (20.0, {2: 1})),
+        (eta_series, (20, 2.5)),
+    ],
+    ids=["float key", "float value", "bool value", "float level", "eta_series float r"],
+)
+def test_exponent_maps_refuse_non_ints(fn, args):
+    # int() would truncate the floats and read True as 1
+    with pytest.raises(BadSpec):
+        fn(*args)
 
 
 def test_trivial_quotient_is_one():
