@@ -13,8 +13,8 @@ the genus check reads g_1 and g_{Delta_d} off `g1`, `delta_d` and
 verdict on every bucket: it checks the lemma that lets `survey_x1` skip
 that scan, not the verdict rules.  `bf_ramification_x0_tower`, the scan
 of coset images that the width ratio of `ramification_x0_tower`
-replaced, reads each image's class off the package's
-`x0_class_of_pair`, which the tests hold to `bf_x0_orbits`.  `bf_quotient_series` and
+replaced, reads each image's class off the package's `x0_class_of_pair`,
+which the tests hold to `bf_x0_orbits`.  `bf_quotient_series` and
 `build_parser` are the package's former eta kernel and argparse parser,
 kept to check the code that replaced them.
 """
