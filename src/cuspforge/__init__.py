@@ -23,7 +23,7 @@ from .cusps import (
     canonicalize_x1,
     ramification_x0_tower,
     ramification_x1_to_delta,
-    width_and_stabilizer_sign,
+    width,
 )
 from .criteria import (
     NOT_WEIERSTRASS,
@@ -53,9 +53,7 @@ from .etaq import (
 )
 from .genus import GenusProfile, g0, g1, genus_delta
 from .symmetry import (
-    AtkinLehnerOp,
     act_atkin_lehner,
-    build_atkin_lehner,
     cusp_orbits_x1,
     fixed_cusps,
 )

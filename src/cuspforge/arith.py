@@ -197,21 +197,7 @@ def _span(
     return span, kept
 
 
-class Record:
-    """Base of the records that check their fields when built: slots set
-    once in __init__ through object.__setattr__, read-only afterwards.  The
-    plain value records are NamedTuples."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class DeltaSubgroup(Record):
+class DeltaSubgroup:
     """A subgroup of (Z/NZ)* containing -1, with sorted element tuple.
 
     Closure is proved against a generating set drawn greedily from the
@@ -219,6 +205,8 @@ class DeltaSubgroup(Record):
     span of unit generators stays inside the set and reaches every element,
     so the set is that subgroup.  Equality and hash use the level and the
     elements only; `members` is the same set, kept for membership tests.
+    The slots are set once in __init__ through object.__setattr__ and are
+    read-only afterwards.
     """
 
     __slots__ = ("level", "elements", "members")
@@ -235,6 +223,12 @@ class DeltaSubgroup(Record):
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "members", members)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if type(other) is not DeltaSubgroup:
@@ -278,8 +272,10 @@ def delta_d(n: int, d: int) -> DeltaSubgroup:
     """Units congruent to +-1 mod N/e, where e = gcd(d, N/d).
 
     These are exactly the diamond operators fixing every cusp whose
-    denominator invariant is d.  There are 2e of them once N/e > 2, so a
-    d with 2e past `MAX_UNITS` is refused before any is listed.
+    denominator invariant is d.  Every lift of +-1 mod N/e is a unit, since
+    e^2 | N leaves every prime of N in N/e; so there are 2e of them once
+    N/e > 2, and a d with 2e past `MAX_UNITS` is refused before any is
+    listed.
     """
     e = cofactor_gcd(n, d)
     if 2 * e > MAX_UNITS:
@@ -287,8 +283,8 @@ def delta_d(n: int, d: int) -> DeltaSubgroup:
             f"Delta_{d} of level {n} has {2 * e} elements, past {MAX_UNITS}"
         )
     m = n // e
-    lifts = {normalize_residue(s + k * m, n) for k in range(n // m) for s in (1, -1)}
-    return DeltaSubgroup(n, tuple(sorted(a for a in lifts if gcd(a, n) == 1)))
+    lifts = {normalize_residue(s + k * m, n) for k in range(e) for s in (1, -1)}
+    return DeltaSubgroup(n, tuple(lifts))
 
 
 def projection_image_size(d: int, delta: DeltaSubgroup) -> int:

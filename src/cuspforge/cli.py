@@ -181,9 +181,9 @@ def _dispatch(args) -> tuple[dict, dict, str | None]:
                 "delta": list(delta.elements),
                 "cusps": [
                     {
-                        "representative": o.representative.key(),
-                        "members": [c.key() for c in o.members],
-                        "orbit_size": o.orbit_size,
+                        "representative": o[0].key(),
+                        "members": [c.key() for c in o],
+                        "orbit_size": len(o),
                     }
                     for o in orbits
                 ],

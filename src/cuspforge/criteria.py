@@ -34,7 +34,7 @@ from .errors import (
 )
 from .etaq import F_EXPONENTS, G_EXPONENTS, EtaQuotient, divisor
 from .genus import g0, g1, genus_delta
-from .symmetry import act_atkin_lehner, build_atkin_lehner
+from .symmetry import act_atkin_lehner
 
 WEIERSTRASS = "Weierstrass"
 NOT_WEIERSTRASS = "NotWeierstrass"
@@ -162,9 +162,7 @@ def certify_x1_20() -> tuple[GapSequence, Verdict]:
         raise RuntimeError(f"g_1(20) = {genus}, expected 3")
     gapseq = gap_sequence_from_nongaps({3, 4}, genus)
 
-    images = {}
-    for q_ in (4, 20, 5):
-        images[q_] = act_atkin_lehner(build_atkin_lehner(n, q_), s)
+    images = {q: act_atkin_lehner(q, s) for q in (4, 20, 5)}
     expected = {
         4: canonicalize_x1(n, 3, 10),
         20: canonicalize_x1(n, 1, 2),
@@ -183,7 +181,7 @@ def certify_x1_20() -> tuple[GapSequence, Verdict]:
             "gaps": list(gapseq.gaps),
             "weight": gapseq.weight,
             "base_cusp": s.key(),
-            "images": {f"W_{q_}": c.key() for q_, c in images.items()},
+            "images": {f"W_{q}": c.key() for q, c in images.items()},
         },
     )
     verdict = Verdict(WEIERSTRASS, gapseq.weight, (step,))

@@ -68,7 +68,7 @@ class CuspClass(NamedTuple):
             "d": self.d,
             "e": self.e,
             "irregular": self.irregular,
-            "width": width_and_stabilizer_sign(self)[0],
+            "width": width(self),
         }
 
     def __str__(self) -> str:
@@ -186,28 +186,23 @@ def atlas(n: int, group: str = GAMMA1) -> tuple[CuspClass, ...]:
     return tuple(cusps)
 
 
-class DeltaOrbit(NamedTuple):
-    """A cusp of X_Delta(N): an orbit of X_1(N) cusps under [a], a in Delta."""
-
-    representative: CuspClass
-    members: tuple[CuspClass, ...]
-
-    @property
-    def orbit_size(self) -> int:
-        return len(self.members)
-
-
-def atlas_delta(delta) -> tuple[DeltaOrbit, ...]:
+def atlas_delta(delta) -> tuple[tuple[CuspClass, ...], ...]:
     """Cusps of X_Delta(N), N = delta.level, as diamond orbits of the
-    sorted X_1(N) atlas (sizes at `projection_image_size`): the first cusp
-    not yet seen is the least member of its orbit, so orbits come sorted."""
+    sorted X_1(N) atlas, each a sorted member tuple (sizes at
+    `projection_image_size`): the first cusp not yet seen is the least
+    member of its orbit, so orbits come sorted.  [a] acts on the cusps
+    with invariant d through a mod N/e, so an orbit is the images of one
+    element of Delta per residue mod N/e, listed once per e."""
+    n = delta.level
     seen: set[CuspClass] = set()
-    orbits = []
-    for c in atlas(delta.level, GAMMA1):
+    orbits, reps = [], {}
+    for c in atlas(n, GAMMA1):
         if c not in seen:
-            orbit = {diamond_image_x1(c, a) for a in delta.elements}
+            if c.e not in reps:
+                reps[c.e] = {a % (n // c.e): a for a in delta.elements}.values()
+            orbit = {diamond_image_x1(c, a) for a in reps[c.e]}
             seen |= orbit
-            orbits.append(DeltaOrbit(c, tuple(sorted(orbit))))
+            orbits.append(tuple(sorted(orbit)))
     return tuple(orbits)
 
 
@@ -224,22 +219,19 @@ def lift_to_coprime(n: int, x: int, y: int) -> tuple[int, int]:
     return a, c
 
 
-def width_and_stabilizer_sign(c: CuspClass) -> tuple[int, bool]:
-    """Width h of the cusp on its group, at its level, and whether
-    sigma T^h sigma^-1 lies in the group itself (True) or only as minus a
-    group element (False).
-
-    With d = gcd(y, N), h = N/gcd(d^2, N) on Gamma_0(N) and h = N/d on
-    Gamma_1(N).  The one exception is the classically irregular cusp
-    (1 : 2) of X_1(4): width 1, with sigma T sigma^-1 in -Gamma_1(4) only
-    (Diamond-Shurman, GTM 228, section 3.8).
+def width(c: CuspClass) -> int:
+    """Width h of the cusp on its group, at its level: with d = gcd(y, N),
+    h = N/gcd(d^2, N) on Gamma_0(N) and h = N/d on Gamma_1(N).  The one
+    exception is the classically irregular cusp (1 : 2) of X_1(4): width 1,
+    with sigma T sigma^-1 in -Gamma_1(4) only (Diamond-Shurman, GTM 228,
+    section 3.8).
     """
     n = c.level
     if c.group == GAMMA0:
-        return n // gcd(c.d * c.d, n), True
+        return n // gcd(c.d * c.d, n)
     if n == 4 and c.d == 2:
-        return 1, False
-    return n // c.d, True
+        return 1
+    return n // c.d
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +262,5 @@ def ramification_x0_tower(p: int, m: int, x: int) -> int:
         raise PNotDividingM(f"{p} does not divide {m}")
     if gcd(x, p) != 1:
         raise NotCoprime(f"gcd({x}, {p}) > 1")
-    down, up = (
-        width_and_stabilizer_sign(canonicalize_x0(n, x, p))[0]
-        for n in (p * m, p * p * m)
-    )
+    down, up = (width(canonicalize_x0(n, x, p)) for n in (p * m, p * p * m))
     return p * down // up

@@ -42,7 +42,7 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .arith import check_positive, cusp_sum
-from .cusps import GAMMA1, CuspClass, atlas, width_and_stabilizer_sign
+from .cusps import GAMMA1, CuspClass, atlas, width
 from .errors import (
     BadSpec,
     DivisorTooLarge,
@@ -234,9 +234,8 @@ def _order_over_12n(q: EtaQuotient, c: CuspClass) -> tuple[int, int]:
     if c.level != n or c.group != GAMMA1:
         raise LevelMismatch(f"cusp {c} is not an X_1({n}) class")
     delta = c.d
-    width, _ = width_and_stabilizer_sign(c)
     total = sum(k * b2_scaled(c.x * r % delta, delta) for r, k in q.exponents)
-    return width * total, 12 * n
+    return width(c) * total, 12 * n
 
 
 def ord_at_cusp_exact(q: EtaQuotient, c: CuspClass) -> Fraction:

@@ -3,10 +3,11 @@
 [a] sends (x : y) to (a*x : a^-1*y).  W_Q is realized by an integer matrix
 (Qx, y; Nz, Qw) of determinant Q; on X_0(N) classes the induced map does
 not depend on the matrix choice, on X_1(N) classes it is pinned down by the
-canonical extended-gcd construction below.  Different valid matrices differ
-by a diamond, and the diamond orbits are the fibres of X_1(N) -> X_0(N),
-which each W_Q maps to fibres; so the orbits are preimages of W_Q-orbits of
-X_0(N) cusps, whatever the matrices.
+canonical matrix (Q*alpha, beta; N, Q) of `act_atkin_lehner`, with alpha
+the least nonnegative inverse of Q mod N/Q.  Different valid matrices
+differ by a diamond, and the diamond orbits are the fibres of
+X_1(N) -> X_0(N), which each W_Q maps to fibres; so the orbits are
+preimages of W_Q-orbits of X_0(N) cusps, whatever the matrices.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .arith import Record, check_positive, divisors, unit_group_generators
+from .arith import divisors, unit_group_generators
 from .cusps import (
     GAMMA0,
     GAMMA1,
@@ -25,43 +26,22 @@ from .cusps import (
     x0_class_of_pair,
     x0_image,
 )
-from .errors import LevelMismatch, NotCoprime, NotExactDivisor
+from .errors import NotCoprime, NotExactDivisor
 
 
-class AtkinLehnerOp(Record):
-    """W_Q at level N as an integer matrix of determinant Q."""
-
-    __slots__ = ("level", "q", "matrix")
-
-    def __init__(self, level: int, q: int, matrix: tuple[int, int, int, int]):
-        a, b, c, d = matrix
-        if a * d - b * c != q:
-            raise ValueError("matrix determinant is not Q")
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "matrix", matrix)
-
-
-def build_atkin_lehner(n: int, q: int) -> AtkinLehnerOp:
-    """A matrix (Q*alpha, beta; N, Q) with determinant Q, via the smallest
-    nonnegative alpha solving Q*alpha = 1 mod N/Q."""
-    check_positive(n)
+def act_atkin_lehner(q: int, c: CuspClass) -> CuspClass:
+    """Fractional-linear image of a cusp class under W_Q, Q an exact
+    divisor of the class's level N, through the matrix (Q*alpha, beta; N, Q)
+    with alpha = Q^-1 mod N/Q and beta = (Q*alpha - 1) / (N/Q): its
+    determinant Q*alpha*Q - beta*N is Q for every Q."""
+    n = c.level
     if q < 1 or n % q != 0 or gcd(q, n // q) != 1:
         raise NotExactDivisor(f"{q} is not an exact divisor of {n}")
     m = n // q
-    alpha = pow(q, -1, m) if m > 1 else 0
+    alpha = pow(q, -1, m)  # 0 when m = 1
     beta = (q * alpha - 1) // m
-    return AtkinLehnerOp(n, q, (q * alpha, beta, n, q))
-
-
-def act_atkin_lehner(op: AtkinLehnerOp, c: CuspClass) -> CuspClass:
-    """Fractional-linear image of a cusp class under the W_Q matrix."""
-    n = c.level
-    if op.level != n:
-        raise LevelMismatch(f"operator at {op.level}, cusp at {n}")
     a0, c0 = lift_to_coprime(n, c.x, c.y)
-    p, q_, r, s = op.matrix
-    a1, c1 = p * a0 + q_ * c0, r * a0 + s * c0
+    a1, c1 = q * alpha * a0 + beta * c0, n * a0 + q * c0
     g = gcd(a1, c1)
     a1, c1 = a1 // g, c1 // g
     if c.group == GAMMA0:
@@ -107,15 +87,13 @@ def cusp_orbits_x1(n: int) -> OrbitReport:
     """
     cusps = atlas(n, GAMMA1)  # refuses oversized levels before the O(N) work
     diamond_gens = unit_group_generators(n)
-    al_ops = [build_atkin_lehner(n, q) for q in exact_divisors(n) if q > 1]
-    gen_names = tuple(
-        [f"[{a}]" for a in diamond_gens] + [f"W_{op.q}" for op in al_ops]
-    )
+    qs = [q for q in exact_divisors(n) if q > 1]
+    gen_names = tuple([f"[{a}]" for a in diamond_gens] + [f"W_{q}" for q in qs])
 
     label: dict[CuspClass, CuspClass] = {}
     for c0 in atlas(n, GAMMA0):
         if c0 not in label:
-            for img in [c0] + [act_atkin_lehner(op, c0) for op in al_ops]:
+            for img in [c0] + [act_atkin_lehner(q, c0) for q in qs]:
                 label[img] = c0
     orbits: dict[CuspClass, list[CuspClass]] = {}  # sorted, as the atlas is
     for c in cusps:

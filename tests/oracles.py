@@ -206,19 +206,28 @@ def bf_x1_normalizer_orbits(n, x1_result=None):
         assert mat[0] * mat[3] - mat[1] * mat[2] == q
         for orbit in orbits1:
             x, y = next(iter(orbit))
-            c = y if y != 0 else n
-            a = x
-            while gcd(a, c) != 1:
-                a += n
-            a1, c1 = mat[0] * a + mat[1] * c, mat[2] * a + mat[3] * c
-            g = gcd(a1, c1)
-            ri, rj = find(where[(x, y)]), find(where[(a1 // g % n, c1 // g % n)])
+            a1, c1 = bf_matrix_image(n, mat, x, y)
+            ri, rj = find(where[(x, y)]), find(where[(a1 % n, c1 % n)])
             if ri != rj:
                 parent[rj] = ri
     out = {}
     for i, orbit in enumerate(merged):
         out.setdefault(find(i), set()).update(orbit)
     return list(out.values())
+
+
+def bf_matrix_image(n, mat, x, y):
+    """The image a/c, as a coprime integer pair, of the cusp (x : y) mod n
+    under the integer matrix mat = (p, q, r, s) acting by fractional linear
+    maps, after lifting (x, y) to a coprime pair with y in 1..n."""
+    c = y % n or n
+    a = x % n
+    while gcd(a, c) != 1:
+        a += n
+    p, q, r, s = mat
+    a1, c1 = p * a + q * c, r * a + s * c
+    g = gcd(a1, c1)
+    return a1 // g, c1 // g
 
 
 def bf_d_of_orbit(n, orbit):

@@ -33,7 +33,7 @@ from cuspforge.etaq import (
     quotient_series,
 )
 from cuspforge.genus import g0, g1, genus_delta
-from cuspforge.symmetry import act_atkin_lehner, build_atkin_lehner, cusp_orbits_x1
+from cuspforge.symmetry import act_atkin_lehner, cusp_orbits_x1
 
 from oracles import bf_counts_by_d, bf_g1, bf_x0_orbits, bf_x1_orbits
 
@@ -135,9 +135,7 @@ def test_criterion_6_eta_certificate():
     assert gapseq.gaps == (1, 2, 5) and gapseq.weight == 2
     assert verdict.status == WEIERSTRASS and verdict.weight == 2
 
-    images = {
-        q: act_atkin_lehner(build_atkin_lehner(20, q), s) for q in (4, 20, 5)
-    }
+    images = {q: act_atkin_lehner(q, s) for q in (4, 20, 5)}
     assert images[4] == canonicalize_x1(20, 3, 10)
     assert images[20] == canonicalize_x1(20, 1, 2)
     assert images[5] == canonicalize_x1(20, 1, 6)

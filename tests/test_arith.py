@@ -135,6 +135,16 @@ def test_delta_d_contains_pm_one():
             assert base <= set(delta_d(n, d).elements)
 
 
+def test_delta_d_keeps_every_lift_of_pm_one():
+    # e^2 | N leaves every prime of N in m = N/e, so each lift of +-1 mod m
+    # is a unit (DeltaSubgroup refuses a non-unit) and none is dropped
+    for n in range(1, 301):
+        for d in divisors(n):
+            e = gcd(d, n // d)
+            m = n // e
+            assert len(delta_d(n, d)) == e * len({1 % m, -1 % m}), (n, d)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 500))
 def test_delta_d_depends_on_d_only_through_e(n):

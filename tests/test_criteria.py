@@ -53,7 +53,7 @@ from cuspforge.cusps import (
 )
 from cuspforge.etaq import eta_series
 from cuspforge.genus import g0, g1
-from cuspforge.symmetry import build_atkin_lehner, cusp_orbits_x1
+from cuspforge.symmetry import cusp_orbits_x1
 
 from oracles import (
     bf_al_min,
@@ -76,7 +76,6 @@ from oracles import (
         (cofactor_gcd, (0, 4), NotPositive),
         (delta_d, (0, 4), NotPositive),
         (ramification_x1_to_delta, (0, 4), NotPositive),
-        (build_atkin_lehner, (0, 1), NotPositive),
         (subgroup_generated, (0, ()), NotPositive),
         (factorize, (0,), NotPositive),
         (units, (-3,), NotPositive),

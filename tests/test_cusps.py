@@ -16,10 +16,11 @@ from cuspforge.cusps import (
     MAX_CUSP_SUM,
     canonicalize_x0,
     canonicalize_x1,
+    diamond_image_x1,
     lift_to_coprime,
     ramification_x0_tower,
     ramification_x1_to_delta,
-    width_and_stabilizer_sign,
+    width,
     x0_class_of_pair,
     x0_image,
 )
@@ -238,7 +239,7 @@ def test_atlas_matches_bruteforce_orbits_small():
 
 def test_atlas_delta_orbit_sizes():
     orbits = atlas_delta(delta_d(20, 2))
-    sizes = {o.representative.key(): o.orbit_size for o in orbits}
+    sizes = {o[0].key(): len(o) for o in orbits}
     # the irregular cusps are fixed by Delta_2; the count matches nu_inf
     assert sizes["1:10"] == 1 and sizes["1:2"] == 1
     assert len(orbits) == genus_delta(delta_d(20, 2)).nu_inf == 12
@@ -255,44 +256,70 @@ def test_atlas_delta_follows_the_bucket_model(data):
     orbits = atlas_delta(delta)
     assert len(orbits) == genus_delta(delta).nu_inf
     for o in orbits:
-        c, m = o.representative, n // o.representative.e
-        assert {x.d for x in o.members} == {c.d}
-        assert o.orbit_size == projection_image_size(c.d, delta) // len({1 % m, -1 % m})
+        c, m = o[0], n // o[0].e
+        assert {x.d for x in o} == {c.d} and list(o) == sorted(o)
+        assert len(o) == projection_image_size(c.d, delta) // len({1 % m, -1 % m})
+    assert list(orbits) == sorted(orbits)
+
+
+def test_atlas_delta_makes_at_most_two_images_per_cusp(monkeypatch):
+    # [a] acts through a mod N/e, so one element per residue suffices: at
+    # 47^2 with Delta = <-1, 48> (94 elements, 48 = 1 mod 47) listing all of
+    # Delta per orbit made 94 images of each cusp with d = 47
+    calls = []
+
+    def counted(c, a):
+        calls.append(a)
+        return diamond_image_x1(c, a)
+
+    monkeypatch.setattr("cuspforge.cusps.diamond_image_x1", counted)
+    n = 47 * 47
+    delta = subgroup_generated(n, (48,))
+    orbits = atlas_delta(delta)
+    assert len(delta) == 94 and len(orbits) == genus_delta(delta).nu_inf
+    assert len(calls) <= 2 * len(atlas(n, GAMMA1))
+
+
+def test_x0_is_x_delta_of_all_units():
+    # Delta = (Z/NZ)^* gives X_0(N): its orbits are the fibres of x0_image
+    for n in range(1, 121):
+        fibres = {}
+        for c in atlas(n, GAMMA1):
+            fibres.setdefault(x0_image(c), set()).add(c)
+        orbits = atlas_delta(full_units(n))
+        assert {frozenset(o) for o in orbits} == set(map(frozenset, fibres.values()))
+        assert len(orbits) == x0_cusp_count(n), n
 
 
 def test_widths_gamma0_20():
     inf = canonicalize_x0(20, 1, 20)
     zero = canonicalize_x0(20, 1, 1)
-    assert width_and_stabilizer_sign(inf) == (1, True)
-    assert width_and_stabilizer_sign(zero) == (20, True)
+    assert width(inf) == 1
+    assert width(zero) == 20
 
 
 def test_width_gamma1_20_irregular():
     s = canonicalize_x1(20, 1, 10)
-    assert width_and_stabilizer_sign(s)[0] == 2
+    assert width(s) == 2
 
 
 def test_width_gamma1_4_classically_irregular():
-    # the lone classical (stabilizer-sign) irregular cusp
-    h, plus = width_and_stabilizer_sign(canonicalize_x1(4, 1, 2))
-    assert (h, plus) == (1, False)
+    # the lone classical (stabilizer-sign) irregular cusp: width 1, not N/d = 2
+    assert width(canonicalize_x1(4, 1, 2)) == 1
 
 
 def test_widths_match_scan_oracle():
     for n in range(1, 201):
         for group in (GAMMA0, GAMMA1):
             for c in atlas(n, group):
-                assert width_and_stabilizer_sign(c) == bf_width_and_sign(
-                    n, group, c.x, c.y
-                ), (n, group, c)
+                h, _ = bf_width_and_sign(n, group, c.x, c.y)
+                assert width(c) == h, (n, group, c)
 
 
 def test_widths_sum_to_index():
     for n in range(2, 41):
         for group, delta in ((GAMMA1, pm_one(n)), (GAMMA0, full_units(n))):
-            total = sum(
-                width_and_stabilizer_sign(c)[0] for c in atlas(n, group)
-            )
+            total = sum(width(c) for c in atlas(n, group))
             assert total == genus_delta(delta).mu
 
 
