@@ -10,9 +10,8 @@ coefficient 1 and a tail in whole q-steps.  So a quotient prod E_r^(k_r)
 is stored as one leading numerator over 12N and a dense tuple of integer
 coefficients, one per whole q-step.  Jacobi's triple product writes each
 block as a sparse theta series over Euler's pentagonal series in q^N, so
-`quotient_series` multiplies by the theta series and divides by the
-pentagonal one; only blocks with negative exponent are divided factor by
-factor.
+`quotient_series` raises each theta series and the pentagonal one to a
+power of either sign, by one sparse kernel.
 
 Both the leading exponent and the orders at cusps come from one integer
 formula, b(t, delta) = 6t^2 - 6t*delta + delta^2 = 6 delta^2 B(t/delta):
@@ -53,16 +52,17 @@ from .errors import (
     TruncationTooSmall,
 )
 
-# Cost bounds of one expansion.  Work counts the coefficient updates of
-# factor-by-factor expansion: terms times the number of factor passes.
-# Blocks with negative exponent are still expanded that way.  On a 2-vCPU
-# host with CPython 3.11, the largest accepted expansions took 1.3 s with
-# small coefficients (E_1^-1 at level 2, 5477 terms) and 3.3 s for
-# E_1^-5000 at level 2 (77 terms of up to 641 bits).  Positive blocks cost
-# far less at the bound: 0.08 s for E_1 and 0.8 s for E_1^5000 at level 2.
-# MAX_TERMS coefficients of the trivial quotient took 0.02 s.
+# Cost bounds of one expansion.  Work counts the updates of the `_power`
+# passes of `quotient_series`: per pass, one per coefficient and sparse
+# term plus one per coefficient.  On a 2-vCPU host with CPython 3.11 the
+# slowest accepted expansions were negative blocks with short theta series,
+# whose recurrence pays mostly per coefficient: 2.8 s for E_r^-1 over
+# r <= 10^4 at level 20000 (384 terms), 1.7 s for E_1^-1500 at level 10^5
+# (1332 terms).  At level 2 none took more than the 0.62 s of E_1^-5000
+# (46 terms).  Work leaves out a few microseconds per block: 5 * 10^5 blocks
+# took 3.2 s at one term.  The trivial quotient to MAX_TERMS took 0.02 s.
 MAX_TERMS = 10**6
-MAX_WORK = 3 * 10**7
+MAX_WORK = 4 * 10**6
 
 # Cost bound of one cusp divisor in (cusp, block) pairs: the X_1(N) cusp
 # count, read off its closed form, times the number of blocks E_r.  On a
@@ -169,14 +169,13 @@ def check_terms(q: EtaQuotient, terms: int | None) -> int:
         terms = 10 * n
     if terms < 1:
         raise TruncationTooSmall("need at least one term")
-    passes = sum(
-        abs(k) * (len(range(r, terms, n)) + len(range(n - r, terms, n)))
-        for r, k in q.exponents
-    )
-    if terms > MAX_TERMS or terms * max(1, passes) > MAX_WORK:
-        raise TruncationTooLarge(
-            f"{terms} terms times {passes} factor passes exceed the cost bound"
-        )
+    if terms > MAX_TERMS:
+        raise TruncationTooLarge(f"{terms} terms exceed the cost bound {MAX_TERMS}")
+    m = (terms - 1) // n + 1  # |k_r| passes over T for theta_r, |K| over m for P
+    work = terms * sum(abs(k) * (len(_theta(n, r, terms)) + 1) for r, k in q.exponents)
+    work += m * abs(sum(k for _, k in q.exponents)) * (len(_theta(3, 1, m)) + 1)
+    if work > MAX_WORK:
+        raise TruncationTooLarge(f"{terms} terms cost {work} updates, past {MAX_WORK}")
     return terms
 
 
@@ -193,38 +192,38 @@ def _theta(n: int, r: int, terms: int) -> list[tuple[int, int]]:
     ]
 
 
+def _power(c: list[int], sparse: list[tuple[int, int]], k: int) -> None:
+    """Multiply the dense series c in place by (1 + sum t q^e)^k over the
+    (e, t) pairs of `sparse`, e > 0 and t = +-1: for k > 0 by k dense
+    slice passes per term, for k < 0 by -k runs of the recurrence
+    c[i] -= sum t c[i - e], exact as the constant term is 1."""
+    for _ in range(k):
+        prev = c[:]
+        for e, t in sparse:
+            c[e:] = map(add if t > 0 else sub, c[e:], prev)
+    for _ in range(-k):
+        for i in range(1, len(c)):
+            c[i] -= sum(t * c[i - e] for e, t in sparse if e <= i)
+
+
 def quotient_series(q: EtaQuotient, terms: int | None = None) -> QSeries:
     """The product series of an eta quotient, exact for `terms` whole
     q-steps beyond its leading exponent (default 10N).
 
     By Jacobi's triple product E_r = theta_r / P(q^N), with theta_r the
     sparse series of `_theta` and P(x) = prod_m (1 - x^m) = theta_1 at
-    level 3, Euler's pentagonal series.  So the blocks with k_r > 0 cost
-    K = sum k_r divisions by P, run by the pentagonal recurrence on the
-    q^N-subseries while nothing else is nonzero, and k_r dense passes per
-    term of theta_r.  A block with k_r < 0 is divided by each of its
-    factors (1 - q^e) with e < terms, -k_r times, by an ascending prefix
-    pass in blocks of e.
+    level 3, Euler's pentagonal series.  So the quotient is P(q^N)^(-K)
+    prod theta_r^(k_r) with K = sum k_r: `_power` raises P to -K on the
+    q^N-subseries while nothing else is nonzero, then each theta_r to k_r.
     """
     n = q.level
     terms = check_terms(q, terms)
     sub_series = [1] + [0] * ((terms - 1) // n)
-    pentagonal = _theta(3, 1, len(sub_series))
-    for _ in range(sum(k for _, k in q.exponents if k > 0)):
-        for i in range(1, len(sub_series)):
-            sub_series[i] -= sum(t * sub_series[i - g] for g, t in pentagonal if g <= i)
+    _power(sub_series, _theta(3, 1, len(sub_series)), -sum(k for _, k in q.exponents))
     c = [0] * terms
     c[::n] = sub_series
     for r, k in q.exponents:
-        theta = _theta(n, r, terms)
-        for _ in range(k):
-            prev = c[:]
-            for e, t in theta:
-                c[e:] = map(add if t > 0 else sub, c[e:], prev)
-        for e in (*range(r, terms, n), *range(n - r, terms, n)):
-            for _ in range(-k):
-                for i in range(e, terms, e):
-                    c[i : i + e] = map(add, c[i : i + e], c[i - e : i])
+        _power(c, _theta(n, r, terms), k)
     return QSeries(n, q.lead, tuple(c))
 
 

@@ -564,7 +564,8 @@ def bf_quotient_series(n, exponents, terms):
     0 < r <= n/2, one factor (1 - q^e) of each block at a time: a
     descending pass multiplies by it, an ascending prefix pass in blocks of
     e divides by it.  This was the package's kernel before the triple
-    product."""
+    product, and for blocks with negative exponent until one sparse power
+    kernel served both signs."""
     c = [1] + [0] * (terms - 1)
     for r, k in exponents:
         for e in (*range(r, terms, n), *range(n - r, terms, n)):

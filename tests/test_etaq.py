@@ -20,6 +20,7 @@ from cuspforge.etaq import (
     EtaQuotient,
     F_EXPONENTS,
     G_EXPONENTS,
+    check_terms,
     divisor,
     eta_series,
     ord_at_cusp,
@@ -91,16 +92,36 @@ def test_every_quotient_rejects_fewer_than_one_term():
                 quotient_series(EtaQuotient.make(20, exps), terms)
 
 
+def _level_2_work(terms):
+    """The work of E_1^(+-1) at level 2 to `terms` q-steps: one pass over
+    the T coefficients for theta_1 = sum_j (-1)^j q^(j^2), and one over
+    the ceil(T/2) of the q^2-subseries for the pentagonal series P, each
+    costing one update per coefficient and per sparse term below its
+    length."""
+    m = -(-terms // 2)
+    theta = sum(1 for j in range(-terms, terms) if 0 < j * j < terms)
+    pentagonal = sum(1 for j in range(-m, m) if 0 < j * (3 * j - 1) // 2 < m)
+    return terms * (theta + 1) + m * (pentagonal + 1)
+
+
 def test_cost_bound_refuses_before_expanding():
     with pytest.raises(TruncationTooLarge):
         eta_series(2, 1, 10**8)
     with pytest.raises(TruncationTooLarge):
         quotient_series(EtaQuotient.make(20, {}), MAX_TERMS + 1)
-    # at level 2, E_1 has one factor pass per whole q-step below T
-    edge = int(MAX_WORK**0.5)
-    assert len(eta_series(2, 1, edge).coeffs) == edge
+    # a pass costs its length even when theta_r has no term below T
     with pytest.raises(TruncationTooLarge):
-        eta_series(2, 1, edge + 2)
+        quotient_series(EtaQuotient.make(10**6, {5 * 10**5: MAX_WORK}), 2)
+    lo, hi = 1, MAX_TERMS  # the largest T whose work is within MAX_WORK
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _level_2_work(mid) <= MAX_WORK else (lo, mid)
+    for k in (1, -1):
+        q = EtaQuotient.make(2, {1: k})
+        assert check_terms(q, lo) == lo
+        with pytest.raises(TruncationTooLarge):
+            quotient_series(q, lo + 1)
+    assert len(eta_series(2, 1, lo).coeffs) == lo
 
 
 def _random_quotient(rng, n):
@@ -154,14 +175,32 @@ def test_dense_kernel_matches_dict_oracle():
         _assert_agrees_with_oracle(EtaQuotient.make(20, exps), 200)
 
 
+def _total_of_sign(ks, sign):
+    """ks moved one step at a time toward `sign`, each within [-6, 6],
+    until sum(ks) has that sign."""
+    ks = list(ks)
+    i = 0
+    while (total := (sum(ks) > 0) - (sum(ks) < 0)) != sign:
+        step = 1 if sign > total else -1
+        if abs(ks[i] + step) <= 6:
+            ks[i] += step
+        i = (i + 1) % len(ks)
+    return ks
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_triple_product_kernel_matches_factor_kernel(data):
-    # theta_r / P(q^N) against one factor (1 - q^e) at a time
+    # P(q^N)^(-K) prod theta_r^(k_r) against one factor (1 - q^e) at a
+    # time, for K = sum k_r of each sign: P is raised to a negative power,
+    # left out, or raised to a positive power
     n = data.draw(st.integers(2, 70))
-    q = data.draw(_quotients(n))
-    if data.draw(st.booleans()):  # a block at r = N/2, where theta's terms pair up
-        q = EtaQuotient.make(n, {**dict(q.exponents), n // 2: data.draw(st.integers(-3, 3))})
+    rs = data.draw(st.lists(st.integers(1, n // 2), min_size=1, max_size=4, unique=True))
+    if data.draw(st.booleans()) and n // 2 not in rs:
+        rs.append(n // 2)  # at r = N/2 theta's terms pair up
+    ks = data.draw(st.lists(st.integers(-6, 6), min_size=len(rs), max_size=len(rs)))
+    ks = _total_of_sign(ks, data.draw(st.sampled_from((1, 0, -1))))
+    q = EtaQuotient.make(n, dict(zip(rs, ks)))
     terms = data.draw(st.integers(1, 400))
     assert quotient_series(q, terms).coeffs == bf_quotient_series(n, q.exponents, terms)
 
@@ -175,6 +214,8 @@ def test_high_powers_at_level_2(k):
 
 def test_long_block_matches_factor_kernel():
     assert eta_series(60, 7, 10000).coeffs == bf_quotient_series(60, ((7, 1),), 10000)
+    q = EtaQuotient.make(2, {1: -1})
+    assert quotient_series(q, 2000).coeffs == bf_quotient_series(2, q.exponents, 2000)
 
 
 def _cauchy(a, b):
