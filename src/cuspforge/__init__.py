@@ -21,8 +21,6 @@ from .cusps import (
     atlas_delta,
     canonicalize_x0,
     canonicalize_x1,
-    ramification_x0_tower,
-    ramification_x1_to_delta,
     width,
 )
 from .criteria import (

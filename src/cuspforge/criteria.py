@@ -12,7 +12,9 @@ rule that decided, each with its data; callers read these facts there.
 verdicts encode the classification theorems for the cusps equivalent to
 (1 : p): one decision returns the single (status, rule, data) step, and
 the level p^2 M is checked against `MAX_LEVEL` before p is factored.
-Cases those theorems leave open stay Unknown.
+Cases those theorems leave open stay Unknown.  Both quotient-genus tests,
+over X_{Delta_d}(N) and over X_0(pM), are one `_cover_step`: a cover of
+degree n, totally ramified at the cusp, and g_X - n g_Y >= n.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .arith import check_level, delta_d, factorize, irregular_e, is_prime, totient
-from .cusps import GAMMA1, atlas, canonicalize_x1, ramification_x0_tower
+from .arith import check_level, delta_d, factorize, irregular_e, is_prime, pm_one, totient
+from .cusps import GAMMA0, GAMMA1, atlas, canonicalize_x1
 from .errors import (
     BadGenus,
     DomainError,
@@ -33,7 +35,7 @@ from .errors import (
     SurveyTooLarge,
 )
 from .etaq import F_EXPONENTS, G_EXPONENTS, EtaQuotient, divisor
-from .genus import g0, g1, genus_delta
+from .genus import cover, g0, g1, genus_delta
 from .symmetry import act_atkin_lehner
 
 WEIERSTRASS = "Weierstrass"
@@ -92,6 +94,19 @@ def schoeneberg(g: int, m: int, g_bar: int) -> bool:
     if m < 2 or g_bar < 0:
         raise DomainError(f"need m >= 2 and g_bar >= 0, got m={m}, g_bar={g_bar}")
     return g - m * g_bar >= m
+
+
+def _cover_step(g: int, up, down, d: int, g_down: int) -> bool:
+    """The quotient-genus test for the cusps with invariant d of the
+    curve up = (N, group), of genus g, over down, of genus g_down; raises
+    unless the cover is totally ramified there."""
+    degree, ramification = cover(up, down, d)
+    if ramification != degree:
+        raise RuntimeError(
+            f"the cover of level {up[0]} over level {down[0]} is not totally "
+            f"ramified at d = {d}: degree {degree}, ramification {ramification}"
+        )
+    return schoeneberg(g, degree, g_down)
 
 
 def lewittes(fixed_point_count: int) -> bool:
@@ -225,8 +240,9 @@ def x1_verdict(n: int, d: int) -> Verdict:
             {"phi_product": phi_d * phi_nd, "threshold": _threshold(e), "e": e},
         )
         return Verdict(WEIERSTRASS, None, (*steps, step))
-    g_quot = genus_delta(delta_d(n, d)).g
-    if schoeneberg(g, e, g_quot):
+    quotient = delta_d(n, d)
+    g_quot = genus_delta(quotient).g
+    if _cover_step(g, (n, pm_one(n)), (n, quotient), d, g_quot):
         step = CertStep(RULE_LEMMA_GENUS, {"g1": g, "e": e, "g_quotient": g_quot})
         return Verdict(WEIERSTRASS, None, (*steps, step))
     if n == 20:
@@ -278,12 +294,8 @@ def _x0_decision(p: int, m: int, n: int, big: int) -> tuple[str, str, dict]:
     """(status, rule, data) of the one step that decides X_0(n), n = p^2 M,
     given big = g_0(n)."""
     if m % p == 0:
-        # the quotient-genus test needs X_0(n) -> X_0(pM) totally ramified
-        # at (1 : p)
-        if ramification_x0_tower(p, m, 1) != 1:
-            raise RuntimeError(f"X_0({n}) -> X_0({p * m}) is not totally ramified")
         small = g0(p * m)
-        if schoeneberg(big, p, small):
+        if _cover_step(big, (n, GAMMA0), (p * m, GAMMA0), p, small):
             return WEIERSTRASS, RULE_LEMMA_GENUS, {"g0_n": big, "g0_pm": small, "p": p}
         if n == 81:
             note = "0-cusp of X_0(81) is not a Weierstrass point"

@@ -13,27 +13,15 @@ from math import gcd
 from typing import NamedTuple
 
 from .arith import (
-    check_level,
     check_positive,
     cofactor_gcd,
     cusp_sum,
-    delta_d,
     divisors,
     inv_mod,
-    irregular_e,
-    is_prime,
     normalize_residue,
-    projection_image_size,
     x0_cusp_count,
 )
-from .errors import (
-    AtlasTooLarge,
-    DomainError,
-    NotCoprime,
-    NotPrime,
-    NotPrimitive,
-    PNotDividingM,
-)
+from .errors import AtlasTooLarge, NotCoprime, NotPrimitive
 
 GAMMA0 = "gamma0"
 GAMMA1 = "gamma1"
@@ -232,35 +220,3 @@ def width(c: CuspClass) -> int:
     if n == 4 and c.d == 2:
         return 1
     return n // c.d
-
-
-# ---------------------------------------------------------------------------
-# Total ramification checks
-
-
-def ramification_x1_to_delta(n: int, d: int) -> int:
-    """Size of each Delta_d-orbit of the X_1(N) cusps with invariant d,
-    |Delta_d mod L| / |{+-1 mod L}| (see `projection_image_size`); 1 means
-    X_1(N) -> X_{Delta_d}(N) is totally ramified there."""
-    m = n // irregular_e(n, d)
-    return projection_image_size(d, delta_d(n, d)) // len({1 % m, -1 % m})
-
-
-def ramification_x0_tower(p: int, m: int, x: int) -> int:
-    """Number of points of X_0(p^2 M) over the cusp x/p of X_0(pM), p | M,
-    read off the cusp widths: the degree p of the map over its ramification
-    index, the width M of the cusp upstairs over its width M/p downstairs.
-    So it is 1, and the map is totally ramified there, for every x prime
-    to p.  The level is checked before p is factored.
-    """
-    check_level(p * p * m)
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if m < 1:
-        raise DomainError("M must be positive")
-    if m % p != 0:
-        raise PNotDividingM(f"{p} does not divide {m}")
-    if gcd(x, p) != 1:
-        raise NotCoprime(f"gcd({x}, {p}) > 1")
-    down, up = (width(canonicalize_x0(n, x, p)) for n in (p * m, p * p * m))
-    return p * down // up

@@ -38,10 +38,6 @@ class LevelMismatch(DomainError):
     pass
 
 
-class PNotDividingM(DomainError):
-    pass
-
-
 class BadGenus(DomainError):
     pass
 

@@ -164,6 +164,12 @@ def eta_series(n: int, r: int, terms: int | None = None) -> QSeries:
 def check_terms(q: EtaQuotient, terms: int | None) -> int:
     """`terms` (default 10N), refused below 1 or when the expansion of q
     to that many whole q-steps passes the cost bound."""
+    return _passes(q, terms)[0]
+
+
+def _passes(q: EtaQuotient, terms: int | None):
+    """`check_terms`'s terms, and the sparse series that `quotient_series`
+    raises to powers: P on the q^N-subseries, and theta_r of each block."""
     n = q.level
     if terms is None:
         terms = 10 * n
@@ -172,11 +178,13 @@ def check_terms(q: EtaQuotient, terms: int | None) -> int:
     if terms > MAX_TERMS:
         raise TruncationTooLarge(f"{terms} terms exceed the cost bound {MAX_TERMS}")
     m = (terms - 1) // n + 1  # |k_r| passes over T for theta_r, |K| over m for P
-    work = terms * sum(abs(k) * (len(_theta(n, r, terms)) + 1) for r, k in q.exponents)
-    work += m * abs(sum(k for _, k in q.exponents)) * (len(_theta(3, 1, m)) + 1)
+    pentagonal = _theta(3, 1, m)
+    thetas = [_theta(n, r, terms) for r, _ in q.exponents]
+    work = terms * sum(abs(k) * (len(t) + 1) for (_, k), t in zip(q.exponents, thetas))
+    work += m * abs(sum(k for _, k in q.exponents)) * (len(pentagonal) + 1)
     if work > MAX_WORK:
         raise TruncationTooLarge(f"{terms} terms cost {work} updates, past {MAX_WORK}")
-    return terms
+    return terms, pentagonal, thetas
 
 
 def _theta(n: int, r: int, terms: int) -> list[tuple[int, int]]:
@@ -217,13 +225,13 @@ def quotient_series(q: EtaQuotient, terms: int | None = None) -> QSeries:
     q^N-subseries while nothing else is nonzero, then each theta_r to k_r.
     """
     n = q.level
-    terms = check_terms(q, terms)
+    terms, pentagonal, thetas = _passes(q, terms)
     sub_series = [1] + [0] * ((terms - 1) // n)
-    _power(sub_series, _theta(3, 1, len(sub_series)), -sum(k for _, k in q.exponents))
+    _power(sub_series, pentagonal, -sum(k for _, k in q.exponents))
     c = [0] * terms
     c[::n] = sub_series
-    for r, k in q.exponents:
-        _power(c, _theta(n, r, terms), k)
+    for (_, k), theta in zip(q.exponents, thetas):
+        _power(c, theta, k)
     return QSeries(n, q.lead, tuple(c))
 
 

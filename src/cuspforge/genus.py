@@ -22,11 +22,15 @@ with nu2 = prod (1 + (-1/p)) unless 4 | N and nu3 = prod (1 + (-3/p))
 unless 9 | N; the second holds for N >= 5, and X_1(N) has genus 0 below
 that.  Both read one factorization of N.  The tests hold both to
 `genus_delta` at Delta = all units and Delta = {+-1}.
+
+`cover` reads a cover of curves (N, group), the group `GAMMA0` or a
+`DeltaSubgroup` of level N, off the same closed forms: its degree is the
+ratio of the indices mu, its ramification index that of the cusp widths.
 """
 
 from __future__ import annotations
 
-from math import prod
+from math import gcd, prod
 from typing import NamedTuple
 
 from .arith import (
@@ -38,6 +42,7 @@ from .arith import (
     totient,
     x0_cusp_count,
 )
+from .cusps import GAMMA0
 from .errors import NonIntegralGenus
 
 
@@ -102,3 +107,25 @@ def g0(n: int) -> int:
         nu2_ *= (a == 1) if p == 2 else 2 * (p % 4 == 1)
         nu3_ *= (a == 1) if p == 3 else 2 * (p % 3 == 1)
     return (12 + _psi(n) - 3 * nu2_ - 4 * nu3_ - 6 * x0_cusp_count(n)) // 12
+
+
+def _index_and_width(curve, d: int) -> tuple[int, int]:
+    """mu of the curve (N, group), and the width of its cusps with
+    invariant d: (N/d) / k with k = |Delta| / |pi_d(Delta)|, or e on
+    X_0(N)."""
+    n, group = curve
+    if group == GAMMA0:
+        return _psi(n), n // d // gcd(d, n // d)
+    k = len(group) // projection_image_size(d, group)
+    return _psi(n) * (totient(n) // len(group)), n // d // k
+
+
+def cover(up, down, d: int) -> tuple[int, int]:
+    """The degree of X_up -> X_down, and its ramification index at the
+    cusps of X_up with invariant d, which lie over those with invariant
+    gcd(d, N') of X_down, N' its level.  Each curve is a pair (N, group);
+    the cover is not checked, so N' | N and Delta mod N' inside Delta'
+    are the caller's to keep."""
+    mu_up, width_up = _index_and_width(up, d)
+    mu_down, width_down = _index_and_width(down, gcd(d, down[0]))
+    return mu_up // mu_down, width_up // width_down

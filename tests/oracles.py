@@ -12,9 +12,9 @@ the genus check reads g_1 and g_{Delta_d} off `g1`, `delta_d` and
 `bf_survey_x1` is the survey as a scan that runs the package's own
 verdict on every bucket: it checks the lemma that lets `survey_x1` skip
 that scan, not the verdict rules.  `bf_ramification_x0_tower`, the scan
-of coset images that the width ratio of `ramification_x0_tower`
-replaced, reads each image's class off the package's `x0_class_of_pair`,
-which the tests hold to `bf_x0_orbits`.  `bf_quotient_series` and
+of coset images that the width ratio of `genus.cover` replaced, reads
+each image's class off the package's `x0_class_of_pair`, which the tests
+hold to `bf_x0_orbits`.  `bf_quotient_series` and
 `build_parser` are the package's former eta kernel and argparse parser,
 kept to check the code that replaced them.
 """
@@ -403,23 +403,41 @@ def _bf_mat_mul(m1, m2):
     return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
 
 
-def bf_width_and_sign(n, group, x, y):
-    """Width of the cusp (x : y) on Gamma_0(n) ("gamma0") or Gamma_1(n)
-    ("gamma1") by scanning: the least divisor h of n with
-    sigma T^h sigma^-1 in +-Gamma, sigma in SL2(Z) sending infinity to the
-    cusp, and whether the plus sign already lies in Gamma."""
+def _bf_sigma(n, x, y):
+    """sigma in SL2(Z) sending infinity to the cusp (x : y), and its
+    inverse, after lifting (x, y) to a coprime pair with y in 1..n."""
     c = y % n or n
     a = x % n
     while gcd(a, c) != 1:
         a += n
     s, t = _bf_egcd(a, c)
-    sigma, sigma_inv = (a, -t, c, s), (s, t, -c, a)
+    return (a, -t, c, s), (s, t, -c, a)
+
+
+def bf_width_and_sign(n, group, x, y):
+    """Width of the cusp (x : y) on Gamma_0(n) ("gamma0") or Gamma_1(n)
+    ("gamma1") by scanning: the least divisor h of n with
+    sigma T^h sigma^-1 in +-Gamma, sigma in SL2(Z) sending infinity to the
+    cusp, and whether the plus sign already lies in Gamma."""
+    sigma, sigma_inv = _bf_sigma(n, x, y)
     for h in bf_divisors(n):
         m = _bf_mat_mul(_bf_mat_mul(sigma, (1, h, 0, 1)), sigma_inv)
         for sign in (1, -1):
             top_left, _, bottom_left, _ = (sign * v for v in m)
             if bottom_left % n == 0 and (group == "gamma0" or top_left % n == 1 % n):
                 return h, sign == 1
+    raise AssertionError(f"no width below {n} for ({x} : {y})")
+
+
+def bf_width_delta(n, members, x, y):
+    """Width of the cusp (x : y) on Gamma_Delta(n), Delta the residues
+    1..n in members, -1 among them, by scanning: the least divisor h of n
+    with sigma T^h sigma^-1 = (a, *; 0, *) mod n and a in Delta."""
+    sigma, sigma_inv = _bf_sigma(n, x, y)
+    for h in bf_divisors(n):
+        a, _, c, _ = _bf_mat_mul(_bf_mat_mul(sigma, (1, h, 0, 1)), sigma_inv)
+        if c % n == 0 and (a % n or n) in members:
+            return h
     raise AssertionError(f"no width below {n} for ({x} : {y})")
 
 

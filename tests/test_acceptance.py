@@ -16,14 +16,7 @@ from cuspforge.criteria import (
     x0_verdict,
     x1_verdict,
 )
-from cuspforge.cusps import (
-    GAMMA0,
-    GAMMA1,
-    atlas,
-    canonicalize_x1,
-    ramification_x0_tower,
-    ramification_x1_to_delta,
-)
+from cuspforge.cusps import GAMMA0, GAMMA1, atlas, canonicalize_x0, canonicalize_x1
 from cuspforge.etaq import (
     EtaQuotient,
     F_EXPONENTS,
@@ -32,7 +25,7 @@ from cuspforge.etaq import (
     ord_at_cusp_exact,
     quotient_series,
 )
-from cuspforge.genus import g0, g1, genus_delta
+from cuspforge.genus import cover, g0, g1, genus_delta
 from cuspforge.symmetry import act_atkin_lehner, cusp_orbits_x1
 
 from oracles import bf_counts_by_d, bf_g1, bf_x0_orbits, bf_x1_orbits
@@ -174,7 +167,8 @@ def test_criterion_8_total_ramification():
     for n in range(2, 151):
         for d in divisors(n):
             if gcd(d, n // d) > 1:
-                assert ramification_x1_to_delta(n, d) == 1, (n, d)
+                degree, ramification = cover((n, pm_one(n)), (n, delta_d(n, d)), d)
+                assert ramification == degree, (n, d)
                 pairs += 1
     towers = 0
     for p in (2, 3, 5):
@@ -182,7 +176,9 @@ def test_criterion_8_total_ramification():
         while p * p * m <= 400:
             if m % p == 0:
                 for x in range(1, p):
-                    assert ramification_x0_tower(p, m, x) == 1, (p, m, x)
+                    c = canonicalize_x0(p * p * m, x, p)
+                    degree, ramification = cover((c.level, GAMMA0), (p * m, GAMMA0), c.d)
+                    assert ramification == degree == p, (p, m, x)
                 towers += 1
             m += p
     assert pairs > 100 and towers > 20

@@ -13,9 +13,11 @@ from cuspforge.arith import (
     divisors,
     factorize,
     irregular_e,
+    pm_one,
     subgroup_generated,
     units,
 )
+from cuspforge import criteria
 from cuspforge.criteria import (
     LEMMA_CUSP_LEVEL,
     MAX_SURVEY,
@@ -44,13 +46,7 @@ from cuspforge.errors import (
     NotPrime,
     SurveyTooLarge,
 )
-from cuspforge.cusps import (
-    atlas,
-    canonicalize_x0,
-    canonicalize_x1,
-    ramification_x0_tower,
-    ramification_x1_to_delta,
-)
+from cuspforge.cusps import atlas, canonicalize_x0, canonicalize_x1
 from cuspforge.etaq import eta_series
 from cuspforge.genus import g0, g1
 from cuspforge.symmetry import cusp_orbits_x1
@@ -75,15 +71,13 @@ from oracles import (
         (irregular_e, (0, 4), NotPositive),
         (cofactor_gcd, (0, 4), NotPositive),
         (delta_d, (0, 4), NotPositive),
-        (ramification_x1_to_delta, (0, 4), NotPositive),
+        (pm_one, (0,), NotPositive),
         (subgroup_generated, (0, ()), NotPositive),
         (factorize, (0,), NotPositive),
         (units, (-3,), NotPositive),
         (canonicalize_x1, (0, 1, 1), NotPositive),
         (atlas, (0,), NotPositive),
         (eta_series, (0, 1), NotPositive),
-        (ramification_x0_tower, (2, 0, 1), DomainError),
-        (ramification_x0_tower, (2, -2, 1), DomainError),
     ],
     ids=lambda v: v.__name__ if callable(v) else repr(v),
 )
@@ -100,6 +94,16 @@ def test_schoeneberg_examples():
     assert schoeneberg(2, 2, 0)
     with pytest.raises(BadGenus):
         schoeneberg(1, 2, 0)
+
+
+def test_cover_step_refuses_a_cover_that_is_not_totally_ramified(monkeypatch):
+    # both quotient-genus proofs reach the one cover step, which checks
+    # the ramification before it applies schoeneberg
+    monkeypatch.setattr(criteria, "cover", lambda up, down, d: (2, 1))
+    with pytest.raises(RuntimeError, match="not totally ramified"):
+        x1_verdict(20, 2)
+    with pytest.raises(RuntimeError, match="not totally ramified"):
+        x0_verdict(2, 16)
 
 
 def test_lewittes_threshold():

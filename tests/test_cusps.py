@@ -18,8 +18,6 @@ from cuspforge.cusps import (
     canonicalize_x1,
     diamond_image_x1,
     lift_to_coprime,
-    ramification_x0_tower,
-    ramification_x1_to_delta,
     width,
     x0_class_of_pair,
     x0_image,
@@ -41,9 +39,9 @@ from cuspforge.errors import (
     NotCoprime,
     NotIrregular,
     NotPrimitive,
-    PNotDividingM,
 )
-from cuspforge.genus import genus_delta
+from cuspforge.criteria import RULE_LEMMA_GENUS, x0_verdict, x1_verdict
+from cuspforge.genus import cover, genus_delta
 from cuspforge.arith import full_units
 
 from oracles import (
@@ -324,11 +322,13 @@ def test_widths_sum_to_index():
 
 
 def test_ramification_x1_to_delta():
-    assert ramification_x1_to_delta(20, 2) == 1
-    assert ramification_x1_to_delta(20, 10) == 1
-    assert ramification_x1_to_delta(36, 6) == 1
+    # X_1(N) -> X_{Delta_d}(N) has degree e and is totally ramified at d
+    for n, d, e in ((20, 2, 2), (20, 10, 2), (36, 6, 6)):
+        assert cover((n, pm_one(n)), (n, delta_d(n, d)), d) == (e, e)
+    # at N = 4, {+-1} is already all of Delta_2, so the cover is the identity
+    assert cover((4, pm_one(4)), (4, delta_d(4, 2)), 2) == (1, 1)
     with pytest.raises(NotIrregular):
-        ramification_x1_to_delta(20, 4)
+        x1_verdict(20, 4)
 
 
 IRREGULAR_LEVELS = [n for n in range(4, 501) if any(gcd(d, n // d) > 1 for d in divisors(n))]
@@ -337,40 +337,42 @@ IRREGULAR_LEVELS = [n for n in range(4, 501) if any(gcd(d, n // d) > 1 for d in 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_ramification_x1_to_delta_matches_scan_oracle(data):
+    # the points of X_1(N) over a cusp of X_{Delta_d}(N) are its Delta_d-orbit
     n = data.draw(st.sampled_from(IRREGULAR_LEVELS))
     d = data.draw(st.sampled_from([d for d in divisors(n) if gcd(d, n // d) > 1]))
     pairs = [(c.x, c.y) for c in atlas(n, GAMMA1)]
-    assert ramification_x1_to_delta(n, d) == bf_ramification_x1_to_delta(n, d, pairs)
+    degree, ramification = cover((n, pm_one(n)), (n, delta_d(n, d)), d)
+    assert degree // ramification == bf_ramification_x1_to_delta(n, d, pairs)
 
 
 def test_ramification_x0_tower():
-    assert ramification_x0_tower(2, 2, 1) == 1
-    assert ramification_x0_tower(3, 3, 1) == 1
-    assert ramification_x0_tower(2, 4, 1) == 1
-    with pytest.raises(PNotDividingM):
-        ramification_x0_tower(2, 3, 1)
+    # X_0(p^2 M) -> X_0(pM), p | M, has degree p and is totally ramified
+    # at the cusps with d = p
+    for p, m in ((2, 2), (3, 3), (2, 4)):
+        assert cover((p * p * m, GAMMA0), (p * m, GAMMA0), p) == (p, p)
 
 
 def test_ramification_x0_tower_matches_scan_oracle():
     cases = 0
     for p in (2, 3, 5, 7, 11, 13):
         for m in range(p, 2000 // (p * p) + 1, p):
+            degree, ramification = cover((p * p * m, GAMMA0), (p * m, GAMMA0), p)
             for x in [x for x in range(1, 3 * p) if x % p] + [p * m + 1]:
-                assert ramification_x0_tower(p, m, x) == bf_ramification_x0_tower(p, m, x)
+                assert degree // ramification == bf_ramification_x0_tower(p, m, x)
                 cases += 1
     assert cases == 1852
 
 
 def test_ramification_x0_tower_is_bounded_by_the_level():
     # p | M puts p^3 <= p^2 M, so the level bound refuses every prime past
-    # 10^4 before p is factored or a cusp width is read
+    # 10^4 before p is factored or the tower is read
     start = time.perf_counter()
     for p in (999983, 1000003, 999999999989):
         with pytest.raises(LevelTooLarge):
-            ramification_x0_tower(p, p, 1)
+            x0_verdict(p, p)
     assert time.perf_counter() - start < 1
     # the largest prime the bound admits
-    assert ramification_x0_tower(9973, 9973, 1) == 1
+    assert x0_verdict(9973, 9973).decisive_rule() == RULE_LEMMA_GENUS
 
 
 def test_atlas_json_shape():

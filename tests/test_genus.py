@@ -1,5 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspforge.arith import (
     delta_d,
@@ -10,10 +14,18 @@ from cuspforge.arith import (
     totient,
     units,
 )
-from cuspforge.cusps import GAMMA0, GAMMA1, atlas
-from cuspforge.genus import g0, g1, genus_delta
+from cuspforge.cusps import (
+    GAMMA0,
+    GAMMA1,
+    atlas,
+    atlas_delta,
+    lift_to_coprime,
+    x0_class_of_pair,
+    x0_image,
+)
+from cuspforge.genus import cover, g0, g1, genus_delta
 
-from oracles import bf_g1, bf_genus_profile
+from oracles import bf_g1, bf_genus_profile, bf_width_delta
 
 
 def test_mu_values():
@@ -148,3 +160,65 @@ def test_profile_internal_identity():
     p = genus_delta(delta_d(36, 3))
     assert 12 * p.g == 12 + p.mu - 3 * p.nu2 - 4 * p.nu3 - 6 * p.nu_inf
     assert p.to_json()["g"] == p.g
+
+
+def _random_delta(data, lo, hi):
+    n = data.draw(st.integers(lo, hi))
+    gens = data.draw(st.lists(st.sampled_from(units(n)), max_size=2))
+    return n, gens, subgroup_generated(n, gens)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_cover_widths_match_scan_oracle(data):
+    # a cusp's ramification over X(1) = X_0(1) is its width
+    n, _, delta = _random_delta(data, 5, 160)
+    every_unit = set(units(n))
+    for c in atlas(n, GAMMA1):
+        _, width = cover((n, delta), (1, GAMMA0), c.d)
+        assert width == bf_width_delta(n, delta.members, c.x, c.y), (n, delta, c)
+        _, width = cover((n, GAMMA0), (1, GAMMA0), c.d)
+        assert width == bf_width_delta(n, every_unit, c.x, c.y), (n, c)
+
+
+def _check_fibres(up, down, image, cusps_down):
+    """Over each cusp downstairs, the ramification indices of
+    `cover(up, down, d)` at its preimages sum to the degree; image maps
+    each cusp upstairs to the one below it."""
+    sums = Counter()
+    for c, below in image.items():
+        degree, ramification = cover(up, down, c.d)
+        sums[below] += ramification
+    assert set(sums) == set(cusps_down)
+    assert set(sums.values()) == {degree}, (up, down)
+
+
+def test_cover_fibres_sum_to_the_degree_on_x0():
+    covers = 0
+    for n in range(1, 301):
+        cusps = atlas(n, GAMMA0)
+        for n_down in divisors(n):
+            image = {c: x0_class_of_pair(n_down, *lift_to_coprime(n, c.x, c.y)) for c in cusps}
+            _check_fibres((n, GAMMA0), (n_down, GAMMA0), image, atlas(n_down, GAMMA0))
+            covers += 1
+    assert covers == 1767  # sum of the divisor counts of N <= 300
+
+
+def test_cover_fibres_sum_to_the_degree_from_x1_to_x0():
+    # mixes the two kinds of curve, and meets the X_1(4) edge at N = 4
+    for n in range(1, 201):
+        image = {c: x0_image(c) for c in atlas(n, GAMMA1)}
+        _check_fibres((n, pm_one(n)), (n, GAMMA0), image, atlas(n, GAMMA0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_cover_fibres_sum_to_the_degree_on_x_delta(data):
+    # X_1(N) -> X_Delta(N) and X_Delta(N) -> X_{Delta<a>}(N), the fibres
+    # read off the diamond orbits of atlas_delta
+    n, gens, delta = _random_delta(data, 1, 120)
+    bigger = subgroup_generated(n, [*gens, data.draw(st.sampled_from(units(n)))])
+    for small, big in ((pm_one(n), delta), (delta, bigger)):
+        below = {c: orbit[0] for orbit in atlas_delta(big) for c in orbit}
+        image = {orbit[0]: below[orbit[0]] for orbit in atlas_delta(small)}
+        _check_fibres((n, small), (n, big), image, set(below.values()))

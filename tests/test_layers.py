@@ -130,6 +130,23 @@ def test_irregular_check_has_one_home():
     assert sites == ["arith.irregular_e"]
 
 
+def test_cover_step_has_one_home():
+    # both quotient-genus proofs go through criteria._cover_step: it alone
+    # applies schoeneberg, and it alone refuses a cover that is not
+    # totally ramified
+    calls, refusals = [], []
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and _named(node.func)["schoeneberg"]:
+                        calls.append(f"{module}.{fn.name}")
+                    if isinstance(node, ast.Raise) and "totally ramified" in ast.unparse(node):
+                        refusals.append(f"{module}.{fn.name}")
+    assert calls == refusals == ["criteria._cover_step"]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_true_division_or_float(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
