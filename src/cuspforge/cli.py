@@ -1,7 +1,8 @@
 """Command-line front end: structured JSON on stdout, exit 2 on bad input.
 
-Commands: genus, cusps, orbits, verdict (x1 | x0), survey (x1),
-eta (series | div), certify (x1-20).
+Each command form is one row of `_FORMS`: its flags, the flags it
+requires and its handler.  The parser, the -h text and the dispatch all
+read that row, so a new form is one row and its handler.
 """
 
 from __future__ import annotations
@@ -19,107 +20,6 @@ from .errors import BadFlag, BadSpec, DomainError, NotPositive, UnknownCommand
 from .etaq import EtaQuotient, check_terms, divisor, eta_series
 from .genus import genus_delta
 from .symmetry import cusp_orbits_x1
-
-
-# Each command form, its flags with their kinds, and the flags it requires.
-# A kind is int, str, bool (a switch) or a tuple of choices, the first of
-# which is the default; an absent flag is None or False.  _WORD names the
-# value of a command's second word.
-_DELTA = {"gamma1": bool, "gamma0": bool, "delta": str}
-_EXCLUSIVE = "--gamma1, --gamma0 and --delta exclude each other"
-_FORMS = {
-    ("genus",): ({"level": int, **_DELTA}, {"level"}),
-    ("cusps",): ({"level": int, **_DELTA}, {"level"}),
-    ("orbits",): ({"level": int}, {"level"}),
-    ("verdict", "x1"): ({"level": int, "d": int}, {"level", "d"}),
-    ("verdict", "x0"): ({"p": int, "m": int}, {"p", "m"}),
-    ("survey", "x1"): ({"max": int, "format": ("json", "tsv"), "jobs": int}, {"max"}),
-    ("eta", "series"): ({"level": int, "r": int, "terms": int}, {"level", "r"}),
-    ("eta", "div"): ({"spec": str, "terms": int}, {"spec"}),
-    ("certify", "x1-20"): ({}, set()),
-}
-_WORD = {"verdict": "curve", "survey": "curve", "eta": "what", "certify": "target"}
-_HELP = ("-h", "--help")
-
-
-def _parse(argv) -> SimpleNamespace | None:
-    """The command, second word and flags of argv, read off _FORMS left to
-    right; None once -h or --help is read.
-
-    A flag is --name value or --name=value, and the last one given wins.
-    A separate value that starts with - must be a negative integer.  The
-    first token refused raises BadFlag; a missing flag, or one the form
-    does not take, is refused after the last token.
-    """
-    if not argv:
-        raise UnknownCommand("no command given; see --help")
-    command, tokens = argv[0], iter(argv[1:])
-    if command in _HELP:
-        return None
-    forms = {form[1:]: spec for form, spec in _FORMS.items() if form[0] == command}
-    if not forms:
-        raise BadFlag(f"unknown command {command!r}; see --help")
-    spec = forms.get(())
-    kinds = {name: kind for flags, _ in forms.values() for name, kind in flags.items()}
-    given = {}
-    for token in tokens:
-        if token in _HELP:
-            return None
-        if not token.startswith("--"):
-            if spec is not None or (token,) not in forms:
-                raise BadFlag(f"unexpected argument {token!r} to {command}")
-            spec, given[_WORD[command]] = forms[(token,)], token
-            continue
-        name, eq, value = token[2:].partition("=")
-        kind = kinds.get(name)
-        if kind is None:
-            raise BadFlag(f"{command} takes no --{name}")
-        if kind is bool:
-            if eq:
-                raise BadFlag(f"--{name} takes no value")
-            value = True
-        elif not eq:
-            value = next(tokens, None)
-            if value is None or value[:1] == "-" and not value[1:].isdecimal():
-                raise BadFlag(f"--{name} needs a value")
-        if kind is int:
-            try:
-                value = int(value)
-            except ValueError:
-                raise BadFlag(f"--{name} takes an integer, got {value!r}")
-        elif type(kind) is tuple and value not in kind:
-            raise BadFlag(f"--{name} takes one of {', '.join(kind)}, got {value!r}")
-        if name in _DELTA and given.keys() & _DELTA.keys() - {name}:
-            raise BadFlag(_EXCLUSIVE)
-        given[name] = value
-    if spec is None:
-        raise BadFlag(f"{command} takes one of {', '.join(w for w, in forms)}")
-    flags, required = spec
-    stray = sorted(given.keys() - flags.keys() - {_WORD.get(command)})
-    if stray:
-        raise BadFlag(f"{command} {given[_WORD[command]]} takes no --{stray[0]}")
-    missing = sorted(required - given.keys())
-    if missing:
-        raise BadFlag(f"--{missing[0]} is required here")
-    unset = {
-        name: kind[0] if type(kind) is tuple else False if kind is bool else None
-        for name, kind in flags.items()
-    }
-    return SimpleNamespace(command=command, **{**unset, **given})
-
-
-def _usage() -> str:
-    """The -h text: one line per command form."""
-    lines = [__doc__.split("\n")[0], "", "usage:"]
-    for form, (flags, required) in _FORMS.items():
-        words = ["  cuspforge", *form]
-        for name, kind in flags.items():
-            text = f"--{name}" if kind is bool else f"--{name} " + (
-                "|".join(kind) if type(kind) is tuple else name.upper()
-            )
-            words.append(text if name in required else f"[{text}]")
-        lines.append(" ".join(words))
-    return "\n".join([*lines, "", _EXCLUSIVE + "."]) + "\n"
 
 
 def _group_tag(args) -> str:
@@ -159,97 +59,196 @@ def _read_spec(path: str) -> EtaQuotient:
     return EtaQuotient.make(level, exponents)
 
 
-def _dispatch(args) -> tuple[dict, dict, str | None]:
-    """Returns (params, result, raw_text); raw_text bypasses the envelope."""
-    cmd = args.command
-    if getattr(args, "level", None) is not None:
-        check_positive(args.level)
-    if cmd == "genus":
-        profile = genus_delta(_delta_for(args, args.level))
-        return {"level": args.level, "group": _group_tag(args)}, profile.to_json(), None
-
-    if cmd == "cusps":
-        tag = _group_tag(args)
-        params = {"level": args.level, "group": tag}
-        if tag in (GAMMA0, GAMMA1):
-            return params, {"cusps": [c.to_json() for c in atlas(args.level, tag)]}, None
-        delta = _delta_for(args, args.level)
-        orbits = atlas_delta(delta)
-        return (
-            params,
+def _cusps(args) -> dict:
+    tag = _group_tag(args)
+    if tag in (GAMMA0, GAMMA1):
+        return {"cusps": [c.to_json() for c in atlas(args.level, tag)]}
+    delta = _delta_for(args, args.level)
+    return {
+        "delta": list(delta.elements),
+        "cusps": [
             {
-                "delta": list(delta.elements),
-                "cusps": [
-                    {
-                        "representative": o[0].key(),
-                        "members": [c.key() for c in o],
-                        "orbit_size": len(o),
-                    }
-                    for o in orbits
-                ],
-            },
-            None,
-        )
+                "representative": o[0].key(),
+                "members": [c.key() for c in o],
+                "orbit_size": len(o),
+            }
+            for o in atlas_delta(delta)
+        ],
+    }
 
-    if cmd == "orbits":
-        return {"level": args.level}, cusp_orbits_x1(args.level).to_json(), None
 
-    if cmd == "verdict":
-        if args.curve == "x1":
-            v = x1_verdict(args.level, args.d)
-            return (
-                {"curve": "x1", "level": args.level, "d": args.d},
-                {"N": args.level, "d": args.d, **v.to_json()},
-                None,
-            )
-        v = x0_verdict(args.p, args.m)
-        return (
-            {"curve": "x0", "p": args.p, "m": args.m},
-            {"p": args.p, "M": args.m, "N": args.p * args.p * args.m, **v.to_json()},
-            None,
-        )
+def _survey_x1(args) -> dict | str:
+    if args.jobs is not None and args.jobs < 1:
+        raise NotPositive(f"jobs must be at least 1, got {args.jobs}")
+    report = survey_x1(args.max)
+    return report.to_tsv() if args.format == "tsv" else report.to_json()
 
-    if cmd == "survey":
-        if args.jobs is not None and args.jobs < 1:
-            raise NotPositive(f"jobs must be at least 1, got {args.jobs}")
-        report = survey_x1(args.max)
-        params = {"curve": "x1", "max": args.max}
-        if args.format == "tsv":
-            return params, {}, report.to_tsv()
-        return params, report.to_json(), None
 
-    if cmd == "eta":
-        if args.what == "series":
-            series = eta_series(args.level, args.r, args.terms)
-            return (
-                {"what": "series", "level": args.level, "r": args.r},
-                series.to_json(),
-                None,
-            )
-        quot = _read_spec(args.spec)
-        div = divisor(quot)
-        check_terms(quot, args.terms)  # checked only: the series is not printed
-        return (
-            {"what": "div", "spec": os.path.basename(args.spec)},
-            {
-                "quotient": quot.to_json(),
-                "leading_exponent": str(quot.leading_exponent()),
-                "divisor": div.to_json(),
-            },
-            None,
-        )
+def _eta_div(args) -> dict:
+    quot = _read_spec(args.spec)
+    div = divisor(quot)
+    check_terms(quot, args.terms)  # checked only: the series is not printed
+    return {
+        "quotient": quot.to_json(),
+        "leading_exponent": str(quot.leading_exponent()),
+        "divisor": div.to_json(),
+    }
 
-    gapseq, verdict = certify_x1_20()  # certify x1-20
-    return (
-        {"target": "x1-20"},
-        {
-            "genus": gapseq.genus,
-            "gaps": list(gapseq.gaps),
-            "weight": gapseq.weight,
-            "verdict": verdict.to_json(),
+
+def _certify_x1_20(args) -> dict:
+    gapseq, verdict = certify_x1_20()
+    return {
+        "genus": gapseq.genus,
+        "gaps": list(gapseq.gaps),
+        "weight": gapseq.weight,
+        "verdict": verdict.to_json(),
+    }
+
+
+# Each command form: its flags with their kinds, the flags it requires, and
+# its handler.  A kind is int, str, bool (a switch) or a tuple of choices,
+# the first of which is the default; an absent flag is None or False.  A
+# handler takes the parsed args and returns the result, or a str that is
+# printed in place of the envelope.  _WORD names a second word's value.
+_DELTA = {"gamma1": bool, "gamma0": bool, "delta": str}
+_EXCLUSIVE = "--gamma1, --gamma0 and --delta exclude each other"
+_FORMS = {
+    ("genus",): (
+        {"level": int, **_DELTA},
+        {"level"},
+        lambda a: genus_delta(_delta_for(a, a.level)).to_json(),
+    ),
+    ("cusps",): ({"level": int, **_DELTA}, {"level"}, _cusps),
+    ("orbits",): ({"level": int}, {"level"}, lambda a: cusp_orbits_x1(a.level).to_json()),
+    ("verdict", "x1"): (
+        {"level": int, "d": int},
+        {"level", "d"},
+        lambda a: {"N": a.level, "d": a.d, **x1_verdict(a.level, a.d).to_json()},
+    ),
+    ("verdict", "x0"): (
+        {"p": int, "m": int},
+        {"p", "m"},
+        lambda a: {
+            "p": a.p, "M": a.m, "N": a.p * a.p * a.m, **x0_verdict(a.p, a.m).to_json()
         },
-        None,
-    )
+    ),
+    ("survey", "x1"): (
+        {"max": int, "format": ("json", "tsv"), "jobs": int},
+        {"max"},
+        _survey_x1,
+    ),
+    ("eta", "series"): (
+        {"level": int, "r": int, "terms": int},
+        {"level", "r"},
+        lambda a: eta_series(a.level, a.r, a.terms).to_json(),
+    ),
+    ("eta", "div"): ({"spec": str, "terms": int}, {"spec"}, _eta_div),
+    ("certify", "x1-20"): ({}, set(), _certify_x1_20),
+}
+_WORD = {"verdict": "curve", "survey": "curve", "eta": "what", "certify": "target"}
+_HELP = ("-h", "--help")
+
+
+def _parse(argv) -> SimpleNamespace | None:
+    """The command, second word and flags of argv, read off _FORMS left to
+    right; None once -h or --help is read.
+
+    A flag is --name value or --name=value, and the last one given wins.
+    A separate value that starts with - must be a negative integer.  The
+    first token refused raises BadFlag; a missing flag, or one the form
+    does not take, is refused after the last token.
+    """
+    if not argv:
+        raise UnknownCommand("no command given; see --help")
+    command, tokens = argv[0], iter(argv[1:])
+    if command in _HELP:
+        return None
+    forms = {form[1:]: spec for form, spec in _FORMS.items() if form[0] == command}
+    if not forms:
+        raise BadFlag(f"unknown command {command!r}; see --help")
+    spec = forms.get(())
+    kinds = {name: kind for flags, *_ in forms.values() for name, kind in flags.items()}
+    given = {}
+    for token in tokens:
+        if token in _HELP:
+            return None
+        if not token.startswith("--"):
+            if spec is not None or (token,) not in forms:
+                raise BadFlag(f"unexpected argument {token!r} to {command}")
+            spec, given[_WORD[command]] = forms[(token,)], token
+            continue
+        name, eq, value = token[2:].partition("=")
+        kind = kinds.get(name)
+        if kind is None:
+            raise BadFlag(f"{command} takes no --{name}")
+        if kind is bool:
+            if eq:
+                raise BadFlag(f"--{name} takes no value")
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value[:1] == "-" and not value[1:].isdecimal():
+                raise BadFlag(f"--{name} needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise BadFlag(f"--{name} takes an integer, got {value!r}")
+        elif type(kind) is tuple and value not in kind:
+            raise BadFlag(f"--{name} takes one of {', '.join(kind)}, got {value!r}")
+        if name in _DELTA and given.keys() & _DELTA.keys() - {name}:
+            raise BadFlag(_EXCLUSIVE)
+        given[name] = value
+    if spec is None:
+        raise BadFlag(f"{command} takes one of {', '.join(w for w, in forms)}")
+    flags, required, _ = spec
+    stray = sorted(given.keys() - flags.keys() - {_WORD.get(command)})
+    if stray:
+        raise BadFlag(f"{command} {given[_WORD[command]]} takes no --{stray[0]}")
+    missing = sorted(required - given.keys())
+    if missing:
+        raise BadFlag(f"--{missing[0]} is required here")
+    unset = {
+        name: kind[0] if type(kind) is tuple else False if kind is bool else None
+        for name, kind in flags.items()
+    }
+    return SimpleNamespace(command=command, **{**unset, **given})
+
+
+def _usage() -> str:
+    """The -h text: one line per command form."""
+    lines = [__doc__.split("\n")[0], "", "usage:"]
+    for form, (flags, required, _) in _FORMS.items():
+        words = ["  cuspforge", *form]
+        for name, kind in flags.items():
+            text = f"--{name}" if kind is bool else f"--{name} " + (
+                "|".join(kind) if type(kind) is tuple else name.upper()
+            )
+            words.append(text if name in required else f"[{text}]")
+        lines.append(" ".join(words))
+    return "\n".join([*lines, "", _EXCLUSIVE + "."]) + "\n"
+
+
+def _dispatch(args) -> dict | str:
+    """The envelope of the form that args names, or the text that its
+    handler returns in place of one.  The params are the second word, the
+    required flags in the form's order, the group tag if the form takes the
+    group flags, and a spec path as its base name."""
+    values, word = vars(args), _WORD.get(args.command)
+    form = (args.command, values[word]) if word else (args.command,)
+    flags, required, handler = _FORMS[form]
+    if values.get("level") is not None:
+        check_positive(args.level)
+    result = handler(args)
+    if isinstance(result, str):
+        return result
+    params = {word: values[word]} if word else {}
+    params.update((name, values[name]) for name in flags if name in required)
+    if _DELTA.keys() <= flags.keys():
+        params["group"] = _group_tag(args)
+    if "spec" in params:
+        params["spec"] = os.path.basename(args.spec)
+    return dict(command=args.command, params=params, result=result, version=__version__)
 
 
 # rows per C-encoder call, and characters gathered before one write
@@ -321,20 +320,14 @@ def run(argv, stdout=None) -> int:
     out = stdout or sys.stdout
     try:
         args = _parse(argv)
-        params, result, raw = _dispatch(args) if args else ({}, {}, _usage())
+        output = _dispatch(args) if args else _usage()
     except Exception as exc:  # bad input exits 2, a broken invariant 1; never a traceback
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, out)
         return 2 if isinstance(exc, DomainError) else 1
-    if raw is not None:
-        out.write(raw)
-        return 0
-    envelope = {
-        "command": args.command,
-        "params": params,
-        "result": result,
-        "version": __version__,
-    }
-    _emit(envelope, out)
+    if isinstance(output, str):
+        out.write(output)
+    else:
+        _emit(output, out)
     return 0
 
 

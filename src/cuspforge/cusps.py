@@ -81,14 +81,7 @@ def canonicalize_x1(n: int, x: int, y: int) -> CuspClass:
     y = normalize_residue(y, n)
     _check_primitive(n, x, y)
     d = gcd(y, n)
-    y_neg = normalize_residue(-y, n)
-    if y < y_neg:
-        xc = x % d
-    elif y_neg < y:
-        y = y_neg
-        xc = (-x) % d
-    else:
-        xc = min(x % d, (-x) % d)
+    y, xc = min((y, x % d), (normalize_residue(-y, n), -x % d))
     e = gcd(d, n // d)
     return CuspClass(n, GAMMA1, d, y, xc, e, e > 1)
 
@@ -120,12 +113,9 @@ def x0_class_of_pair(n: int, a: int, c: int) -> CuspClass:
     """Gamma_0(N) class of a cusp a/c given as a coprime integer pair."""
     if gcd(a, c) != 1:
         raise NotCoprime(f"gcd({a}, {c}) > 1")
-    y = c % n
-    d = gcd(y, n) if y != 0 else n
-    if d == n:
-        return _class_x0(n, 1, n)
-    u = y // d  # unit mod N/d since gcd(y, N) = d
-    return _class_x0(n, a * u, d)
+    d = gcd(c, n)
+    # c/d is a unit mod N/d; at d = N it is 0, which _class_x0 lifts to 1
+    return _class_x0(n, a * (c % n // d), d)
 
 
 def diamond_image_x1(c: CuspClass, a: int) -> CuspClass:

@@ -8,8 +8,9 @@ prod_{p|N} (1 + 1/p); nu2 and nu3 are [U : Delta] times the number of
 solutions of b^2 + 1 = 0 and b^2 - b + 1 = 0 inside Delta; and nu_inf =
 sum over d | N of phi(d) phi(N/d) / |pi_d(Delta)|, each term an integer
 (see `arith.projection_image_size`).  `genus_delta` forms 12 g as one
-integer and divides once; a remainder or a negative g means a bug, not
-bad input.
+integer and divides once, as `g0` and `g1` do with 12 g0 and 24 g1, each
+through one checked division: a remainder or a negative g means a bug,
+not bad input.
 
 `g0` and `g1` are the textbook closed forms over the factorization
 (Diamond-Shurman, A First Course in Modular Forms, GTM 228, Sections 3.1
@@ -71,6 +72,14 @@ def _psi(n: int) -> int:
     return prod(p ** (a - 1) * (p + 1) for p, a in factorize(n))
 
 
+def _genus(multiple: int, k: int, name: str) -> int:
+    """g from the integer k g; a remainder or a negative g raises."""
+    g, rem = divmod(multiple, k)
+    if rem or g < 0:
+        raise NonIntegralGenus(f"{k} {name} = {multiple}")
+    return g
+
+
 def genus_delta(delta: DeltaSubgroup) -> GenusProfile:
     """The genus profile of X_Delta(N), N = delta.level."""
     n = delta.level
@@ -83,9 +92,7 @@ def genus_delta(delta: DeltaSubgroup) -> GenusProfile:
         for d in divisors(n)
     )
     twelve_g = 12 + mu_ - 3 * nu2_ - 4 * nu3_ - 6 * nu_inf_
-    g, rem = divmod(twelve_g, 12)
-    if rem or g < 0:
-        raise NonIntegralGenus(f"12 g({n}, {delta.elements}) = {twelve_g}")
+    g = _genus(twelve_g, 12, f"g({n}, {delta.elements})")
     return GenusProfile(delta, mu_, nu2_, nu3_, nu_inf_, g)
 
 
@@ -93,20 +100,19 @@ def g1(n: int) -> int:
     """Genus of X_1(N), closed form."""
     if n < 5:
         return 0
-    fac = factorize(n)
-    index = prod(p ** (2 * a - 2) * (p * p - 1) for p, a in fac)
-    return (24 + index - 6 * cusp_sum(n)) // 24
+    index = _psi(n) * totient(n)  # [SL2(Z) : Gamma_1(N)]
+    return _genus(24 + index - 6 * cusp_sum(n), 24, f"g1({n})")
 
 
 def g0(n: int) -> int:
     """Genus of X_0(N), closed form."""
-    fac = factorize(n)
     nu2_, nu3_ = 1, 1
-    for p, a in fac:
+    for p, a in factorize(n):
         # 1 + (-1/p) and 1 + (-3/p); 4 | N and 9 | N leave no elliptic points
         nu2_ *= (a == 1) if p == 2 else 2 * (p % 4 == 1)
         nu3_ *= (a == 1) if p == 3 else 2 * (p % 3 == 1)
-    return (12 + _psi(n) - 3 * nu2_ - 4 * nu3_ - 6 * x0_cusp_count(n)) // 12
+    twelve_g = 12 + _psi(n) - 3 * nu2_ - 4 * nu3_ - 6 * x0_cusp_count(n)
+    return _genus(twelve_g, 12, f"g0({n})")
 
 
 def _index_and_width(curve, d: int) -> tuple[int, int]:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cuspforge.cli import _SLICE, _emit, _parse, run
+from cuspforge.cli import _FORMS, _SLICE, _emit, _parse, run
 from cuspforge.errors import BadFlag
 from cuspforge.etaq import F_EXPONENTS
 
@@ -162,6 +162,36 @@ def test_certify_command():
     result = _result(["certify", "x1-20"])
     assert result["gaps"] == [1, 2, 5] and result["weight"] == 2
     assert result["verdict"]["status"] == "Weierstrass"
+
+
+# one command per form and the params it echoes, in the order they print
+PARAMS = [
+    (["genus", "--level", "20", "--gamma0"], {"level": 20, "group": "gamma0"}),
+    (["cusps", "--level", "20"], {"level": 20, "group": "gamma1"}),
+    (["orbits", "--level", "20"], {"level": 20}),
+    (["verdict", "x1", "--level", "20", "--d", "2"],
+     {"curve": "x1", "level": 20, "d": 2}),
+    (["verdict", "x0", "--p", "2", "--m", "16"], {"curve": "x0", "p": 2, "m": 16}),
+    (["survey", "x1", "--max", "300"], {"curve": "x1", "max": 300}),
+    (["eta", "series", "--level", "20", "--r", "1", "--terms", "7"],
+     {"what": "series", "level": 20, "r": 1}),
+    (["eta", "div", "--spec", "{dir}/f.json"], {"what": "div", "spec": "f.json"}),
+    (["certify", "x1-20"], {"target": "x1-20"}),
+]
+
+
+def test_params_cover_every_form():
+    forms = [tuple(takewhile(lambda w: w[0] != "-", argv)) for argv, _ in PARAMS]
+    assert forms == list(_FORMS)
+
+
+@pytest.mark.parametrize("argv, params", PARAMS)
+def test_params_of_every_form(argv, params, tmp_path):
+    # no group flag is Gamma_1, and a spec path echoes as its base name
+    (tmp_path / "f.json").write_text(json.dumps({"level": 20, "exponents": F_EXPONENTS}))
+    code, text = _run([word.format(dir=tmp_path) for word in argv])
+    assert code == 0, text
+    assert list(json.loads(text)["params"].items()) == list(params.items())
 
 
 def test_determinism():

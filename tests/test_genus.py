@@ -2,10 +2,12 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspforge.arith import (
+    cusp_sum,
     delta_d,
     divisors,
     full_units,
@@ -13,6 +15,7 @@ from cuspforge.arith import (
     subgroup_generated,
     totient,
     units,
+    x0_cusp_count,
 )
 from cuspforge.cusps import (
     GAMMA0,
@@ -23,6 +26,7 @@ from cuspforge.cusps import (
     x0_class_of_pair,
     x0_image,
 )
+from cuspforge.errors import NonIntegralGenus
 from cuspforge.genus import cover, g0, g1, genus_delta
 
 from oracles import bf_g1, bf_genus_profile, bf_width_delta
@@ -96,6 +100,17 @@ def test_closed_forms_match_genus_delta():
     for n in range(1, 3001):
         assert g1(n) == genus_delta(pm_one(n)).g, n
         assert g0(n) == genus_delta(full_units(n)).g, n
+
+
+@pytest.mark.parametrize(
+    "genus, name, count", [(g0, "x0_cusp_count", x0_cusp_count), (g1, "cusp_sum", cusp_sum)]
+)
+def test_closed_forms_refuse_a_remainder(genus, name, count, monkeypatch):
+    # one cusp too many leaves 6 over in 12 g0 and 18 over in 24 g1: the
+    # closed forms raise, as genus_delta does, and do not floor the genus
+    monkeypatch.setattr(f"cuspforge.genus.{name}", lambda n: count(n) + 1)
+    with pytest.raises(NonIntegralGenus):
+        genus(20)
 
 
 def test_mu_identity_for_delta_d():

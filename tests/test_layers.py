@@ -147,6 +147,28 @@ def test_cover_step_has_one_home():
     assert calls == refusals == ["criteria._cover_step"]
 
 
+def test_cli_dispatch_has_one_home():
+    # each command form is one row of cli._FORMS, with its handler: no
+    # function compares the command or a second word with a string literal
+    cli = importlib.import_module("cuspforge.cli")
+    words = {word for form in cli._FORMS for word in form}
+    names = {"command", *cli._WORD.values()}
+    branches = []
+    for fn in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Compare):
+                    strings = {
+                        n.value
+                        for n in ast.walk(node)
+                        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    }
+                    if strings & words or strings and names & _named(node).keys():
+                        branches.append(f"cli.{fn.name}: {ast.unparse(node)}")
+    assert not branches, branches
+    assert all(len(row) == 3 and callable(row[2]) for row in cli._FORMS.values())
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_true_division_or_float(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
