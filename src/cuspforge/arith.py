@@ -154,11 +154,6 @@ def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == ((n, 1),)
 
 
-def inv_mod(a: int, n: int) -> int:
-    """Inverse of a mod n, normalized to 1..n."""
-    return normalize_residue(pow(a, -1, n), n)
-
-
 def _span(
     n: int, gens, within: frozenset | None = None, limit: int | None = MAX_UNITS
 ) -> tuple[list[int], list[int]]:

@@ -32,12 +32,22 @@ def _delta_for(args, n: int):
     if args.gamma0:
         return full_units(n)
     if args.delta is not None:
-        try:
-            gens = tuple(int(t) for t in args.delta.split(",") if t.strip())
-        except ValueError:
+        gens = [_decimal(t) for t in args.delta.split(",") if t.strip()]
+        if None in gens:
             raise BadFlag(f"--delta takes comma-separated integers, got {args.delta!r}")
         return subgroup_generated(n, gens)
     return pm_one(n)
+
+
+def _decimal(text: str) -> int | None:
+    """The integer that text spells in plain decimal, else None.  int()
+    alone also reads "+2", " 4", "0_6", "04" and "\u0662" (an Arabic-Indic
+    digit) as 2, 4, 6, 4 and 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if str(value) == text else None
 
 
 def _read_spec(path: str) -> EtaQuotient:
@@ -51,10 +61,8 @@ def _read_spec(path: str) -> EtaQuotient:
         exponents = {int(r): k for r, k in spec["exponents"].items()}
     except (LookupError, TypeError, AttributeError, ValueError) as exc:
         raise BadSpec(f'{path} is not {{"level": N, "exponents": {{r: k}}}}: {exc!r}')
-    # int() would read the keys "+2", " 4", "0_6" and "\u0662" (an
-    # Arabic-Indic digit) as the blocks 2, 4, 6 and 2; `make` checks the
-    # level and the values
-    if [str(r) for r in exponents] != keys:
+    # `make` checks the level and the values
+    if None in map(_decimal, keys):
         raise BadSpec(f"{path}: each exponent key must be an integer in plain decimal")
     return EtaQuotient.make(level, exponents)
 
@@ -190,10 +198,9 @@ def _parse(argv) -> SimpleNamespace | None:
             if value is None or value[:1] == "-" and not value[1:].isdecimal():
                 raise BadFlag(f"--{name} needs a value")
         if kind is int:
-            try:
-                value = int(value)
-            except ValueError:
+            if _decimal(value) is None:
                 raise BadFlag(f"--{name} takes an integer, got {value!r}")
+            value = int(value)
         elif type(kind) is tuple and value not in kind:
             raise BadFlag(f"--{name} takes one of {', '.join(kind)}, got {value!r}")
         if name in _DELTA and given.keys() & _DELTA.keys() - {name}:

@@ -9,7 +9,9 @@ invariants; a cusp is irregular exactly when e > 1.
 
 from __future__ import annotations
 
+from itertools import groupby
 from math import gcd
+from operator import attrgetter
 from typing import NamedTuple
 
 from .arith import (
@@ -17,7 +19,6 @@ from .arith import (
     cofactor_gcd,
     cusp_sum,
     divisors,
-    inv_mod,
     normalize_residue,
     x0_cusp_count,
 )
@@ -118,14 +119,6 @@ def x0_class_of_pair(n: int, a: int, c: int) -> CuspClass:
     return _class_x0(n, a * (c % n // d), d)
 
 
-def diamond_image_x1(c: CuspClass, a: int) -> CuspClass:
-    """The [a]-image (a*x : a^-1*y) of a Gamma_1 cusp class."""
-    n = c.level
-    if gcd(a, n) != 1:
-        raise NotCoprime(f"{a} is not a unit mod {n}")
-    return canonicalize_x1(n, a * c.x, inv_mod(a, n) * c.y)
-
-
 def x0_image(c: CuspClass) -> CuspClass:
     """Image of a Gamma_1 class under X_1(N) -> X_0(N); the fibres are the
     orbits of all diamonds."""
@@ -166,21 +159,26 @@ def atlas(n: int, group: str = GAMMA1) -> tuple[CuspClass, ...]:
 
 def atlas_delta(delta) -> tuple[tuple[CuspClass, ...], ...]:
     """Cusps of X_Delta(N), N = delta.level, as diamond orbits of the
-    sorted X_1(N) atlas, each a sorted member tuple (sizes at
-    `projection_image_size`): the first cusp not yet seen is the least
-    member of its orbit, so orbits come sorted.  [a] acts on the cusps
-    with invariant d through a mod N/e, so an orbit is the images of one
-    element of Delta per residue mod N/e, listed once per e."""
-    n = delta.level
-    seen: set[CuspClass] = set()
-    orbits, reps = [], {}
-    for c in atlas(n, GAMMA1):
-        if c not in seen:
-            if c.e not in reps:
-                reps[c.e] = {a % (n // c.e): a for a in delta.elements}.values()
-            orbit = {diamond_image_x1(c, a) for a in reps[c.e]}
-            seen |= orbit
-            orbits.append(tuple(sorted(orbit)))
+    sorted X_1(N) atlas, each a sorted tuple of atlas classes.
+
+    A pair table, not a rebuild: in the model of `projection_image_size`,
+    [a] sends the class (x : y) with invariant d to (a*x mod d : a^-1*y),
+    so a d-bucket indexed by both signs of its pairs holds every image, and
+    an orbit is the classes at the distinct pairs (a mod d, a^-1 mod N/e),
+    a in Delta.  The first class not yet seen is the least member of its
+    orbit, so orbits come sorted."""
+    n, orbits = delta.level, []
+    for d, bucket in groupby(atlas(n, GAMMA1), key=attrgetter("d")):
+        bucket, index, seen = list(bucket), {}, set()
+        for i, c in enumerate(bucket):
+            index[c.x, c.y % n] = index[-c.x % d, -c.y % n] = i
+        lcm = n // bucket[0].e  # lcm(d, N/d): [a] acts through a mod N/e
+        pairs = [(r % d, pow(r, -1, lcm)) for r in {a % lcm for a in delta.elements}]
+        for i, c in enumerate(bucket):
+            if i not in seen:
+                orbit = sorted({index[s * c.x % d, t * c.y % n] for s, t in pairs})
+                seen.update(orbit)
+                orbits.append(tuple(bucket[j] for j in orbit))
     return tuple(orbits)
 
 

@@ -156,8 +156,9 @@ def bf_x1_orbits(n):
     return orbits, index
 
 
-def bf_x0_orbits(n, x1_result=None):
-    """Cusps of X_0(n): X_1(n) orbits merged under (x,y) -> (ux, u^-1 y)."""
+def bf_delta_orbits(n, elements, x1_result=None):
+    """Cusps of X_Delta(n), Delta = elements: X_1(n) orbits merged under
+    (x,y) -> (ax, a^-1 y) for a in Delta, as sets of X_1 orbit indices."""
     orbits, index = x1_result if x1_result is not None else bf_x1_orbits(n)
     parent = list(range(len(orbits)))
 
@@ -167,19 +168,25 @@ def bf_x0_orbits(n, x1_result=None):
             i = parent[i]
         return i
 
-    units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
     for i, orbit in enumerate(orbits):
         x, y = next(iter(orbit))
-        for u in units:
-            ui = pow(u, -1, n) if n > 1 else 1
-            j = index[(u * x % n, ui * y % n)]
+        for a in elements:
+            j = index[(a * x % n, pow(a, -1, n) * y % n)]
             ri, rj = find(i), find(j)
             if ri != rj:
                 parent[rj] = ri
     merged = {}
-    for i, orbit in enumerate(orbits):
-        merged.setdefault(find(i), set()).update(orbit)
+    for i in range(len(orbits)):
+        merged.setdefault(find(i), set()).add(i)
     return list(merged.values())
+
+
+def bf_x0_orbits(n, x1_result=None):
+    """Cusps of X_0(n): the X_Delta(n) orbits of all units, as pair sets."""
+    orbits, index = x1_result if x1_result is not None else bf_x1_orbits(n)
+    units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
+    merged = bf_delta_orbits(n, units, (orbits, index))
+    return [set().union(*(orbits[i] for i in ids)) for ids in merged]
 
 
 def bf_x1_normalizer_orbits(n, x1_result=None):

@@ -267,6 +267,18 @@ def test_unknown_command():
         (["eta", "div", "--spec", "spec.json"], '{"level": 20, "exponents": {"\\u0662": 1, "4": 2, "6": 2, "1": -2, "8": -1, "9": -2}}', "BadSpec"),
         (["eta", "div", "--spec", "spec.json"], '{"level": 20, "exponents": {"2": 1, "04": 2, "6": 2, "1": -2, "8": -1, "9": -2}}', "BadSpec"),
         (["eta", "div", "--spec", "spec.json"], '{"level": 20, "exponents": {"0": 1}}', "RCongruentZero"),
+        # integer flags and --delta generators in plain decimal only, as the
+        # spec keys above ("\u0662\u0660" is 20 in Arabic-Indic digits)
+        (["genus", "--level", "\u0662\u0660", "--gamma1"], None, "BadFlag"),
+        (["genus", "--level", "2_0", "--gamma1"], None, "BadFlag"),
+        (["genus", "--level", "+20", "--gamma1"], None, "BadFlag"),
+        (["genus", "--level", " 20", "--gamma1"], None, "BadFlag"),
+        (["genus", "--level=020", "--gamma1"], None, "BadFlag"),
+        (["verdict", "x1", "--level", "20", "--d", "-0"], None, "BadFlag"),
+        (["genus", "--level", "20", "--delta", "+9"], None, "BadFlag"),
+        (["genus", "--level", "20", "--delta", "3, 7"], None, "BadFlag"),
+        (["cusps", "--level", "20", "--delta", "0_9"], None, "BadFlag"),
+        (["cusps", "--level", "20", "--delta", "\u0669"], None, "BadFlag"),
     ],
 )
 def test_invalid_input_exits_2(argv, spec, error, tmp_path, monkeypatch):
@@ -450,16 +462,16 @@ def test_main_exit_codes(argv, code, error):
 def test_closed_pipe_exits_quietly(unbuffered):
     # a reader that stops early, like `| head`, is not an error
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "cuspforge.cli", "survey", "x1", "--max", "2000"],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-    )
-    assert proc.stdout.read(16)
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0
+    ) as proc:
+        assert proc.stdout.read(16)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
     assert b"Traceback" not in stderr, stderr
 
 

@@ -16,7 +16,6 @@ from cuspforge.cusps import (
     MAX_CUSP_SUM,
     canonicalize_x0,
     canonicalize_x1,
-    diamond_image_x1,
     lift_to_coprime,
     width,
     x0_class_of_pair,
@@ -46,6 +45,7 @@ from cuspforge.arith import full_units
 
 from oracles import (
     bf_counts_by_d,
+    bf_delta_orbits,
     bf_ramification_x0_tower,
     bf_ramification_x1_to_delta,
     bf_width_and_sign,
@@ -260,22 +260,37 @@ def test_atlas_delta_follows_the_bucket_model(data):
     assert list(orbits) == sorted(orbits)
 
 
-def test_atlas_delta_makes_at_most_two_images_per_cusp(monkeypatch):
-    # [a] acts through a mod N/e, so one element per residue suffices: at
-    # 47^2 with Delta = <-1, 48> (94 elements, 48 = 1 mod 47) listing all of
-    # Delta per orbit made 94 images of each cusp with d = 47
-    calls = []
-
-    def counted(c, a):
-        calls.append(a)
-        return diamond_image_x1(c, a)
-
-    monkeypatch.setattr("cuspforge.cusps.diamond_image_x1", counted)
+def test_atlas_delta_builds_no_class(monkeypatch):
+    # each orbit member is looked up in the atlas that atlas_delta reads, so
+    # it is that atlas's own object: no class is built or canonicalized.  At
+    # 47^2 with Delta = <-1, 48> (94 elements, 48 = 1 mod 47), every cusp
+    # with d = 47 was once canonicalized 94 times
     n = 47 * 47
-    delta = subgroup_generated(n, (48,))
+    delta, classes = subgroup_generated(n, (48,)), atlas(n, GAMMA1)
+
+    def refused(*args):
+        raise AssertionError(f"canonicalize_x1{args} called")
+
+    monkeypatch.setattr("cuspforge.cusps.atlas", lambda *args: classes)
+    monkeypatch.setattr("cuspforge.cusps.canonicalize_x1", refused)
     orbits = atlas_delta(delta)
     assert len(delta) == 94 and len(orbits) == genus_delta(delta).nu_inf
-    assert len(calls) <= 2 * len(atlas(n, GAMMA1))
+    ids = set(map(id, classes))
+    assert all(id(c) in ids for o in orbits for c in o)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_atlas_delta_matches_the_orbit_scan(data):
+    # members against the scan: the X_1 classes merged under (a*x, a^-1*y)
+    n = data.draw(st.integers(1, 500))
+    gens = data.draw(st.lists(st.sampled_from(units(n)), max_size=3))
+    delta = subgroup_generated(n, tuple(gens))
+    x1_orbits, index = bf_x1_orbits(n)
+    found = [{index[c.x, c.y % n] for c in o} for o in atlas_delta(delta)]
+    assert sum(map(len, found)) == len(x1_orbits)
+    expected = bf_delta_orbits(n, delta.elements, (x1_orbits, index))
+    assert set(map(frozenset, found)) == set(map(frozenset, expected))
 
 
 def test_x0_is_x_delta_of_all_units():

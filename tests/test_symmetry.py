@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspforge.arith import delta_d, divisors, units
+from cuspforge.arith import delta_d, divisors, subgroup_generated, units
 from cuspforge.cusps import (
     GAMMA0,
     GAMMA1,
     atlas,
+    atlas_delta,
     canonicalize_x1,
-    diamond_image_x1,
     x0_class_of_pair,
 )
 from cuspforge.errors import NotCoprime, NotExactDivisor
@@ -31,33 +31,26 @@ from oracles import (
 )
 
 
+def _orbit_of(c, delta):
+    return next(o for o in atlas_delta(delta) if c in o)
+
+
 def test_act_diamond_examples():
+    # [3] moves (1 : 10) to (3 : 10); [9] fixes it, as 9 lies in Delta_10
     s = canonicalize_x1(20, 1, 10)
-    assert diamond_image_x1(s, 19) == s
-    assert diamond_image_x1(s, 3) == canonicalize_x1(20, 3, 10)
-    assert diamond_image_x1(s, 9) == s  # 9 lies in Delta_10
-
-
-def test_act_diamond_bijection_and_inverse():
-    for n in (16, 20, 27):
-        for a in units(n):
-            inv = pow(a, -1, n)
-            images = {diamond_image_x1(c, a) for c in atlas(n, GAMMA1)}
-            assert len(images) == len(atlas(n, GAMMA1))
-            for c in atlas(n, GAMMA1):
-                assert diamond_image_x1(diamond_image_x1(c, a), inv) == c
+    assert canonicalize_x1(20, 3, 10) in _orbit_of(s, subgroup_generated(20, (3,)))
+    assert _orbit_of(s, subgroup_generated(20, (9,))) == (s,)
 
 
 def test_diamond_fixes_d_cusps_iff_in_delta_d():
-    # both directions, every unit and every divisor, N <= 100
+    # both directions, every unit and every divisor, N <= 100: the d-orbits
+    # of <+-1, a> are all singletons exactly when a lies in Delta_d
     for n in range(2, 101):
-        atl = atlas(n, GAMMA1)
-        for d in divisors(n):
-            cusps_d = [c for c in atl if c.d == d]
-            members = set(delta_d(n, d).elements)
-            for a in units(n):
-                fixes_all = all(diamond_image_x1(c, a) == c for c in cusps_d)
-                assert fixes_all == (a in members)
+        for a in units(n):
+            orbits = atlas_delta(subgroup_generated(n, (a,)))
+            for d in divisors(n):
+                fixes_all = all(len(o) == 1 for o in orbits if o[0].d == d)
+                assert fixes_all == (a in delta_d(n, d).members)
 
 
 def test_fixed_cusps_examples():
