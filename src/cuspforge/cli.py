@@ -10,12 +10,13 @@ from __future__ import annotations
 import json
 import os
 import sys
+from itertools import islice
 from types import SimpleNamespace
 
 from . import __version__
 from .arith import check_positive, full_units, pm_one, subgroup_generated
 from .criteria import certify_x1_20, survey_x1, x0_verdict, x1_verdict
-from .cusps import GAMMA0, GAMMA1, atlas, atlas_delta
+from .cusps import GAMMA0, GAMMA1, atlas, atlas_delta, width
 from .errors import BadFlag, BadSpec, DomainError, NotPositive, UnknownCommand
 from .etaq import EtaQuotient, check_terms, divisor, eta_series
 from .genus import genus_delta
@@ -67,10 +68,26 @@ def _read_spec(path: str) -> EtaQuotient:
     return EtaQuotient.make(level, exponents)
 
 
+def _verdict(v) -> dict:
+    """A Verdict as every form prints it: the weight only when known."""
+    out = {"status": v.status}
+    if v.weight is not None:
+        out["weight"] = v.weight
+    out["certificate"] = [{"rule": s.rule, "data": s.data} for s in v.certificate]
+    return out
+
+
+def _genus(args) -> dict:
+    p = genus_delta(_delta_for(args, args.level))
+    # N, then the profile's fields in order, Delta written as its elements
+    return {"N": p.delta.level, **p._asdict(), "delta": p.delta.elements}
+
+
 def _cusps(args) -> dict:
     tag = _group_tag(args)
     if tag in (GAMMA0, GAMMA1):
-        return {"cusps": [c.to_json() for c in atlas(args.level, tag)]}
+        rows = [(c.x, c.y, c.d, c.e, c.irregular, width(c)) for c in atlas(args.level, tag)]
+        return {"cusps": _Table(("x", "y", "d", "e", "irregular", "width"), rows)}
     delta = _delta_for(args, args.level)
     return {
         "delta": list(delta.elements),
@@ -85,21 +102,57 @@ def _cusps(args) -> dict:
     }
 
 
+def _orbits(args) -> dict:
+    report = cusp_orbits_x1(args.level)
+    return {
+        "level": report.level,
+        "generators": report.generators,
+        "normalizer_possibly_incomplete": report.normalizer_possibly_incomplete,
+        "orbits": [[c.key() for c in orb] for orb in report.orbits],
+    }
+
+
 def _survey_x1(args) -> dict | str:
     if args.jobs is not None and args.jobs < 1:
         raise NotPositive(f"jobs must be at least 1, got {args.jobs}")
     report = survey_x1(args.max)
-    return report.to_tsv() if args.format == "tsv" else report.to_json()
+    if args.format == "tsv":
+        rows = [f"{n}\t{d}\t{status}\t{rule}\n" for n, d, status, rule in report.rows]
+        return "N\td\tstatus\trule\n" + "".join(rows)
+    return {
+        "max": report.max_n,
+        "rows": _Table(("N", "d", "status", "rule"), report.rows),
+        "lemma_cusp_failures": {
+            str(d): list(v) for d, v in sorted(report.lemma_cusp_failures.items())
+        },
+    }
+
+
+def _eta_series(args) -> dict:
+    series = eta_series(args.level, args.r, args.terms)
+    lead, denom = series.lead, series.denom
+    return {
+        "level": series.level,
+        "denom": denom,
+        "truncation": series.truncation,
+        "leading_exponent": str(series.leading_exponent()),
+        "coeffs": {str(lead + denom * j): c for j, c in enumerate(series.coeffs) if c},
+    }
 
 
 def _eta_div(args) -> dict:
     quot = _read_spec(args.spec)
     div = divisor(quot)
     check_terms(quot, args.terms)  # checked only: the series is not printed
+    orders = [(c.key(), c.d, o) for c, o in div.orders]
     return {
-        "quotient": quot.to_json(),
+        "quotient": {"level": quot.level, "exponents": {str(r): k for r, k in quot.exponents}},
         "leading_exponent": str(quot.leading_exponent()),
-        "divisor": div.to_json(),
+        "divisor": {
+            "level": div.level,
+            "orders": _Table(("cusp", "d", "order"), orders),
+            "degree": div.degree(),
+        },
     }
 
 
@@ -109,7 +162,7 @@ def _certify_x1_20(args) -> dict:
         "genus": gapseq.genus,
         "gaps": list(gapseq.gaps),
         "weight": gapseq.weight,
-        "verdict": verdict.to_json(),
+        "verdict": _verdict(verdict),
     }
 
 
@@ -121,23 +174,19 @@ def _certify_x1_20(args) -> dict:
 _DELTA = {"gamma1": bool, "gamma0": bool, "delta": str}
 _EXCLUSIVE = "--gamma1, --gamma0 and --delta exclude each other"
 _FORMS = {
-    ("genus",): (
-        {"level": int, **_DELTA},
-        {"level"},
-        lambda a: genus_delta(_delta_for(a, a.level)).to_json(),
-    ),
+    ("genus",): ({"level": int, **_DELTA}, {"level"}, _genus),
     ("cusps",): ({"level": int, **_DELTA}, {"level"}, _cusps),
-    ("orbits",): ({"level": int}, {"level"}, lambda a: cusp_orbits_x1(a.level).to_json()),
+    ("orbits",): ({"level": int}, {"level"}, _orbits),
     ("verdict", "x1"): (
         {"level": int, "d": int},
         {"level", "d"},
-        lambda a: {"N": a.level, "d": a.d, **x1_verdict(a.level, a.d).to_json()},
+        lambda a: {"N": a.level, "d": a.d, **_verdict(x1_verdict(a.level, a.d))},
     ),
     ("verdict", "x0"): (
         {"p": int, "m": int},
         {"p", "m"},
         lambda a: {
-            "p": a.p, "M": a.m, "N": a.p * a.p * a.m, **x0_verdict(a.p, a.m).to_json()
+            "p": a.p, "M": a.m, "N": a.p * a.p * a.m, **_verdict(x0_verdict(a.p, a.m))
         },
     ),
     ("survey", "x1"): (
@@ -145,11 +194,7 @@ _FORMS = {
         {"max"},
         _survey_x1,
     ),
-    ("eta", "series"): (
-        {"level": int, "r": int, "terms": int},
-        {"level", "r"},
-        lambda a: eta_series(a.level, a.r, a.terms).to_json(),
-    ),
+    ("eta", "series"): ({"level": int, "r": int, "terms": int}, {"level", "r"}, _eta_series),
     ("eta", "div"): ({"spec": str, "terms": int}, {"spec"}, _eta_div),
     ("certify", "x1-20"): ({}, set(), _certify_x1_20),
 }
@@ -258,14 +303,18 @@ def _dispatch(args) -> dict | str:
     return dict(command=args.command, params=params, result=result, version=__version__)
 
 
-# rows per C-encoder call, and characters gathered before one write
-_SLICE = 512
+# characters gathered before one write, about the size of a table's pieces
 _FLUSH = 1 << 16
 
 
-def _flat(values) -> bool:
-    """No dict, list or tuple among the values, checked once per type."""
-    return not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values)))
+class _Table:
+    """Flat rows that _emit writes as a list of JSON objects: the keys, at
+    least one, and a sequence of rows, each a tuple of scalars in key order.
+    It is no tuple, list or dict, so plain json.dumps refuses it instead of
+    writing it as an array."""
+
+    def __init__(self, keys, rows):
+        self.keys, self.rows = keys, rows
 
 
 def _key(key) -> str:
@@ -273,35 +322,63 @@ def _key(key) -> str:
     return json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": "
 
 
+def _encoded(values) -> list[str]:
+    """json.dumps of each value, from one call split at its line breaks,
+    which no JSON scalar holds raw."""
+    return json.dumps(values, separators=("\n", ": "))[1:-1].split("\n")
+
+
+def _column(cells):
+    """The %-slot of a table column and the cells that fill it.  Ints fill
+    %d.  Any other column is JSON text, encoded once per distinct value when
+    all its cells are str or all bool, else cell by cell: 1 == True and
+    0.0 == -0.0, but json.dumps writes them apart."""
+    kinds = set(map(type, cells))
+    if kinds == {int}:
+        return "%d", cells
+    if kinds not in ({str}, {bool}):
+        return "%s", _encoded(cells)
+    values = list(set(cells))
+    return "%s", map(dict(zip(values, _encoded(values))).__getitem__, cells)
+
+
+def _table(table: _Table, nl: str):
+    """Pieces of json.dumps of the table's rows as dicts, indent 2, at the
+    depth whose line break is `nl`: one %-template for every row, with its
+    keys and their escapes written by json.dumps, and rows joined about one
+    write's worth at a time, so no piece holds the whole table."""
+    if not table.rows:
+        yield "[]"
+        return
+    inner, field = nl + "  ", nl + "    "
+    slots, cells = zip(*map(_column, zip(*table.rows)))
+    keys = map(_key, table.keys)
+    fields = ("," + field).join(k.replace("%", "%%") + s for k, s in zip(keys, slots))
+    rows = map(f"{{{field}{fields}{inner}}}".__mod__, zip(*cells))
+    first = next(rows)
+    yield "[" + inner + first
+    sep, count = "," + inner, _FLUSH // len(first) + 1
+    while piece := list(islice(rows, count)):
+        yield sep + sep.join(piece)
+    yield nl + "]"
+
+
 def _chunks(obj, nl: str):
     """Pieces of json.dumps(obj, indent=2) at the depth whose line break is
-    `nl`: one C-encoder call per flat container or per slice of flat rows.
-
-    A flat container is encoded with the line break as item separator.  A
-    list of flat rows is encoded a slice at a time with the field line break
-    as separator for rows and fields alike; JSON escapes every newline in a
-    string, so "}," + break + "{" only ever sits between two rows.
-    """
+    `nl`: one C-encoder call per flat container, one template per table."""
+    if isinstance(obj, _Table):
+        yield from _table(obj, nl)
+        return
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         yield json.dumps(obj)
         return
     inner = nl + "  "
     is_dict = isinstance(obj, dict)
     values = obj.values() if is_dict else obj
-    if _flat(values):
+    if not any(issubclass(t, (dict, list, tuple, _Table)) for t in set(map(type, values))):
+        # flat, checked once per type: encoded with the break as separator
         text = json.dumps(obj, separators=("," + inner, ": "))
         yield text[0] + inner + text[1:-1] + nl + text[-1]
-    elif (
-        not is_dict
-        and all(isinstance(v, dict) and v for v in obj)
-        and _flat(x for v in obj for x in v.values())
-    ):
-        field = inner + "  "
-        for i in range(0, len(obj), _SLICE):
-            text = json.dumps(obj[i : i + _SLICE], separators=("," + field, ": "))
-            rows = text[2:-2].replace("}," + field + "{", f"{inner}}},{inner}{{{field}")
-            yield f"{',' if i else '['}{inner}{{{field}{rows}{inner}}}"
-        yield nl + "]"
     else:
         sep = "{" if is_dict else "["
         for key, value in zip(map(_key, obj) if is_dict else [""] * len(obj), values):

@@ -56,9 +56,6 @@ class CertStep(NamedTuple):
     rule: str
     data: dict
 
-    def to_json(self) -> dict:
-        return {"rule": self.rule, "data": self.data}
-
 
 class Verdict(NamedTuple):
     status: str
@@ -67,13 +64,6 @@ class Verdict(NamedTuple):
 
     def decisive_rule(self) -> str:
         return self.certificate[-1].rule
-
-    def to_json(self) -> dict:
-        out = {"status": self.status}
-        if self.weight is not None:
-            out["weight"] = self.weight
-        out["certificate"] = [s.to_json() for s in self.certificate]
-        return out
 
 
 class GapSequence(NamedTuple):
@@ -340,34 +330,17 @@ class SurveyRow(NamedTuple):
     status: str
     rule: str
 
-    def to_json(self) -> dict:
-        return {"N": self.n, "d": self.d, "status": self.status, "rule": self.rule}
-
 
 class SurveyReport(NamedTuple):
     max_n: int
     rows: tuple[SurveyRow, ...]
     lemma_cusp_failures: dict[int, tuple[int, ...]]
 
-    def to_json(self) -> dict:
-        return {
-            "max": self.max_n,
-            "rows": [r.to_json() for r in self.rows],
-            "lemma_cusp_failures": {
-                str(d): list(v) for d, v in sorted(self.lemma_cusp_failures.items())
-            },
-        }
-
-    def to_tsv(self) -> str:
-        lines = ["N\td\tstatus\trule"]
-        lines += [f"{r.n}\t{r.d}\t{r.status}\t{r.rule}" for r in self.rows]
-        return "\n".join(lines) + "\n"
-
 
 # Largest survey bound accepted.  On a 2-vCPU host with CPython 3.11,
-# `survey x1 --max 200000` took 0.65 s and 55 MB as a process and printed
-# 15 MB of JSON (128342 rows); --max 100000 took 0.35 s.  Most of that is
-# the rows and their JSON, which the bound keeps in reason.
+# `survey x1 --max 200000` took 0.46 s and 43 MB as a process and printed
+# 15 MB of JSON (128342 rows); --max 100000 took 0.25 s.  Writing the rows
+# is still about half of that, and the bound keeps it in reason.
 MAX_SURVEY = 2 * 10**5
 
 # Every irregular bucket past this level passes the cusp inequality; see

@@ -29,10 +29,10 @@ GAMMA1 = "gamma1"
 
 # Cost bound of the atlases: of the X_1(N) atlas in sum_{d | N} phi(d) phi(N/d),
 # twice its cusp count, and of the X_0(N) atlas in its cusp count.  On a
-# 2-vCPU host with CPython 3.11, `cusps --level N --gamma1` took 0.25-0.27 s
-# and 35 MB at N = 10080 and 0.30 s and 37 MB at N = 49999 (sums 98304 and
-# 99996), and `cusps --level 99991^2 --gamma0` (99992 cusps) took 0.50 s
-# and 60 MB, each as a whole process.
+# 2-vCPU host with CPython 3.11, `cusps --level N --gamma1` took 0.21 s and
+# 28 MB at N = 10080 and 0.27 s and 30 MB at N = 49999 (sums 98304 and
+# 99996), and `cusps --level 99991^2 --gamma0` (99992 cusps) took 0.54 s
+# and 48 MB, each as a whole process.
 MAX_CUSP_SUM = 10**5
 
 
@@ -49,16 +49,6 @@ class CuspClass(NamedTuple):
 
     def key(self) -> str:
         return f"{self.x}:{self.y}"
-
-    def to_json(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "d": self.d,
-            "e": self.e,
-            "irregular": self.irregular,
-            "width": width(self),
-        }
 
     def __str__(self) -> str:
         return f"({self.x}:{self.y})"

@@ -68,9 +68,9 @@ MAX_WORK = 4 * 10**6
 # count, read off its closed form, times the number of blocks E_r.  On a
 # 2-vCPU host with CPython 3.11 a pair costs about 270 ns when the quotient
 # is a function (a non-integral order ends the loop early): all 2499 blocks
-# at level 4999, 1.25 * 10^7 pairs, took 3.4 s in process and 5.1 s as an
-# `eta div` process, and 1581 blocks at level 3163, just inside the bound,
-# took 2.1 s as a process.
+# at level 4999, 1.25 * 10^7 pairs, took 3.1-4.0 s in process or as an
+# `eta div` process with the bound lifted, and 1581 blocks at level 3163,
+# just inside the bound, took 1.3-1.6 s as a process.
 MAX_DIVISOR_PAIRS = 5 * 10**6
 
 
@@ -101,16 +101,6 @@ class QSeries(NamedTuple):
 
     def leading_exponent(self) -> Fraction:
         return Fraction(self.lead, self.denom)
-
-    def to_json(self) -> dict:
-        lead, d = self.lead, self.denom
-        return {
-            "level": self.level,
-            "denom": d,
-            "truncation": self.truncation,
-            "leading_exponent": str(self.leading_exponent()),
-            "coeffs": {str(lead + d * j): c for j, c in enumerate(self.coeffs) if c},
-        }
 
 
 class EtaQuotient(NamedTuple):
@@ -144,12 +134,6 @@ class EtaQuotient(NamedTuple):
 
     def leading_exponent(self) -> Fraction:
         return Fraction(self.lead, 12 * self.level)
-
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "exponents": {str(r): k for r, k in self.exponents},
-        }
 
 
 def eta_series(n: int, r: int, terms: int | None = None) -> QSeries:
@@ -274,15 +258,6 @@ class CuspDivisor(NamedTuple):
 
     def pole_part(self) -> dict[CuspClass, int]:
         return {c: o for c, o in self.orders if o < 0}
-
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "orders": [
-                {"cusp": c.key(), "d": c.d, "order": o} for c, o in self.orders
-            ],
-            "degree": self.degree(),
-        }
 
 
 def divisor(q: EtaQuotient) -> CuspDivisor:

@@ -55,17 +55,6 @@ class GenusProfile(NamedTuple):
     nu_inf: int
     g: int
 
-    def to_json(self) -> dict:
-        return {
-            "N": self.delta.level,
-            "delta": list(self.delta.elements),
-            "mu": self.mu,
-            "nu2": self.nu2,
-            "nu3": self.nu3,
-            "nu_inf": self.nu_inf,
-            "g": self.g,
-        }
-
 
 def _psi(n: int) -> int:
     """N prod_{p|N} (1 + 1/p), the index of Gamma_0(N) in SL2(Z)."""

@@ -68,14 +68,6 @@ class OrbitReport(NamedTuple):
     generators: tuple[str, ...]
     normalizer_possibly_incomplete: bool
 
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "generators": list(self.generators),
-            "normalizer_possibly_incomplete": self.normalizer_possibly_incomplete,
-            "orbits": [[c.key() for c in orb] for orb in self.orbits],
-        }
-
 
 def cusp_orbits_x1(n: int) -> OrbitReport:
     """Partition of the X_1(N) atlas under all diamonds and all W_Q, as the

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cuspforge.cli import _FORMS, _SLICE, _emit, _parse, run
+from cuspforge.cli import _FORMS, _Table, _emit, _parse, run
 from cuspforge.errors import BadFlag
 from cuspforge.etaq import F_EXPONENTS
 
@@ -475,8 +475,12 @@ def test_closed_pipe_exits_quietly(unbuffered):
     assert b"Traceback" not in stderr, stderr
 
 
-# strings that look like the separators _emit re-indents, and escapes
-TRICKY = ["", "\n", "},\n    {", "},\n      {", '"q"', "\\", "\u00e9\u2603", "\ud83d\ude00", "\t"]
+# strings that look like the breaks between rows and fields, escapes, and
+# % signs, which a row template must not read as slots
+TRICKY = [
+    "", "\n", "},\n    {", "},\n      {", '"q"', "\\", "\u00e9\u2603", "\ud83d\ude00", "\t",
+    "%d", "%%s", "%(x)s",
+]
 SCALARS = (
     st.none()
     | st.booleans()
@@ -510,14 +514,42 @@ def test_emit_matches_indented_dumps(obj):
     assert _emitted(obj) == json.dumps(obj, indent=2) + "\n"
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(FLAT_DICTS, min_size=1, max_size=3),
-    st.sampled_from([_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 3]),
-)
-def test_emit_matches_indented_dumps_across_slices(rows, length):
-    obj = {"result": {"rows": [rows[i % len(rows)] for i in range(length)]}}
-    assert _emitted(obj) == json.dumps(obj, indent=2) + "\n"
+# table columns of one kind each, as the handlers build them, or mixed
+CELLS = [
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.booleans(),
+    st.sampled_from(TRICKY) | st.text(max_size=6),
+]
+CELLS.append(st.one_of(CELLS))
+
+
+@st.composite
+def _tables(draw):
+    """Distinct keys and rows of one cell per key: no, one or many rows."""
+    keys = draw(st.lists(KEYS, min_size=1, max_size=4, unique=True))
+    columns = [draw(st.sampled_from(CELLS)) for _ in keys]
+    size = draw(st.sampled_from([0, 1, 2, 60]))
+    return keys, draw(st.lists(st.tuples(*columns), min_size=size, max_size=size))
+
+
+def _nest(obj, path):
+    """obj inside one container per step of path, innermost first: a dict
+    under a str key, or a list after an int."""
+    for step in path:
+        obj = {step: obj} if isinstance(step, str) else [step, obj]
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables(), st.lists(st.text(max_size=3) | st.integers(), min_size=1, max_size=3))
+@example(table=(["b", "m"], [(True, 1), (False, True), (True, 0), (False, False)]), path=["r"])
+def test_emit_writes_tables_as_indented_dumps(table, path):
+    keys, rows = table
+    dicts = [dict(zip(keys, row)) for row in rows]
+    expected = json.dumps(_nest(dicts, path), indent=2) + "\n"
+    assert _emitted(_nest(_Table(keys, rows), path)) == expected
+    with pytest.raises(TypeError):
+        json.dumps(_Table(keys, rows))
 
 
 class _CountingIO(io.StringIO):

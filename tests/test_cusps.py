@@ -1,3 +1,5 @@
+import io
+import json
 import random
 import time
 from collections import Counter
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspforge.arith import totient
+from cuspforge.cli import run
 from cuspforge.cusps import (
     GAMMA0,
     GAMMA1,
@@ -391,5 +394,7 @@ def test_ramification_x0_tower_is_bounded_by_the_level():
 
 
 def test_atlas_json_shape():
-    entry = atlas(20, GAMMA1)[0].to_json()
-    assert set(entry) == {"x", "y", "d", "e", "irregular", "width"}
+    buf = io.StringIO()
+    assert run(["cusps", "--level", "20", "--gamma1"], stdout=buf) == 0
+    entry = json.loads(buf.getvalue())["result"]["cusps"][0]
+    assert list(entry) == ["x", "y", "d", "e", "irregular", "width"]

@@ -174,7 +174,6 @@ def test_genus_monotone_under_nesting():
 def test_profile_internal_identity():
     p = genus_delta(delta_d(36, 3))
     assert 12 * p.g == 12 + p.mu - 3 * p.nu2 - 4 * p.nu3 - 6 * p.nu_inf
-    assert p.to_json()["g"] == p.g
 
 
 def _random_delta(data, lo, hi):

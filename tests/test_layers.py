@@ -8,7 +8,8 @@ import must sit at module level, so the import graph has no cycles and
 no cycle is hidden inside a function body.  Every name a module or a
 test file imports is used there, apart from the package's re-exports,
 and every public function, class and method of the package is named
-somewhere in it or re-exported as library API.
+somewhere in it or re-exported as library API.  Only `cli` turns records
+into JSON or TSV.
 The arithmetic is exact: no module divides with `/` or touches a float,
 and only `etaq`, whose leading exponents and cusp orders are rational,
 imports `fractions`.
@@ -167,6 +168,21 @@ def test_cli_dispatch_has_one_home():
                         branches.append(f"cli.{fn.name}: {ast.unparse(node)}")
     assert not branches, branches
     assert all(len(row) == 3 and callable(row[2]) for row in cli._FORMS.values())
+
+
+def test_output_format_has_one_home():
+    # the layers return plain records, and cli alone turns them into JSON
+    # or TSV: no other module defines a to_json or to_tsv, or imports json
+    renderers, importers = [], set()
+    for module in MODULES:
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in ("to_json", "to_tsv"):
+                renderers.append(f"{module}.{node.name}")
+            elif isinstance(node, ast.Import) and "json" in {a.name for a in node.names}:
+                importers.add(module)
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                importers.add(module)
+    assert renderers == [] and importers == {"cli"}, (renderers, importers)
 
 
 @pytest.mark.parametrize("module", MODULES)

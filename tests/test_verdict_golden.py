@@ -1,6 +1,7 @@
 """Golden verdicts: sha256 digests over the JSON, or the error type and
 message, of every x0/x1 verdict and criterion case below, one digest per
-curve so that each can be re-recorded on its own.
+curve so that each can be re-recorded on its own.  The JSON of a verdict
+is what `cli` renders, and that of the survey what `survey x1` prints.
 
 `GOLDEN_X0` covers the X_0(p^2 M) verdicts, `GOLDEN_X1` the per-(N, d)
 criterion lines and `GOLDEN_SURVEY` the X_1 survey to 3000.  The three
@@ -13,10 +14,12 @@ of `tests/oracles.py` now make them, under the same names.
 """
 
 import hashlib
+import io
 import json
 
-from cuspforge import survey_x1, x0_verdict, x1_verdict
+from cuspforge import Verdict, x0_verdict, x1_verdict
 from cuspforge.arith import divisors
+from cuspforge.cli import _verdict, run
 
 from oracles import bf_al_min, bf_cusp_inequality, bf_fricke_choice, bf_genus_check
 
@@ -38,7 +41,14 @@ def _answer(fn, *args):
         out = fn(*args)
     except Exception as exc:
         return [type(exc).__name__, str(exc)]
-    return out.to_json() if hasattr(out, "to_json") else out
+    return _verdict(out) if isinstance(out, Verdict) else out
+
+
+def _survey_x1(max_n):
+    """The result of `survey x1 --max max_n`, as the CLI prints it."""
+    buf = io.StringIO()
+    run(["survey", "x1", "--max", str(max_n)], stdout=buf)
+    return json.loads(buf.getvalue())["result"]
 
 
 def _cases():
@@ -52,7 +62,7 @@ def _cases():
         for d in divisors(n) + extra:
             for name, fn in CRITERIA:
                 yield "x1", [name, n, d, _answer(fn, n, d)]
-    yield "survey", ["survey_x1", 3000, _answer(survey_x1, 3000)]
+    yield "survey", ["survey_x1", 3000, _answer(_survey_x1, 3000)]
 
 
 def test_verdicts_match_parent_digest():
