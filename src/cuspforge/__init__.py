@@ -33,7 +33,6 @@ from .criteria import (
     Verdict,
     certify_x1_20,
     gap_sequence_from_nongaps,
-    lewittes,
     schoeneberg,
     survey_x1,
     x0_verdict,
@@ -50,8 +49,4 @@ from .etaq import (
     quotient_series,
 )
 from .genus import GenusProfile, g0, g1, genus_delta
-from .symmetry import (
-    act_atkin_lehner,
-    cusp_orbits_x1,
-    fixed_cusps,
-)
+from .symmetry import act_atkin_lehner, cusp_orbits_x1

@@ -55,7 +55,7 @@ def _read_spec(path: str) -> EtaQuotient:
     try:
         with open(path) as fh:
             spec = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # JSON nested past the stack
         raise BadSpec(f"cannot read {path}: {exc}")
     try:
         level, keys = spec["level"], list(spec["exponents"])
@@ -143,7 +143,8 @@ def _eta_series(args) -> dict:
 def _eta_div(args) -> dict:
     quot = _read_spec(args.spec)
     div = divisor(quot)
-    check_terms(quot, args.terms)  # checked only: the series is not printed
+    if args.terms is not None:  # checked only: the series is not printed
+        check_terms(quot, args.terms)
     orders = [(c.key(), c.d, o) for c, o in div.orders]
     return {
         "quotient": {"level": quot.level, "exponents": {str(r): k for r, k in quot.exponents}},

@@ -99,13 +99,6 @@ def _cover_step(g: int, up, down, d: int, g_down: int) -> bool:
     return schoeneberg(g, degree, g_down)
 
 
-def lewittes(fixed_point_count: int) -> bool:
-    """More than 4 fixed points force a Weierstrass point."""
-    if fixed_point_count < 0:
-        raise DomainError("fixed point count must be >= 0")
-    return fixed_point_count > 4
-
-
 def _threshold(e: int) -> str:
     """str(8 + Fraction(4, e - 1)) from integers: (8e - 4)/(e - 1) in lowest
     terms, whose common factor divides 4 since 8e - 4 = 8(e - 1) + 4."""

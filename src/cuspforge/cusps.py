@@ -16,13 +16,12 @@ from typing import NamedTuple
 
 from .arith import (
     check_positive,
-    cofactor_gcd,
     cusp_sum,
     divisors,
     normalize_residue,
     x0_cusp_count,
 )
-from .errors import AtlasTooLarge, NotCoprime, NotPrimitive
+from .errors import AtlasTooLarge, NotPrimitive
 
 GAMMA0 = "gamma0"
 GAMMA1 = "gamma1"
@@ -54,9 +53,14 @@ class CuspClass(NamedTuple):
         return f"({self.x}:{self.y})"
 
 
-def _check_primitive(n: int, x: int, y: int) -> None:
+def _reduced(n: int, x: int, y: int) -> tuple[int, int, int]:
+    """(x mod N, y in 1..N, d = gcd(y, N)) of the pair (x : y), refused
+    unless N >= 1 and the pair is primitive."""
+    check_positive(n)
+    x, y = x % n, normalize_residue(y, n)
     if gcd(gcd(x, y), n) != 1:
         raise NotPrimitive(f"gcd({x}, {y}, {n}) > 1")
+    return x, y, gcd(y, n)
 
 
 def canonicalize_x1(n: int, x: int, y: int) -> CuspClass:
@@ -67,11 +71,7 @@ def canonicalize_x1(n: int, x: int, y: int) -> CuspClass:
     orbit x + dZ; equals the minimum of the scanned congruence test
     (x', y') = +-(x + j*y, y).
     """
-    check_positive(n)
-    x %= n
-    y = normalize_residue(y, n)
-    _check_primitive(n, x, y)
-    d = gcd(y, n)
+    x, y, d = _reduced(n, x, y)
     y, xc = min((y, x % d), (normalize_residue(-y, n), -x % d))
     e = gcd(d, n // d)
     return CuspClass(n, GAMMA1, d, y, xc, e, e > 1)
@@ -88,30 +88,24 @@ def _class_x0(n: int, x0: int, d: int) -> CuspClass:
     return CuspClass(n, GAMMA0, d, d, rep, e, e > 1)
 
 
-def canonicalize_x0(n: int, x: int, d: int) -> CuspClass:
-    """Canonical Gamma_0(N) representative of the cusp (x : d), d | N.
+def canonicalize_x0(n: int, x: int, y: int) -> CuspClass:
+    """Canonical Gamma_0(N) representative of the cusp (x : y).
 
-    The class is x mod e; the stored x is the smallest positive lift
-    coprime to d so the pair stays primitive.
+    With d = gcd(y, N), a unit u = y/d mod N/d sends the pair to
+    (u*x : u^-1*y) = (u*x : d); the class is u*x = x*(y/d) mod
+    e = gcd(d, N/d), stored as its smallest positive lift coprime to d so
+    the pair stays primitive.
     """
-    cofactor_gcd(n, d)
-    if gcd(x, d) != 1:
-        raise NotCoprime(f"gcd({x}, {d}) > 1")
-    return _class_x0(n, x, d)
-
-
-def x0_class_of_pair(n: int, a: int, c: int) -> CuspClass:
-    """Gamma_0(N) class of a cusp a/c given as a coprime integer pair."""
-    if gcd(a, c) != 1:
-        raise NotCoprime(f"gcd({a}, {c}) > 1")
-    d = gcd(c, n)
-    # c/d is a unit mod N/d; at d = N it is 0, which _class_x0 lifts to 1
-    return _class_x0(n, a * (c % n // d), d)
+    x, y, d = _reduced(n, x, y)
+    return _class_x0(n, x * (y // d), d)
 
 
 def x0_image(c: CuspClass) -> CuspClass:
     """Image of a Gamma_1 class under X_1(N) -> X_0(N); the fibres are the
-    orbits of all diamonds."""
+    orbits of all diamonds.  It is canonicalize_x0(c.level, c.x, c.y)
+    without the checks, which an atlas class has passed: `cusp_orbits_x1`
+    maps every class of the atlas, and the checked form took that map from
+    49 to 82 ms at N = 49999 (2-vCPU Xeon, CPython 3.11)."""
     return _class_x0(c.level, c.x * (c.y // c.d), c.d)
 
 

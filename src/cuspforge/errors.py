@@ -22,10 +22,6 @@ class NotPrimitive(DomainError):
     pass
 
 
-class NotCoprime(DomainError):
-    pass
-
-
 class NotIrregular(DomainError):
     pass
 

@@ -1,13 +1,15 @@
-"""Automorphism actions on cusps: diamonds [a] and Atkin-Lehner W_Q.
+"""The Atkin-Lehner maps W_Q on cusps, and the orbits of the X_1(N)
+atlas under them and all diamonds.
 
-[a] sends (x : y) to (a*x : a^-1*y).  W_Q is realized by an integer matrix
-(Qx, y; Nz, Qw) of determinant Q; on X_0(N) classes the induced map does
-not depend on the matrix choice, on X_1(N) classes it is pinned down by the
-canonical matrix (Q*alpha, beta; N, Q) of `act_atkin_lehner`, with alpha
-the least nonnegative inverse of Q mod N/Q.  Different valid matrices
-differ by a diamond, and the diamond orbits are the fibres of
-X_1(N) -> X_0(N), which each W_Q maps to fibres; so the orbits are
-preimages of W_Q-orbits of X_0(N) cusps, whatever the matrices.
+The diamond [a] sends (x : y) to (a*x : a^-1*y); its orbits, and so the
+cusps it fixes, are read off `cusps.atlas_delta`.  W_Q is realized by an
+integer matrix (Qx, y; Nz, Qw) of determinant Q; on X_0(N) classes the
+induced map does not depend on the matrix choice, on X_1(N) classes it is
+pinned down by the canonical matrix (Q*alpha, beta; N, Q) of
+`act_atkin_lehner`, with alpha the least nonnegative inverse of Q mod N/Q.
+Different valid matrices differ by a diamond, and the diamond orbits are
+the fibres of X_1(N) -> X_0(N), which each W_Q maps to fibres; so the
+orbits are preimages of W_Q-orbits of X_0(N) cusps, whatever the matrices.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from .cusps import (
     GAMMA1,
     CuspClass,
     atlas,
+    canonicalize_x0,
     canonicalize_x1,
     lift_to_coprime,
-    x0_class_of_pair,
     x0_image,
 )
-from .errors import NotCoprime, NotExactDivisor
+from .errors import NotExactDivisor
 
 
 def act_atkin_lehner(q: int, c: CuspClass) -> CuspClass:
@@ -43,19 +45,8 @@ def act_atkin_lehner(q: int, c: CuspClass) -> CuspClass:
     a0, c0 = lift_to_coprime(n, c.x, c.y)
     a1, c1 = q * alpha * a0 + beta * c0, n * a0 + q * c0
     g = gcd(a1, c1)
-    a1, c1 = a1 // g, c1 // g
-    if c.group == GAMMA0:
-        return x0_class_of_pair(n, a1, c1)
-    return canonicalize_x1(n, a1, c1)
-
-
-def fixed_cusps(n: int, a: int) -> tuple[CuspClass, ...]:
-    """All X_1(N) atlas cusps fixed by the diamond [a]: those whose
-    a mod N/e is +-1 (see `projection_image_size`)."""
-    cusps = atlas(n, GAMMA1)  # refuses oversized levels first
-    if gcd(a, n) != 1:
-        raise NotCoprime(f"{a} is not a unit mod {n}")
-    return tuple(c for c in cusps if a % (m := n // c.e) in (1 % m, -1 % m))
+    canonicalize = canonicalize_x0 if c.group == GAMMA0 else canonicalize_x1
+    return canonicalize(n, a1 // g, c1 // g)
 
 
 def exact_divisors(n: int) -> list[int]:

@@ -13,7 +13,7 @@ the genus check reads g_1 and g_{Delta_d} off `g1`, `delta_d` and
 verdict on every bucket: it checks the lemma that lets `survey_x1` skip
 that scan, not the verdict rules.  `bf_ramification_x0_tower`, the scan
 of coset images that the width ratio of `genus.cover` replaced, reads
-each image's class off the package's `x0_class_of_pair`, which the tests
+each image's class off the package's `canonicalize_x0`, which the tests
 hold to `bf_x0_orbits`.  `bf_quotient_series` and
 `build_parser` are the package's former eta kernel and argparse parser,
 kept to check the code that replaced them.
@@ -27,7 +27,7 @@ from operator import add, sub
 
 from cuspforge.arith import cofactor_gcd, delta_d, irregular_e
 from cuspforge.criteria import SurveyReport, SurveyRow, x1_verdict
-from cuspforge.cusps import x0_class_of_pair
+from cuspforge.cusps import canonicalize_x0
 from cuspforge.errors import GenusTooSmall
 from cuspforge.genus import g1, genus_delta
 
@@ -386,7 +386,7 @@ def bf_ramification_x0_tower(p, m, x):
     + 1), 0 <= k < p, of Gamma_0(p^2 M) in Gamma_0(pM) send the pair
     (x, p) to (x, k p M x + p)."""
     n = p * p * m
-    return len({x0_class_of_pair(n, x, k * p * m * x + p) for k in range(p)})
+    return len({canonicalize_x0(n, x, k * p * m * x + p) for k in range(p)})
 
 
 def _bf_egcd(a, b):

@@ -279,6 +279,11 @@ def test_unknown_command():
         (["genus", "--level", "20", "--delta", "3, 7"], None, "BadFlag"),
         (["cusps", "--level", "20", "--delta", "0_9"], None, "BadFlag"),
         (["cusps", "--level", "20", "--delta", "\u0669"], None, "BadFlag"),
+        # the JSON decoder recurses once per level of nesting
+        pytest.param(
+            ["eta", "div", "--spec", "spec.json"], "[" * 10**5 + "]" * 10**5, "BadSpec",
+            id="deeply-nested-spec",
+        ),
     ],
 )
 def test_invalid_input_exits_2(argv, spec, error, tmp_path, monkeypatch):
@@ -311,6 +316,18 @@ def test_eta_div_checks_terms_without_expanding(tmp_path, monkeypatch):
     code, text = _run(["eta", "div", "--spec", "f.json", "--terms", "10000000"])
     assert code == 2
     assert json.loads(text)["error"]["type"] == "TruncationTooLarge"
+
+
+def test_eta_div_checks_only_given_terms(tmp_path, monkeypatch):
+    # without --terms nothing is checked: the default 10N terms of this
+    # quotient would cost about 2.7 * 10^10 updates, past the bound, though
+    # the divisor and leading exponent need no series at all
+    monkeypatch.chdir(tmp_path)
+    spec = {"level": 2520, "exponents": {"1": 60480, "2": -60480}}
+    (tmp_path / "s.json").write_text(json.dumps(spec))
+    code, text = _run(["eta", "div", "--spec", "s.json"])
+    assert code == 0
+    assert text == _run(["eta", "div", "--spec", "s.json", "--terms", "1"])[1]
 
 
 @pytest.mark.parametrize(

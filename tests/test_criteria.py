@@ -29,7 +29,6 @@ from cuspforge.criteria import (
     WEIERSTRASS,
     _threshold,
     gap_sequence_from_nongaps,
-    lewittes,
     schoeneberg,
     survey_x1,
     x0_verdict,
@@ -104,12 +103,6 @@ def test_cover_step_refuses_a_cover_that_is_not_totally_ramified(monkeypatch):
         x1_verdict(20, 2)
     with pytest.raises(RuntimeError, match="not totally ramified"):
         x0_verdict(2, 16)
-
-
-def test_lewittes_threshold():
-    assert lewittes(5)
-    assert not lewittes(4)
-    assert lewittes(20)
 
 
 def _steps(n, d):

@@ -19,9 +19,7 @@ from cuspforge.cusps import (
     MAX_CUSP_SUM,
     canonicalize_x0,
     canonicalize_x1,
-    lift_to_coprime,
     width,
-    x0_class_of_pair,
     x0_image,
 )
 from cuspforge.arith import (
@@ -37,8 +35,6 @@ from cuspforge.arith import (
 from cuspforge.errors import (
     AtlasTooLarge,
     LevelTooLarge,
-    NotADivisor,
-    NotCoprime,
     NotIrregular,
     NotPrimitive,
 )
@@ -113,12 +109,24 @@ def test_canonicalize_x0_values():
     assert (c.x, c.d, c.e, c.irregular) == (1, 2, 2, True)
     assert canonicalize_x0(36, 5, 6) != canonicalize_x0(36, 1, 6)
     assert canonicalize_x0(36, 5, 6).x == 5
+    # any primitive pair: (1 : 5) mod 12 has d = 1, the class of (1 : 1)
+    c = canonicalize_x0(12, 1, 5)
+    assert (c.x, c.y, c.d) == (1, 1, 1) and c == canonicalize_x0(12, 7, -1)
 
 
 def test_canonicalize_x0_idempotent():
     for n in (16, 36, 48):
         for c in atlas(n, GAMMA0):
             assert canonicalize_x0(n, c.x, c.d) == c
+
+
+def test_canonicalize_x0_separates_the_orbit_scan():
+    # one class per Gamma_0 orbit of primitive pairs, a different one for
+    # each orbit, and together the atlas
+    for n in range(1, 41):
+        classes = [{canonicalize_x0(n, x, y) for x, y in o} for o in bf_x0_orbits(n)]
+        assert all(len(k) == 1 for k in classes), n
+        assert sorted(k.pop() for k in classes) == list(atlas(n, GAMMA0)), n
 
 
 @st.composite
@@ -141,20 +149,20 @@ def test_canonicalize_x1_is_idempotent(pair):
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_primitive_pairs())
-def test_gamma0_canonical_form_is_idempotent(pair):
-    n, a, c = pair
-    if gcd(a, c) != 1:
-        a = 1
-    k = x0_class_of_pair(n, a, c)
-    assert canonicalize_x0(n, k.x, k.d) == k
-    assert x0_class_of_pair(n, k.x, k.y) == k
+def test_canonicalize_x0_is_the_image_of_the_x1_class(pair):
+    # x0_image is the unchecked form of canonicalize_x0 on atlas classes
+    n, x, y = pair
+    c = canonicalize_x0(n, x, y)
+    assert c == x0_image(canonicalize_x1(n, x, y))
+    assert canonicalize_x0(n, c.x, c.y) == c
+    assert canonicalize_x0(n, c.x, c.d) == c
 
 
 def test_canonicalize_x0_errors():
-    with pytest.raises(NotADivisor):
-        canonicalize_x0(12, 1, 5)
-    with pytest.raises(NotCoprime):
+    with pytest.raises(NotPrimitive):
         canonicalize_x0(12, 2, 2)
+    with pytest.raises(NotPrimitive):
+        canonicalize_x0(12, 3, 24)
 
 
 def test_atlas_x1_20():
@@ -175,12 +183,6 @@ def test_atlas_x1_is_the_sorted_scan():
             if gcd(gcd(x, y), n) == 1
         }
         assert atlas(n, GAMMA1) == tuple(sorted(scan)), n
-
-
-def test_x0_image_is_the_class_of_a_lift():
-    for n in range(1, 101):
-        for c in atlas(n, GAMMA1):
-            assert x0_image(c) == x0_class_of_pair(n, *lift_to_coprime(n, c.x, c.y))
 
 
 def test_atlas_x1_cost_bound():

@@ -22,8 +22,7 @@ from cuspforge.cusps import (
     GAMMA1,
     atlas,
     atlas_delta,
-    lift_to_coprime,
-    x0_class_of_pair,
+    canonicalize_x0,
     x0_image,
 )
 from cuspforge.errors import NonIntegralGenus
@@ -212,7 +211,7 @@ def test_cover_fibres_sum_to_the_degree_on_x0():
     for n in range(1, 301):
         cusps = atlas(n, GAMMA0)
         for n_down in divisors(n):
-            image = {c: x0_class_of_pair(n_down, *lift_to_coprime(n, c.x, c.y)) for c in cusps}
+            image = {c: canonicalize_x0(n_down, c.x, c.y) for c in cusps}
             _check_fibres((n, GAMMA0), (n_down, GAMMA0), image, atlas(n_down, GAMMA0))
             covers += 1
     assert covers == 1767  # sum of the divisor counts of N <= 300

@@ -6,9 +6,10 @@
 Every relative import must point to a strictly earlier layer, and every
 import must sit at module level, so the import graph has no cycles and
 no cycle is hidden inside a function body.  Every name a module or a
-test file imports is used there, apart from the package's re-exports,
-and every public function, class and method of the package is named
-somewhere in it or re-exported as library API.  Only `cli` turns records
+test file imports is used there, apart from the package's re-exports;
+every public function, class and method of the package is named
+somewhere in it outside its own definition, re-exported or not; and
+every error class is raised somewhere in it.  Only `cli` turns records
 into JSON or TSV.
 The arithmetic is exact: no module divides with `/` or touches a float,
 and only `etaq`, whose leading exponents and cusp orders are rational,
@@ -265,18 +266,35 @@ def _reexports() -> set[str]:
 
 
 def test_every_public_symbol_has_a_caller():
-    # a public symbol is named in src outside its own definition, or it is
-    # library API: re-exported by __init__
+    # a public symbol is named in src outside its own definition: a
+    # re-export alone is no caller, or the library API would keep code
+    # that the package never runs
     trees = {m: ast.parse((PACKAGE / f"{m}.py").read_text()) for m in MODULES}
     named = sum((_named(tree) for tree in trees.values()), Counter())
-    exported = _reexports()
     unreached = [
         f"{module}.{qualname}"
         for module, tree in trees.items()
         for qualname, node in _public_defs(tree)
-        if named[node.name] == _named(node)[node.name] and node.name not in exported
+        if named[node.name] == _named(node)[node.name]
     ]
     assert not unreached, f"public but never called: {unreached}"
+
+
+def test_every_error_is_raised():
+    # each class of errors.py is raised by name somewhere in src, so no
+    # error outlives the last check that raised it
+    errors = {
+        node.name
+        for node in ast.parse((PACKAGE / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+    }
+    raised = set()
+    for module in MODULES:
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None))
+    assert errors - raised == set(), f"never raised: {sorted(errors - raised)}"
 
 
 def _library_api() -> str:
@@ -297,9 +315,12 @@ def test_every_reexport_is_documented():
 
 
 def test_every_documented_name_is_a_reexport():
-    # the names a bullet lists before its dash, as `name` or `name(args)`
-    heads = re.findall(r"^- (.*?) — ", _library_api(), re.M)
+    # the names a bullet lists before its dash, as `name` or `name(args)`;
+    # every bullet of the section has such a head
+    api = _library_api()
+    heads = re.findall(r"^- (.*?) — ", api, re.M)
     named = {m for head in heads for m in re.findall(r"`(\w+)[`(]", head)}
-    assert len(heads) > 40 and len(named) > len(heads)
+    assert heads and len(heads) == len(re.findall(r"^- ", api, re.M))
+    assert len(named) > len(heads)
     stale = sorted(named - _reexports())
     assert not stale, f"in README's Library API but not re-exported: {stale}"

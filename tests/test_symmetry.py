@@ -11,16 +11,11 @@ from cuspforge.cusps import (
     GAMMA1,
     atlas,
     atlas_delta,
+    canonicalize_x0,
     canonicalize_x1,
-    x0_class_of_pair,
 )
-from cuspforge.errors import NotCoprime, NotExactDivisor
-from cuspforge.symmetry import (
-    act_atkin_lehner,
-    cusp_orbits_x1,
-    exact_divisors,
-    fixed_cusps,
-)
+from cuspforge.errors import NonUnitGenerator, NotExactDivisor
+from cuspforge.symmetry import act_atkin_lehner, cusp_orbits_x1, exact_divisors
 
 from oracles import (
     bf_al_orbits,
@@ -33,6 +28,12 @@ from oracles import (
 
 def _orbit_of(c, delta):
     return next(o for o in atlas_delta(delta) if c in o)
+
+
+def _fixed(n, a):
+    """The X_1(N) cusps that the diamond [a] fixes, in atlas order: the
+    singleton orbits of <+-1, a>, as [-1] fixes every cusp."""
+    return [o[0] for o in atlas_delta(subgroup_generated(n, (a,))) if len(o) == 1]
 
 
 def test_act_diamond_examples():
@@ -54,10 +55,9 @@ def test_diamond_fixes_d_cusps_iff_in_delta_d():
 
 
 def test_fixed_cusps_examples():
-    fixed9 = set(fixed_cusps(20, 9))
-    assert {c for c in atlas(20, GAMMA1) if c.irregular} <= fixed9
-    assert len(fixed_cusps(20, 19)) == 20
-    assert fixed_cusps(13, 5) == ()
+    # [19] = [-1] fixes all 20 cusps of X_1(20), and [5] no cusp of X_1(13)
+    assert len(_fixed(20, 19)) == 20
+    assert _fixed(13, 5) == []
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -66,23 +66,23 @@ def test_fixed_cusps_match_scan_oracle(data):
     n = data.draw(st.integers(1, 500))
     a = data.draw(st.sampled_from(units(n))) + n * data.draw(st.integers(-2, 2))
     pairs = [(c.x, c.y) for c in atlas(n, GAMMA1)]
-    assert [(c.x, c.y) for c in fixed_cusps(n, a)] == bf_fixed_cusps(n, a, pairs)
+    assert [(c.x, c.y) for c in _fixed(n, a)] == bf_fixed_cusps(n, a, pairs)
 
 
 def test_fixed_cusps_refuses_a_non_unit():
-    with pytest.raises(NotCoprime):
-        fixed_cusps(20, 4)
+    # [4] is no diamond at level 20
+    with pytest.raises(NonUnitGenerator):
+        _fixed(20, 4)
 
 
 def test_lewittes_near_miss_at_level_20():
-    # [9] fixes exactly the four irregular cusps: one short of the
-    # more-than-4-fixed-points criterion, which is why level 20 needs
-    # the explicit function certificate
-    from cuspforge.criteria import lewittes
-
-    fixed9 = fixed_cusps(20, 9)
-    assert len(fixed9) == 4
-    assert not lewittes(len(fixed9))
+    # [9] fixes exactly the four irregular cusps: one short of Lewittes's
+    # more-than-4-fixed-points criterion, which is why level 20 needs the
+    # explicit function certificate
+    cusps = atlas(20, GAMMA1)
+    fixed9 = _fixed(20, 9)
+    assert fixed9 == [c for c in cusps if c.irregular] and len(fixed9) == 4
+    assert [(c.x, c.y) for c in fixed9] == bf_fixed_cusps(20, 9, [(c.x, c.y) for c in cusps])
 
 
 def test_atkin_lehner_refuses_a_non_exact_divisor():
@@ -146,7 +146,7 @@ def test_atkin_lehner_matrix_choice_invariant_on_x0():
                 mat = _random_al_matrix(rng, n, q)
                 for c in atlas(n, GAMMA0):
                     image = bf_matrix_image(n, mat, c.x, c.y)
-                    assert x0_class_of_pair(n, *image) == act_atkin_lehner(q, c)
+                    assert canonicalize_x0(n, *image) == act_atkin_lehner(q, c)
 
 
 def test_orbits_x1_20_irregular_single_orbit():
