@@ -19,6 +19,7 @@ from cuspforge.cusps import (
     MAX_CUSP_SUM,
     canonicalize_x0,
     canonicalize_x1,
+    lift_to_coprime,
     width,
     x0_image,
 )
@@ -152,8 +153,15 @@ def test_canonicalize_x1_is_idempotent(pair):
 def test_canonicalize_x0_is_the_image_of_the_x1_class(pair):
     # x0_image is the unchecked form of canonicalize_x0 on atlas classes
     n, x, y = pair
+    assert canonicalize_x0(n, x, y) == x0_image(canonicalize_x1(n, x, y))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_primitive_pairs())
+def test_gamma0_canonical_form_is_idempotent(pair):
+    # a class is a fixed point both as the pair (x : y) and as (x : d)
+    n, x, y = pair
     c = canonicalize_x0(n, x, y)
-    assert c == x0_image(canonicalize_x1(n, x, y))
     assert canonicalize_x0(n, c.x, c.y) == c
     assert canonicalize_x0(n, c.x, c.d) == c
 
@@ -183,6 +191,12 @@ def test_atlas_x1_is_the_sorted_scan():
             if gcd(gcd(x, y), n) == 1
         }
         assert atlas(n, GAMMA1) == tuple(sorted(scan)), n
+
+
+def test_x0_image_is_the_class_of_a_lift():
+    for n in range(1, 101):
+        for c in atlas(n, GAMMA1):
+            assert x0_image(c) == canonicalize_x0(n, *lift_to_coprime(n, c.x, c.y))
 
 
 def test_atlas_x1_cost_bound():
