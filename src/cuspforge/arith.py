@@ -39,8 +39,9 @@ MAX_LEVEL = 10**12
 
 # Cost bound of (Z/NZ)* in phi(N), checked before the units are listed.
 # `genus --level N --gamma0` costs about phi(N) times the divisor count of
-# N: on a 2-vCPU host with CPython 3.11 it took 0.6 s and 20 MB at
-# N = 92400 (phi 19200, 120 divisors), the worst level within the bound.
+# N: on a 2-vCPU host with CPython 3.11 it took 0.11 s and 18 MB as a whole
+# process, 25 ms of it in `cli.run` (medians of 5), at N = 92400 (phi
+# 19200, 120 divisors), the worst level within the bound.
 # `_span` holds every subgroup it builds to the same size.
 MAX_UNITS = 2 * 10**4
 

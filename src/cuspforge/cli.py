@@ -7,9 +7,11 @@ read that row, so a new form is one row and its handler.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import sys
+from contextlib import suppress
 from itertools import islice
 from types import SimpleNamespace
 
@@ -89,17 +91,9 @@ def _cusps(args) -> dict:
         rows = [(c.x, c.y, c.d, c.e, c.irregular, width(c)) for c in atlas(args.level, tag)]
         return {"cusps": _Table(("x", "y", "d", "e", "irregular", "width"), rows)}
     delta = _delta_for(args, args.level)
-    return {
-        "delta": list(delta.elements),
-        "cusps": [
-            {
-                "representative": o[0].key(),
-                "members": [c.key() for c in o],
-                "orbit_size": len(o),
-            }
-            for o in atlas_delta(delta)
-        ],
-    }
+    rows = [(o[0].key(), [c.key() for c in o], len(o)) for o in atlas_delta(delta)]
+    keys = ("representative", "members", "orbit_size")
+    return {"delta": list(delta.elements), "cusps": _Table(keys, rows)}
 
 
 def _orbits(args) -> dict:
@@ -310,9 +304,9 @@ _FLUSH = 1 << 16
 
 class _Table:
     """Flat rows that _emit writes as a list of JSON objects: the keys, at
-    least one, and a sequence of rows, each a tuple of scalars in key order.
-    It is no tuple, list or dict, so plain json.dumps refuses it instead of
-    writing it as an array."""
+    least one, and a sequence of rows, each a tuple of cells in key order.
+    A cell is a scalar or a list of scalars.  It is no tuple, list or dict,
+    so plain json.dumps refuses it instead of writing it as an array."""
 
     def __init__(self, keys, rows):
         self.keys, self.rows = keys, rows
@@ -323,24 +317,31 @@ def _key(key) -> str:
     return json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": "
 
 
-def _encoded(values) -> list[str]:
-    """json.dumps of each value, from one call split at its line breaks,
-    which no JSON scalar holds raw."""
-    return json.dumps(values, separators=("\n", ": "))[1:-1].split("\n")
+def _flat(obj, nl: str) -> str:
+    """json.dumps(obj, indent=2) of a scalar or of a container of scalars,
+    at the depth whose line break is `nl`: one C-encoder call, with the
+    break as item separator and the brackets broken again."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = nl + "  "
+    text = json.dumps(obj, separators=("," + inner, ": "))
+    return text[0] + inner + text[1:-1] + nl + text[-1]
 
 
-def _column(cells):
-    """The %-slot of a table column and the cells that fill it.  Ints fill
-    %d.  Any other column is JSON text, encoded once per distinct value when
-    all its cells are str or all bool, else cell by cell: 1 == True and
-    0.0 == -0.0, but json.dumps writes them apart."""
+def _column(cells, field: str):
+    """The %-slot of a table column and the cells that fill it, for fields
+    whose line break is `field`.  Ints fill %d.  An all-str or all-bool
+    column is encoded once per distinct value; any other column cell by
+    cell: 1 == True and 0.0 == -0.0, but json.dumps writes them apart."""
     kinds = set(map(type, cells))
     if kinds == {int}:
         return "%d", cells
     if kinds not in ({str}, {bool}):
-        return "%s", _encoded(cells)
+        return "%s", [_flat(cell, field) for cell in cells]
     values = list(set(cells))
-    return "%s", map(dict(zip(values, _encoded(values))).__getitem__, cells)
+    # one encoder call, split at its line breaks, which no JSON scalar holds raw
+    encoded = json.dumps(values, separators=("\n", ": "))[1:-1].split("\n")
+    return "%s", map(dict(zip(values, encoded)).__getitem__, cells)
 
 
 def _table(table: _Table, nl: str):
@@ -352,7 +353,7 @@ def _table(table: _Table, nl: str):
         yield "[]"
         return
     inner, field = nl + "  ", nl + "    "
-    slots, cells = zip(*map(_column, zip(*table.rows)))
+    slots, cells = zip(*(_column(column, field) for column in zip(*table.rows)))
     keys = map(_key, table.keys)
     fields = ("," + field).join(k.replace("%", "%%") + s for k, s in zip(keys, slots))
     rows = map(f"{{{field}{fields}{inner}}}".__mod__, zip(*cells))
@@ -367,21 +368,16 @@ def _table(table: _Table, nl: str):
 def _chunks(obj, nl: str):
     """Pieces of json.dumps(obj, indent=2) at the depth whose line break is
     `nl`: one C-encoder call per flat container, one template per table."""
-    if isinstance(obj, _Table):
-        yield from _table(obj, nl)
-        return
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
-        yield json.dumps(obj)
-        return
-    inner = nl + "  "
     is_dict = isinstance(obj, dict)
     values = obj.values() if is_dict else obj
-    if not any(issubclass(t, (dict, list, tuple, _Table)) for t in set(map(type, values))):
-        # flat, checked once per type: encoded with the break as separator
-        text = json.dumps(obj, separators=("," + inner, ": "))
-        yield text[0] + inner + text[1:-1] + nl + text[-1]
+    kinds = set(map(type, values)) if isinstance(obj, (dict, list, tuple)) else ()
+    if isinstance(obj, _Table):
+        yield from _table(obj, nl)
+    elif not any(issubclass(t, (dict, list, tuple, _Table)) for t in kinds):
+        # a scalar, or flat: checked once per type
+        yield _flat(obj, nl)
     else:
-        sep = "{" if is_dict else "["
+        inner, sep = nl + "  ", "{" if is_dict else "["
         for key, value in zip(map(_key, obj) if is_dict else [""] * len(obj), values):
             yield sep + inner + key
             yield from _chunks(value, inner)
@@ -420,7 +416,10 @@ def main() -> None:
     """Run the command in sys.argv, flush stdout and stderr, and end the
     process with os._exit: the interpreter's teardown would free, one by
     one, objects that the process is about to drop anyway."""
+    error = None
     try:
+        if sys.stdout is None:  # started with stdout closed
+            raise OSError(errno.EBADF, "stdout is closed")
         code = run(sys.argv[1:])
         sys.stdout.flush()
     except BrokenPipeError:
@@ -428,7 +427,13 @@ def main() -> None:
         # buffered for stdout to the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 0
-    sys.stderr.flush()
+    except OSError as exc:  # stdout cannot be written: say so on stderr
+        code, error = 1, {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    if sys.stderr is not None:
+        with suppress(OSError):  # stderr cannot be written either: exit silently
+            if error:
+                sys.stderr.write(json.dumps(error) + "\n")
+            sys.stderr.flush()
     os._exit(code)
 
 

@@ -100,15 +100,6 @@ def canonicalize_x0(n: int, x: int, y: int) -> CuspClass:
     return _class_x0(n, x * (y // d), d)
 
 
-def x0_image(c: CuspClass) -> CuspClass:
-    """Image of a Gamma_1 class under X_1(N) -> X_0(N); the fibres are the
-    orbits of all diamonds.  It is canonicalize_x0(c.level, c.x, c.y)
-    without the checks, which an atlas class has passed: `cusp_orbits_x1`
-    maps every class of the atlas, and the checked form took that map from
-    49 to 82 ms at N = 49999 (2-vCPU Xeon, CPython 3.11)."""
-    return _class_x0(c.level, c.x * (c.y // c.d), c.d)
-
-
 def atlas(n: int, group: str = GAMMA1) -> tuple[CuspClass, ...]:
     """Complete duplicate-free cusp atlas of X_1(N) or X_0(N), sorted.
 

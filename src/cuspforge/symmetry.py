@@ -26,7 +26,6 @@ from .cusps import (
     canonicalize_x0,
     canonicalize_x1,
     lift_to_coprime,
-    x0_image,
 )
 from .errors import NotExactDivisor
 
@@ -73,14 +72,17 @@ def cusp_orbits_x1(n: int) -> OrbitReport:
     qs = [q for q in exact_divisors(n) if q > 1]
     gen_names = tuple([f"[{a}]" for a in diamond_gens] + [f"W_{q}" for q in qs])
 
-    label: dict[CuspClass, CuspClass] = {}
+    # an X_0(N) class is fixed by (d, x0 mod e), the datum canonicalize_x0
+    # stores; the X_1 class (x : y) lies over (d, x*(y/d) mod e)
+    label: dict[tuple[int, int], tuple[int, int]] = {}
     for c0 in atlas(n, GAMMA0):
-        if c0 not in label:
+        key = c0.d, c0.x % c0.e
+        if key not in label:
             for img in [c0] + [act_atkin_lehner(q, c0) for q in qs]:
-                label[img] = c0
-    orbits: dict[CuspClass, list[CuspClass]] = {}  # sorted, as the atlas is
+                label[img.d, img.x % img.e] = key
+    orbits: dict[tuple[int, int], list[CuspClass]] = {}  # sorted, as the atlas is
     for c in cusps:
-        orbits.setdefault(label[x0_image(c)], []).append(c)
+        orbits.setdefault(label[c.d, c.x * (c.y // c.d) % c.e], []).append(c)
     return OrbitReport(
         n, tuple(tuple(orb) for orb in orbits.values()), gen_names, n == 4
     )

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -435,10 +436,13 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["result"]["g"] == 3
 
 
+MAIN = [sys.executable, "-c", "from cuspforge.cli import main; main()"]
+
+
 def _main(argv):
     """argv run through main in a fresh interpreter, stdout into a pipe."""
     return subprocess.run(
-        [sys.executable, "-c", "from cuspforge.cli import main; main()", *argv],
+        [*MAIN, *argv],
         env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": ""},
         capture_output=True,
         timeout=120,
@@ -492,6 +496,42 @@ def test_closed_pipe_exits_quietly(unbuffered):
     assert b"Traceback" not in stderr, stderr
 
 
+def _unwritable_stdout(proc):
+    """The process exited 1 with one structured error line on stderr."""
+    assert proc.returncode == 1, proc.stderr
+    line, = proc.stderr.decode().splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "OSError" and error["message"], error
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="needs sh")
+def test_closed_stdout_exits_1_with_an_error_line():
+    # sys.stdout is None when the process starts with descriptor 1 closed
+    argv = ["genus", "--level", "20"]
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", *MAIN, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        stderr=subprocess.PIPE,
+        timeout=60,
+    )
+    _unwritable_stdout(proc)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["genus", "--level", "20"], ["cusps", "--level", "2520"]])
+def test_full_stdout_exits_1_with_an_error_line(argv):
+    # a short output fails at the last flush, a long one in a write
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [*MAIN, *argv],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=full,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    _unwritable_stdout(proc)
+
+
 # strings that look like the breaks between rows and fields, escapes, and
 # % signs, which a row template must not read as slots
 TRICKY = [
@@ -532,12 +572,13 @@ def test_emit_matches_indented_dumps(obj):
 
 
 # table columns of one kind each, as the handlers build them, or mixed
+# scalars, or flat lists of one scalar kind, like the `--delta` members
 CELLS = [
     st.integers(min_value=-(10**40), max_value=10**40),
     st.booleans(),
     st.sampled_from(TRICKY) | st.text(max_size=6),
 ]
-CELLS.append(st.one_of(CELLS))
+CELLS += [st.one_of(CELLS), *(st.lists(cell, max_size=4) for cell in CELLS)]
 
 
 @st.composite
@@ -560,6 +601,7 @@ def _nest(obj, path):
 @settings(max_examples=200, deadline=None)
 @given(_tables(), st.lists(st.text(max_size=3) | st.integers(), min_size=1, max_size=3))
 @example(table=(["b", "m"], [(True, 1), (False, True), (True, 0), (False, False)]), path=["r"])
+@example(table=(["r", "m"], [("1:2", ["1:2", "3:10"]), ("0:1", [])]), path=["cusps"])
 def test_emit_writes_tables_as_indented_dumps(table, path):
     keys, rows = table
     dicts = [dict(zip(keys, row)) for row in rows]

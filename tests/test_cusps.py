@@ -21,7 +21,6 @@ from cuspforge.cusps import (
     canonicalize_x1,
     lift_to_coprime,
     width,
-    x0_image,
 )
 from cuspforge.arith import (
     cusp_sum,
@@ -151,9 +150,10 @@ def test_canonicalize_x1_is_idempotent(pair):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_primitive_pairs())
 def test_canonicalize_x0_is_the_image_of_the_x1_class(pair):
-    # x0_image is the unchecked form of canonicalize_x0 on atlas classes
+    # X_1(N) -> X_0(N): the X_0 class is constant on each X_1 class
     n, x, y = pair
-    assert canonicalize_x0(n, x, y) == x0_image(canonicalize_x1(n, x, y))
+    c = canonicalize_x1(n, x, y)
+    assert canonicalize_x0(n, x, y) == canonicalize_x0(n, c.x, c.y)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -196,7 +196,8 @@ def test_atlas_x1_is_the_sorted_scan():
 def test_x0_image_is_the_class_of_a_lift():
     for n in range(1, 101):
         for c in atlas(n, GAMMA1):
-            assert x0_image(c) == canonicalize_x0(n, *lift_to_coprime(n, c.x, c.y))
+            lift = lift_to_coprime(n, c.x, c.y)
+            assert canonicalize_x0(n, c.x, c.y) == canonicalize_x0(n, *lift)
 
 
 def test_atlas_x1_cost_bound():
@@ -313,11 +314,11 @@ def test_atlas_delta_matches_the_orbit_scan(data):
 
 
 def test_x0_is_x_delta_of_all_units():
-    # Delta = (Z/NZ)^* gives X_0(N): its orbits are the fibres of x0_image
+    # Delta = (Z/NZ)^* gives X_0(N): its orbits are the fibres of X_1 -> X_0
     for n in range(1, 121):
         fibres = {}
         for c in atlas(n, GAMMA1):
-            fibres.setdefault(x0_image(c), set()).add(c)
+            fibres.setdefault(canonicalize_x0(n, c.x, c.y), set()).add(c)
         orbits = atlas_delta(full_units(n))
         assert {frozenset(o) for o in orbits} == set(map(frozenset, fibres.values()))
         assert len(orbits) == x0_cusp_count(n), n

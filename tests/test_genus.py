@@ -23,7 +23,6 @@ from cuspforge.cusps import (
     atlas,
     atlas_delta,
     canonicalize_x0,
-    x0_image,
 )
 from cuspforge.errors import NonIntegralGenus
 from cuspforge.genus import cover, g0, g1, genus_delta
@@ -220,7 +219,7 @@ def test_cover_fibres_sum_to_the_degree_on_x0():
 def test_cover_fibres_sum_to_the_degree_from_x1_to_x0():
     # mixes the two kinds of curve, and meets the X_1(4) edge at N = 4
     for n in range(1, 201):
-        image = {c: x0_image(c) for c in atlas(n, GAMMA1)}
+        image = {c: canonicalize_x0(n, c.x, c.y) for c in atlas(n, GAMMA1)}
         _check_fibres((n, pm_one(n)), (n, GAMMA0), image, atlas(n, GAMMA0))
 
 

@@ -79,6 +79,16 @@ GOLDEN = {
         "30a36b55aefed1ce7395eb6ae02e940b5000c8ad28cebdfd0a4a56e2342a485b",
     "cusps --level 720 --delta 7":
         "7660771cf63e74d9048351fc2a85acb2059de1e9f9868aa1aa1197d9e5897755",
+    # orbit tables: large Delta atlases, one with two generators, and the
+    # orbits under all diamonds and W_Q at large levels
+    "cusps --level 10080 --delta 11":
+        "da5c5c17a1262ac0f35443ea3dde97db621b09be85824041c161b877686042d0",
+    "cusps --level 1440 --delta 7,11":
+        "6537ddb284c97f006f5d8a1398493470f6115948d83a6aa446baf048f9c1bc79",
+    "orbits --level 10080":
+        "2b5aeb2e897125495d570ed79bbe685e37a17c83b3e3d66d5127708c6f5a5668",
+    "orbits --level 49999":
+        "0b055f3a2416c81c72ea85f0656f8385f1ca83b55d4b2c1388c844a61da62b87",
 }
 
 
