@@ -45,7 +45,7 @@ from .etaq import (
     divisor,
     eta_series,
     ord_at_cusp,
-    ord_at_cusp_exact,
+    order_over_12n,
     quotient_series,
 )
 from .genus import GenusProfile, g0, g1, genus_delta

@@ -14,7 +14,8 @@ e > 1 for those that need an irregular bucket.
 
 Residues are normalized to 1..N, so the trivial groups mod 1 and mod 2
 collapse to {1} and no downstream formula needs a special case.  Everything
-here is integer arithmetic; no floats.
+here is integer arithmetic; no floats.  An exact rational is an integer
+numerator over a known denominator, and `ratio_text` writes it.
 """
 
 from __future__ import annotations
@@ -50,6 +51,14 @@ def normalize_residue(a: int, n: int) -> int:
     """Reduce a into 1..n (the residue 0 is stored as n)."""
     r = a % n
     return r if r != 0 else n
+
+
+def ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den >= 1, from integers: num/den in
+    lowest terms, or the integer alone when den divides num.  gcd is never
+    negative, so the sign stays on the numerator."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 def check_positive(n: int) -> None:

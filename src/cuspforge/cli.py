@@ -16,7 +16,7 @@ from itertools import islice
 from types import SimpleNamespace
 
 from . import __version__
-from .arith import check_positive, full_units, pm_one, subgroup_generated
+from .arith import check_positive, full_units, pm_one, ratio_text, subgroup_generated
 from .criteria import certify_x1_20, survey_x1, x0_verdict, x1_verdict
 from .cusps import GAMMA0, GAMMA1, atlas, atlas_delta, width
 from .errors import BadFlag, BadSpec, DomainError, NotPositive, UnknownCommand
@@ -129,7 +129,7 @@ def _eta_series(args) -> dict:
         "level": series.level,
         "denom": denom,
         "truncation": series.truncation,
-        "leading_exponent": str(series.leading_exponent()),
+        "leading_exponent": ratio_text(lead, denom),
         "coeffs": {str(lead + denom * j): c for j, c in enumerate(series.coeffs) if c},
     }
 
@@ -142,7 +142,7 @@ def _eta_div(args) -> dict:
     orders = [(c.key(), c.d, o) for c, o in div.orders]
     return {
         "quotient": {"level": quot.level, "exponents": {str(r): k for r, k in quot.exponents}},
-        "leading_exponent": str(quot.leading_exponent()),
+        "leading_exponent": ratio_text(quot.lead, 12 * quot.level),
         "divisor": {
             "level": div.level,
             "orders": _Table(("cusp", "d", "order"), orders),

@@ -19,10 +19,19 @@ degree n, totally ramified at the cusp, and g_X - n g_Y >= n.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 from typing import NamedTuple
 
-from .arith import check_level, delta_d, factorize, irregular_e, is_prime, pm_one, totient
+from .arith import (
+    check_level,
+    delta_d,
+    factorize,
+    irregular_e,
+    is_prime,
+    pm_one,
+    ratio_text,
+    totient,
+)
 from .cusps import GAMMA0, GAMMA1, atlas, canonicalize_x1
 from .errors import (
     BadGenus,
@@ -97,14 +106,6 @@ def _cover_step(g: int, up, down, d: int, g_down: int) -> bool:
             f"ramified at d = {d}: degree {degree}, ramification {ramification}"
         )
     return schoeneberg(g, degree, g_down)
-
-
-def _threshold(e: int) -> str:
-    """str(8 + Fraction(4, e - 1)) from integers: (8e - 4)/(e - 1) in lowest
-    terms, whose common factor divides 4 since 8e - 4 = 8(e - 1) + 4."""
-    g = gcd(4, e - 1)
-    num, den = (8 * e - 4) // g, (e - 1) // g
-    return f"{num}/{den}" if den > 1 else str(num)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +221,7 @@ def x1_verdict(n: int, d: int) -> Verdict:
     if (phi_d * phi_nd - 8) * (e - 1) >= 4:
         step = CertStep(
             RULE_LEMMA_CUSP,
-            {"phi_product": phi_d * phi_nd, "threshold": _threshold(e), "e": e},
+            {"phi_product": phi_d * phi_nd, "threshold": ratio_text(8 * e - 4, e - 1), "e": e},
         )
         return Verdict(WEIERSTRASS, None, (*steps, step))
     quotient = delta_d(n, d)

@@ -22,9 +22,9 @@ cusp (x : y) of X_1(N), in the local parameter, is
     width * sum_r k_r b(x*r mod delta, delta) / 12N,   delta = gcd(y, N),
 
 that is width * delta^2 * B2~(x*r/delta) / (2N) per block, with B2~ the
-1-periodic extension of B.  `ord_at_cusp` checks integrality with divmod;
-a `Fraction` is built only at the boundary, by `ord_at_cusp_exact` and
-the two `leading_exponent` methods.  The formula is cross-validated
+1-periodic extension of B.  `order_over_12n` gives that order as the
+integer pair (numerator, 12N), and `ord_at_cusp` checks integrality with
+divmod; no `Fraction` is built anywhere.  The formula is cross-validated
 three ways (product expansion at the infinity cusp, degree-0 divisors,
 and the pinned pole orders at level 20), and against the Bernoulli
 oracle on Fractions in the tests; a mismatch raises instead of being
@@ -35,12 +35,11 @@ The level-20 certificate built from F_EXPONENTS and G_EXPONENTS lives in
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 from operator import add, sub
 from typing import NamedTuple
 
-from .arith import check_positive, cusp_sum
+from .arith import check_positive, cusp_sum, ratio_text
 from .cusps import GAMMA1, CuspClass, atlas, width
 from .errors import (
     BadSpec,
@@ -99,9 +98,6 @@ class QSeries(NamedTuple):
     def truncation(self) -> int:
         return self.lead + self.denom * len(self.coeffs)
 
-    def leading_exponent(self) -> Fraction:
-        return Fraction(self.lead, self.denom)
-
 
 class EtaQuotient(NamedTuple):
     """A finite product prod E_r^(n_r) at one level, keyed by folded r."""
@@ -131,9 +127,6 @@ class EtaQuotient(NamedTuple):
     def lead(self) -> int:
         """The leading exponent's numerator over 12N, sum_r k_r b(r, N)."""
         return sum(k * b2_scaled(r, self.level) for r, k in self.exponents)
-
-    def leading_exponent(self) -> Fraction:
-        return Fraction(self.lead, 12 * self.level)
 
 
 def eta_series(n: int, r: int, terms: int | None = None) -> QSeries:
@@ -219,8 +212,10 @@ def quotient_series(q: EtaQuotient, terms: int | None = None) -> QSeries:
     return QSeries(n, q.lead, tuple(c))
 
 
-def _order_over_12n(q: EtaQuotient, c: CuspClass) -> tuple[int, int]:
-    """The order of q at c as an integer numerator over 12N."""
+def order_over_12n(q: EtaQuotient, c: CuspClass) -> tuple[int, int]:
+    """The order of q at c as an integer numerator over 12N, before the
+    integrality check: the pair (numerator, 12N).  Non-integral values
+    occur for products that are not functions on X_1(N)."""
     n = q.level
     if c.level != n or c.group != GAMMA1:
         raise LevelMismatch(f"cusp {c} is not an X_1({n}) class")
@@ -229,21 +224,13 @@ def _order_over_12n(q: EtaQuotient, c: CuspClass) -> tuple[int, int]:
     return width(c) * total, 12 * n
 
 
-def ord_at_cusp_exact(q: EtaQuotient, c: CuspClass) -> Fraction:
-    """Order at a cusp as an exact rational, before the integrality check.
-
-    Non-integral values occur for products that are not functions on
-    X_1(N); they are still useful for cross-validating the formula.
-    """
-    return Fraction(*_order_over_12n(q, c))
-
-
 def ord_at_cusp(q: EtaQuotient, c: CuspClass) -> int:
     """Order of vanishing in the local parameter at a cusp of X_1(N)."""
-    order, rest = divmod(*_order_over_12n(q, c))
+    num, den = order_over_12n(q, c)
+    order, rest = divmod(num, den)
     if rest:
         raise NotAFunction(
-            f"order {ord_at_cusp_exact(q, c)} at {c} is not an integer; "
+            f"order {ratio_text(num, den)} at {c} is not an integer; "
             f"not a function on X_1({q.level})"
         )
     return order

@@ -22,7 +22,7 @@ from cuspforge.etaq import (
     F_EXPONENTS,
     G_EXPONENTS,
     divisor,
-    ord_at_cusp_exact,
+    order_over_12n,
     quotient_series,
 )
 from cuspforge.genus import cover, g0, g1, genus_delta
@@ -138,9 +138,8 @@ def test_criterion_6_eta_certificate():
     # series at the default truncation agree with the closed-form orders
     inf = canonicalize_x1(20, 1, 20)
     for quot in (f, g):
-        assert quotient_series(quot).leading_exponent() == ord_at_cusp_exact(
-            quot, inf
-        )
+        s = quotient_series(quot)
+        assert Fraction(s.lead, s.denom) == Fraction(*order_over_12n(quot, inf))
     _report(6, "level-20 certificate: divisors, gaps {1,2,5}, weight 2, one orbit", t0)
 
 

@@ -1,10 +1,11 @@
 import random
 import time
+from fractions import Fraction
 from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuspforge.arith import (
@@ -18,6 +19,7 @@ from cuspforge.arith import (
     full_units,
     pm_one,
     projection_image_size,
+    ratio_text,
     subgroup_generated,
     totient,
     unit_group_generators,
@@ -53,6 +55,17 @@ def test_totient_against_gcd_count():
         assert totient(n) == bf_phi(n)
     # the sieve oracle against the count
     assert bf_phi_table(1000)[1:] == [bf_phi(n) for n in range(1, 1001)]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+@example(7, 1)
+@example(-12, 1)
+@example(0, 240)
+@example(-240, 240)
+@example(-200, 240)  # the leading exponent -5/6 of E_10 at level 20
+def test_ratio_text_matches_fraction(num, den):
+    assert ratio_text(num, den) == str(Fraction(num, den))
 
 
 def test_divisors_values():

@@ -14,6 +14,7 @@ from cuspforge.arith import (
     factorize,
     irregular_e,
     pm_one,
+    ratio_text,
     subgroup_generated,
     units,
 )
@@ -27,7 +28,6 @@ from cuspforge.criteria import (
     RULE_LEMMA_GENUS,
     UNKNOWN,
     WEIERSTRASS,
-    _threshold,
     gap_sequence_from_nongaps,
     schoeneberg,
     survey_x1,
@@ -331,7 +331,7 @@ def test_survey_rows_sorted_and_deterministic():
 
 def test_threshold_matches_fraction():
     for e in range(2, 10001):
-        assert _threshold(e) == str(8 + Fraction(4, e - 1)), e
+        assert ratio_text(8 * e - 4, e - 1) == str(8 + Fraction(4, e - 1)), e
 
 
 def test_survey_rows_match_x1_verdict():

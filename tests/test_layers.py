@@ -12,8 +12,8 @@ somewhere in it outside its own definition, re-exported or not; and
 every error class is raised somewhere in it.  Only `cli` turns records
 into JSON or TSV.
 The arithmetic is exact: no module divides with `/` or touches a float,
-and only `etaq`, whose leading exponents and cusp orders are rational,
-imports `fractions`.
+and none imports `fractions`: a rational is an integer numerator over a
+known denominator, and `arith.ratio_text` writes it.
 """
 
 import ast
@@ -209,7 +209,7 @@ def test_only_etaq_imports_fractions():
                 continue
             if "fractions" in names:
                 importers.add(module)
-    assert importers <= {"etaq"}
+    assert importers == set()
 
 
 def test_genus_counts_are_ints():

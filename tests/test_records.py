@@ -114,3 +114,5 @@ def test_import_loads_no_dataclasses():
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     # nor argparse and its gettext: the CLI reads argv off a table
     assert not loaded & {"argparse", "gettext"}
+    # nor fractions and what it imports: every exact ratio is two ints
+    assert not loaded & {"fractions", "decimal", "_decimal", "numbers"}
