@@ -318,23 +318,17 @@ def _x0_decision(p: int, m: int, n: int, big: int) -> tuple[str, str, dict]:
 # Survey driver
 
 
-class SurveyRow(NamedTuple):
-    n: int
-    d: int
-    status: str
-    rule: str
-
-
 class SurveyReport(NamedTuple):
     max_n: int
-    rows: tuple[SurveyRow, ...]
+    rows: tuple[tuple[int, int, str, str], ...]  # (N, d, status, rule)
     lemma_cusp_failures: dict[int, tuple[int, ...]]
 
 
 # Largest survey bound accepted.  On a 2-vCPU host with CPython 3.11,
-# `survey x1 --max 200000` took 0.46 s and 43 MB as a process and printed
-# 15 MB of JSON (128342 rows); --max 100000 took 0.25 s.  Writing the rows
-# is still about half of that, and the bound keeps it in reason.
+# `survey x1 --max 200000` took 0.25 s and 41 MB as a process and printed
+# 15 MB of JSON (128342 rows); --max 100000 took 0.16 s (medians,
+# `BENCH_survey_rows.json`).  Writing the rows is more than half of that,
+# and the bound keeps it in reason.
 MAX_SURVEY = 2 * 10**5
 
 # Every irregular bucket past this level passes the cusp inequality; see
@@ -376,17 +370,16 @@ def survey_x1(max_n: int) -> SurveyReport:
                 continue
             verdict = x1_verdict(n, r)
             rule = verdict.decisive_rule()
-            rows.append(SurveyRow(n, r, verdict.status, rule))
+            rows.append((n, r, verdict.status, rule))
             # x1_verdict tries the cusp inequality first, so any other
             # decisive rule means it failed
             if r in failures and rule != RULE_LEMMA_CUSP:
                 failures[r].append(n)
-    buckets = sorted(
-        (n, r)
+    rows += sorted(
+        (n, r, WEIERSTRASS, RULE_LEMMA_CUSP)
         for r in range(2, isqrt(max_n) + 1)
         for n in range(r * r * (LEMMA_CUSP_LEVEL // (r * r) + 1), max_n + 1, r * r)
     )
-    rows += [SurveyRow(n, r, WEIERSTRASS, RULE_LEMMA_CUSP) for n, r in buckets]
     return SurveyReport(
         max_n, tuple(rows), {d: tuple(v) for d, v in failures.items()}
     )

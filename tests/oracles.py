@@ -26,7 +26,7 @@ from math import gcd, isqrt
 from operator import add, sub
 
 from cuspforge.arith import cofactor_gcd, delta_d, irregular_e
-from cuspforge.criteria import SurveyReport, SurveyRow, x1_verdict
+from cuspforge.criteria import SurveyReport, x1_verdict
 from cuspforge.cusps import canonicalize_x0
 from cuspforge.errors import GenusTooSmall
 from cuspforge.genus import g1, genus_delta
@@ -122,7 +122,7 @@ def bf_survey_x1(max_n):
         for r in range(2, isqrt(n) + 1):
             if n % (r * r) == 0:
                 verdict = x1_verdict(n, r)
-                rows.append(SurveyRow(n, r, verdict.status, verdict.decisive_rule()))
+                rows.append((n, r, verdict.status, verdict.decisive_rule()))
                 if r in failures and not bf_cusp_inequality(n, r):
                     failures[r].append(n)
     return SurveyReport(max_n, tuple(rows), {d: tuple(v) for d, v in failures.items()})

@@ -65,11 +65,11 @@ def test_criterion_2_cusp_count_equivalence():
 def test_criterion_3_headline_reproduction():
     t0 = time.time()
     report = survey_x1(300)
-    failing = {r.n for r in report.rows if r.status == NOT_WEIERSTRASS}
+    failing = {n for n, _, status, _ in report.rows if status == NOT_WEIERSTRASS}
     assert tuple(sorted(failing)) == (18,)
-    for row in report.rows:
-        assert row.status in (WEIERSTRASS, NOT_WEIERSTRASS)
-        assert (row.status == NOT_WEIERSTRASS) == (row.n == 18)
+    for n, _, status, _ in report.rows:
+        assert status in (WEIERSTRASS, NOT_WEIERSTRASS)
+        assert (status == NOT_WEIERSTRASS) == (n == 18)
     assert report.lemma_cusp_failures[2] == (16, 20, 24, 28, 32, 36, 40, 44, 48, 60)
     assert report.lemma_cusp_failures[3] == (18, 36)
     assert report.lemma_cusp_failures[4] == (16, 32, 48)

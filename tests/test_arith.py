@@ -237,6 +237,13 @@ def test_unit_group_generators_match_oracle():
 def test_subgroup_validation_rejects_unclosed():
     with pytest.raises(ValueError):
         DeltaSubgroup(20, (1, 3, 19))
+    with pytest.raises(ValueError, match="must contain 1 and -1"):
+        DeltaSubgroup(20, (1, 9))
+    for elements in ((1, 19, 21), (0, 1, 19)):
+        with pytest.raises(NonUnitGenerator, match="is not a set of residues 1..20"):
+            DeltaSubgroup(20, elements)
+    with pytest.raises(NonUnitGenerator, match="2 is not a unit mod 20"):
+        DeltaSubgroup(20, (1, 2, 19))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -285,6 +285,7 @@ def test_unknown_command():
             ["eta", "div", "--spec", "spec.json"], "[" * 10**5 + "]" * 10**5, "BadSpec",
             id="deeply-nested-spec",
         ),
+        (["survey", "x1", "--max", "12"], None, "DomainError"),
     ],
 )
 def test_invalid_input_exits_2(argv, spec, error, tmp_path, monkeypatch):

@@ -93,6 +93,9 @@ def test_schoeneberg_examples():
     assert schoeneberg(2, 2, 0)
     with pytest.raises(BadGenus):
         schoeneberg(1, 2, 0)
+    for m, g_bar in ((1, 0), (2, -1)):
+        with pytest.raises(DomainError, match="need m >= 2 and g_bar >= 0"):
+            schoeneberg(3, m, g_bar)
 
 
 def test_cover_step_refuses_a_cover_that_is_not_totally_ramified(monkeypatch):
@@ -290,6 +293,9 @@ def test_gap_sequence_counts_and_range():
     assert len(seq.gaps) == 6 and all(1 <= a <= 11 for a in seq.gaps)
     with pytest.raises(InconsistentGapCount):
         gap_sequence_from_nongaps({5}, 3)  # too few certified non-gaps
+    for nongaps in ({0, 3}, set()):
+        with pytest.raises(DomainError, match="non-gaps must be positive"):
+            gap_sequence_from_nongaps(nongaps, 2)
 
 
 def test_gap_complement_is_a_numerical_semigroup():
@@ -315,17 +321,18 @@ def test_survey_failure_lists():
 
 def test_survey_only_18_fails():
     rep = survey_x1(100)
-    failing = {r.n for r in rep.rows if r.status == NOT_WEIERSTRASS}
+    failing = {n for n, _, status, _ in rep.rows if status == NOT_WEIERSTRASS}
     assert tuple(sorted(failing)) == (18,)
-    for row in rep.rows:
-        assert row.status in (WEIERSTRASS, NOT_WEIERSTRASS)
+    for _, _, status, _ in rep.rows:
+        assert status in (WEIERSTRASS, NOT_WEIERSTRASS)
 
 
 def test_survey_rows_sorted_and_deterministic():
     rep1, rep2 = survey_x1(60), survey_x1(60)
     assert rep1 == rep2
-    keys = [(r.n, r.d) for r in rep1.rows]
+    keys = [(n, d) for n, d, _, _ in rep1.rows]
     assert keys == sorted(keys)
+    assert all(type(row) is tuple and len(row) == 4 for row in rep1.rows)
 
 
 
@@ -345,13 +352,13 @@ def test_survey_rows_match_x1_verdict():
             {gcd(d, n // d) for d in range(1, isqrt(n) + 1) if n % d == 0} - {1}
         )
     ]
-    assert [(r.n, r.d) for r in rep.rows] == buckets
+    assert [(n, d) for n, d, _, _ in rep.rows] == buckets
     failures = {2: [], 3: [], 4: [], 6: []}
-    for row in rep.rows:
-        verdict = x1_verdict(row.n, row.d)
-        assert (row.status, row.rule) == (verdict.status, verdict.decisive_rule()), row
-        if row.d in failures and not bf_cusp_inequality(row.n, row.d):
-            failures[row.d].append(row.n)
+    for n, d, status, rule in rep.rows:
+        verdict = x1_verdict(n, d)
+        assert (status, rule) == (verdict.status, verdict.decisive_rule()), (n, d)
+        if d in failures and not bf_cusp_inequality(n, d):
+            failures[d].append(n)
     assert rep.lemma_cusp_failures == {d: tuple(v) for d, v in failures.items()}
 
 

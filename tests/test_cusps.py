@@ -230,6 +230,11 @@ def test_atlas_trivial_level():
     assert len(atlas(1, GAMMA1)) == 1
 
 
+def test_atlas_refuses_an_unknown_group():
+    with pytest.raises(ValueError, match="unknown group tag 'gamma2'"):
+        atlas(12, "gamma2")
+
+
 def test_irregular_iff_e_gt_1_and_squarefree_regular():
     for n in (30, 42, 66, 105):  # square-free
         assert not any(c.irregular for c in atlas(n, GAMMA1))

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspforge.criteria import WEIERSTRASS, certify_x1_20
-from cuspforge.cusps import GAMMA1, atlas, canonicalize_x1
+from cuspforge.cusps import GAMMA1, atlas, canonicalize_x0, canonicalize_x1
 from cuspforge.errors import (
     BadSpec,
+    LevelMismatch,
     NotAFunction,
     RCongruentZero,
     TruncationTooLarge,
@@ -152,6 +153,14 @@ def test_quotient_series_leading_exponent_matches_order_formula():
         assert Fraction(series.lead, series.denom) == want
         checked += 1
     assert checked >= 20
+
+
+def test_order_is_refused_off_the_quotients_curve():
+    # a class of X_1 at another level, or of X_0 at the same level
+    q = EtaQuotient.make(20, {1: 1})
+    for c in (canonicalize_x1(10, 1, 5), canonicalize_x0(20, 1, 2)):
+        with pytest.raises(LevelMismatch, match="is not an X_1\\(20\\) class"):
+            order_over_12n(q, c)
 
 
 def _assert_agrees_with_oracle(q, terms):

@@ -44,7 +44,6 @@ def _records():
         verdict.certificate[0],
         certify_x1_20()[0],
         report,
-        report.rows[0],
     ]
 
 
