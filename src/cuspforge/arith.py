@@ -18,8 +18,6 @@ here is integer arithmetic; no floats.  An exact rational is an integer
 numerator over a known denominator, and `ratio_text` writes it.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import gcd, prod
 

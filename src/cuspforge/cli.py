@@ -5,8 +5,6 @@ requires and its handler.  The parser, the -h text and the dispatch all
 read that row, so a new form is one row and its handler.
 """
 
-from __future__ import annotations
-
 import errno
 import json
 import os
@@ -75,7 +73,7 @@ def _verdict(v) -> dict:
     out = {"status": v.status}
     if v.weight is not None:
         out["weight"] = v.weight
-    out["certificate"] = [{"rule": s.rule, "data": s.data} for s in v.certificate]
+    out["certificate"] = [s._asdict() for s in v.certificate]
     return out
 
 
@@ -98,12 +96,7 @@ def _cusps(args) -> dict:
 
 def _orbits(args) -> dict:
     report = cusp_orbits_x1(args.level)
-    return {
-        "level": report.level,
-        "generators": report.generators,
-        "normalizer_possibly_incomplete": report.normalizer_possibly_incomplete,
-        "orbits": [[c.key() for c in orb] for orb in report.orbits],
-    }
+    return {**report._asdict(), "orbits": [[c.key() for c in orb] for orb in report.orbits]}
 
 
 def _survey_x1(args) -> dict | str:
@@ -153,12 +146,7 @@ def _eta_div(args) -> dict:
 
 def _certify_x1_20(args) -> dict:
     gapseq, verdict = certify_x1_20()
-    return {
-        "genus": gapseq.genus,
-        "gaps": list(gapseq.gaps),
-        "weight": gapseq.weight,
-        "verdict": _verdict(verdict),
-    }
+    return {**gapseq._asdict(), "verdict": _verdict(verdict)}
 
 
 # Each command form: its flags with their kinds, the flags it requires, and

@@ -17,8 +17,6 @@ over X_{Delta_d}(N) and over X_0(pM), are one `_cover_step`: a cover of
 degree n, totally ramified at the cusp, and g_X - n g_Y >= n.
 """
 
-from __future__ import annotations
-
 from math import isqrt
 from typing import NamedTuple
 

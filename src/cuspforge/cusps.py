@@ -7,8 +7,6 @@ units u.  The invariants d = gcd(y, N) and e = gcd(d, N/d) are class
 invariants; a cusp is irregular exactly when e > 1.
 """
 
-from __future__ import annotations
-
 from itertools import groupby
 from math import gcd
 from operator import attrgetter

@@ -33,8 +33,6 @@ The level-20 certificate built from F_EXPONENTS and G_EXPONENTS lives in
 `criteria`, which sits above this module.
 """
 
-from __future__ import annotations
-
 from math import isqrt
 from operator import add, sub
 from typing import NamedTuple

@@ -29,8 +29,6 @@ that.  Both read one factorization of N.  The tests hold both to
 ratio of the indices mu, its ramification index that of the cusp widths.
 """
 
-from __future__ import annotations
-
 from math import gcd, prod
 from typing import NamedTuple
 

@@ -12,8 +12,6 @@ the fibres of X_1(N) -> X_0(N), which each W_Q maps to fibres; so the
 orbits are preimages of W_Q-orbits of X_0(N) cusps, whatever the matrices.
 """
 
-from __future__ import annotations
-
 from math import gcd
 from typing import NamedTuple
 
@@ -54,9 +52,9 @@ def exact_divisors(n: int) -> list[int]:
 
 class OrbitReport(NamedTuple):
     level: int
-    orbits: tuple[tuple[CuspClass, ...], ...]
     generators: tuple[str, ...]
     normalizer_possibly_incomplete: bool
+    orbits: tuple[tuple[CuspClass, ...], ...]
 
 
 def cusp_orbits_x1(n: int) -> OrbitReport:
@@ -83,6 +81,4 @@ def cusp_orbits_x1(n: int) -> OrbitReport:
     orbits: dict[tuple[int, int], list[CuspClass]] = {}  # sorted, as the atlas is
     for c in cusps:
         orbits.setdefault(label[c.d, c.x * (c.y // c.d) % c.e], []).append(c)
-    return OrbitReport(
-        n, tuple(tuple(orb) for orb in orbits.values()), gen_names, n == 4
-    )
+    return OrbitReport(n, gen_names, n == 4, tuple(tuple(orb) for orb in orbits.values()))

@@ -269,6 +269,12 @@ def test_subgroup_equality_ignores_member_set():
     assert a == b and hash(a) == hash(b) and a.members == {1, 9, 11, 19}
 
 
+def test_subgroup_repr_round_trips():
+    assert repr(pm_one(5)) == "DeltaSubgroup(level=5, elements=(1, 4))"
+    d = subgroup_generated(720, (7,))
+    assert eval(repr(d)) == d
+
+
 def test_factorize_totient_divisors_against_sympy():
     for n in range(1, 10001):
         assert dict(factorize(n)) == sympy.factorint(n), n

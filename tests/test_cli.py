@@ -297,6 +297,16 @@ def test_invalid_input_exits_2(argv, spec, error, tmp_path, monkeypatch):
     assert json.loads(text)["error"]["type"] == error
 
 
+def test_broken_invariant_exits_1(monkeypatch):
+    # the level-20 certificate checks g_1(20) = 3 before it reads the gaps
+    monkeypatch.setattr("cuspforge.criteria.g1", lambda n: 4)
+    code, text = _run(["certify", "x1-20"])
+    assert code == 1
+    assert json.loads(text) == {
+        "error": {"type": "RuntimeError", "message": "g_1(20) = 4, expected 3"}
+    }
+
+
 def test_oversized_series_is_refused_quickly():
     t0 = time.perf_counter()
     code, text = _run(["eta", "series", "--level", "2", "--r", "1", "--terms", "100000000"])
@@ -673,9 +683,10 @@ ARGVS = st.builds(
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(ARGVS)
-def test_any_short_argv_exits_0_1_or_2(argv):
+def test_any_short_argv_exits_0_or_2(argv):
+    # exit 1 is a broken invariant, which no argv may reach
     code, text = _run(argv)
-    assert code in (0, 1, 2)
+    assert code in (0, 2)
     if code:
         assert set(json.loads(text)) == {"error"}
 

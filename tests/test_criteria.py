@@ -108,6 +108,13 @@ def test_cover_step_refuses_a_cover_that_is_not_totally_ramified(monkeypatch):
         x0_verdict(2, 16)
 
 
+def test_x1_verdict_refuses_a_case_no_rule_decides(monkeypatch):
+    monkeypatch.setattr(criteria, "_X1_FACTS", {})
+    for n, d in ((16, 4), (18, 3)):
+        with pytest.raises(RuntimeError, match=f"\\({n}, {d}\\) escaped every rule"):
+            x1_verdict(n, d)
+
+
 def _steps(n, d):
     return {s.rule: s.data for s in x1_verdict(n, d).certificate}
 

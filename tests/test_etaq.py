@@ -10,6 +10,7 @@ from cuspforge.cusps import GAMMA1, atlas, canonicalize_x0, canonicalize_x1
 from cuspforge.errors import (
     BadSpec,
     LevelMismatch,
+    NonzeroDegree,
     NotAFunction,
     RCongruentZero,
     TruncationTooLarge,
@@ -371,6 +372,25 @@ def test_certify_x1_20():
     assert verdict.status == WEIERSTRASS and verdict.weight == 2
     data = verdict.certificate[-1].data
     assert data["images"] == {"W_4": "3:10", "W_20": "1:2", "W_5": "1:6"}
+
+
+@pytest.mark.parametrize(
+    "name, value, error, match",
+    [
+        # order 1 at each of the 20 cusps: divisor's degree check refuses
+        ("etaq.ord_at_cusp", lambda q, c: 1, NonzeroDegree, "divisor has degree 20;"),
+        ("criteria.F_EXPONENTS", G_EXPONENTS, RuntimeError, "pole part of f is"),
+        ("criteria.G_EXPONENTS", F_EXPONENTS, RuntimeError, "pole part of g is"),
+        ("criteria.g1", lambda n: 4, RuntimeError, r"g_1\(20\) = 4, expected 3"),
+        ("criteria.act_atkin_lehner", lambda q, c: c, RuntimeError, "Atkin-Lehner images"),
+        ("criteria.atlas", lambda n, group: (), RuntimeError, "not exactly the irregular"),
+    ],
+)
+def test_certify_x1_20_refuses_a_broken_invariant(name, value, error, match, monkeypatch):
+    # each check of the certificate, reached by breaking the one input it guards
+    monkeypatch.setattr(f"cuspforge.{name}", value)
+    with pytest.raises(error, match=match):
+        certify_x1_20()
 
 
 def test_certified_cusps_form_one_orbit():

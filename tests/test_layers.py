@@ -13,7 +13,9 @@ every error class is raised somewhere in it.  Only `cli` turns records
 into JSON or TSV.
 The arithmetic is exact: no module divides with `/` or touches a float,
 and none imports `fractions`: a rational is an integer numerator over a
-known denominator, and `arith.ratio_text` writes it.
+known denominator, and `arith.ratio_text` writes it.  None imports
+`__future__` either: on the oldest Python the package supports, 3.10,
+every annotation in it evaluates as written.
 """
 
 import ast
@@ -212,6 +214,16 @@ def test_only_etaq_imports_fractions():
     assert importers == set()
 
 
+def test_no_module_imports_future():
+    importers = {
+        module
+        for module in MODULES
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__"
+    }
+    assert importers == set()
+
+
 def test_genus_counts_are_ints():
     p = genus_delta(subgroup_generated(720, (7,)))
     assert [type(v) for v in p[1:]] == [int] * 5
@@ -228,7 +240,7 @@ def test_every_imported_name_is_used(path):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        elif isinstance(node, ast.ImportFrom):
             imported |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not imported - used, f"{path.name} imports {sorted(imported - used)} unused"
