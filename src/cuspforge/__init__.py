@@ -9,7 +9,6 @@ from .arith import (
     full_units,
     pm_one,
     projection_image_size,
-    subgroup_generated,
     totient,
     units,
 )

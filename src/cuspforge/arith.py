@@ -38,10 +38,10 @@ MAX_LEVEL = 10**12
 
 # Cost bound of (Z/NZ)* in phi(N), checked before the units are listed.
 # `genus --level N --gamma0` costs about phi(N) times the divisor count of
-# N: on a 2-vCPU host with CPython 3.11 it took 0.11 s and 18 MB as a whole
-# process, 25 ms of it in `cli.run` (medians of 5), at N = 92400 (phi
+# N: on a 2-vCPU host with CPython 3.11 it took 0.08 s and 18 MB as a whole
+# process, 28 ms of it in `cli.run` (medians of 5), at N = 92400 (phi
 # 19200, 120 divisors), the worst level within the bound.
-# `_span` holds every subgroup it builds to the same size.
+# `DeltaSubgroup` holds every subgroup it spans to the same size.
 MAX_UNITS = 2 * 10**4
 
 
@@ -162,19 +162,18 @@ def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == ((n, 1),)
 
 
-def _span(
-    n: int, gens, within: frozenset | None = None, limit: int | None = MAX_UNITS
-) -> tuple[list[int], list[int]]:
-    """The subgroup of (Z/nZ)* generated by gens, 1 first, and the
-    generators kept: those not already in the span of the ones before.
+def _span(n: int, gens, limit: int) -> tuple[list[int], list[int]]:
+    """The subgroup of (Z/nZ)* generated by gens, residues in 1..n, 1
+    first, and the generators kept: those not already in the span of the
+    ones before.
 
     Each generator g not yet in the span H adds the cosets H*g^j for
     0 < j < k, where g^k is the first power back in H; (Z/nZ)* is abelian,
     so the union is <H, g>.  Every element is made once, so the cost is
-    O(|span|) plus one membership test per generator.  With `within`, an
-    element outside that set raises.  A span that passes `limit` elements
-    raises UnitGroupTooLarge as soon as a power shows it, before the
-    cosets are built.
+    O(|span|) plus one membership test per generator.  A kept generator
+    that is not a unit raises NonUnitGenerator.  A span that passes
+    `limit` elements raises UnitGroupTooLarge as soon as a power shows it,
+    before the cosets are built.
     """
     one = normalize_residue(1, n)
     span, seen, kept = [one], {one}, []
@@ -182,50 +181,44 @@ def _span(
         if g in seen:
             continue
         if gcd(g, n) != 1:
-            raise NonUnitGenerator(f"{g} is not a unit mod {n}")
+            raise NonUnitGenerator(f"generator {g % n} shares a factor with {n}")
         kept.append(g)
         powers, x = [], g
         while x not in seen:
             powers.append(x)
-            if limit is not None and len(span) * (len(powers) + 1) > limit:
+            if len(span) * (len(powers) + 1) > limit:
                 raise UnitGroupTooLarge(
                     f"the subgroup of (Z/{n}Z)* has more than {limit} elements"
                 )
             x = x * g % n or n
         new = [h * x % n or n for x in powers for h in span]
-        if within is not None and not within.issuperset(new):
-            raise ValueError("element set is not multiplicatively closed")
         seen.update(new)
         span += new
     return span, kept
 
 
 class DeltaSubgroup:
-    """A subgroup of (Z/NZ)* containing -1, with sorted element tuple.
+    """The subgroup of (Z/NZ)* generated by -1 and gens, with sorted
+    element tuple.
 
-    Closure is proved against a generating set drawn greedily from the
-    elements themselves (see `_span`), not by testing every product: the
-    span of unit generators stays inside the set and reaches every element,
-    so the set is that subgroup.  Equality and hash use the level and the
-    elements only; `members` is the same set, kept for membership tests.
-    The slots are set once in __init__ through object.__setattr__ and are
-    read-only afterwards.
+    The generators are read mod N and spanned once (see `_span`), which
+    refuses a non-unit and a span past `MAX_UNITS` elements: every instance
+    is a subgroup containing -1 by construction.  Equality and hash use the
+    level and the elements only; `members` is the same set, kept for
+    membership tests.  The slots are set once in __init__ through
+    object.__setattr__ and are read-only afterwards.
     """
 
     __slots__ = ("level", "elements", "members")
 
-    def __init__(self, level: int, elements: tuple[int, ...]):
+    def __init__(self, level: int, gens=()):
         n = level
-        members = frozenset(elements)
-        if normalize_residue(1, n) not in members or normalize_residue(-1, n) not in members:
-            raise ValueError("subgroup must contain 1 and -1")
-        if min(members) < 1 or max(members) > n:
-            raise NonUnitGenerator(f"{elements} is not a set of residues 1..{n}")
-        elements = tuple(sorted(members))
-        _span(n, elements, within=members, limit=None)  # already listed
+        check_positive(n)
+        gens = [normalize_residue(g, n) for g in (-1, *sorted({g % n for g in gens}))]
+        span, _ = _span(n, gens, MAX_UNITS)
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "elements", tuple(sorted(span)))
+        object.__setattr__(self, "members", frozenset(span))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -242,42 +235,32 @@ class DeltaSubgroup:
         return hash((self.level, self.elements))
 
     def __repr__(self) -> str:
-        return f"DeltaSubgroup(level={self.level!r}, elements={self.elements!r})"
+        return f"DeltaSubgroup(level={self.level!r}, gens={self.elements!r})"
 
     def __len__(self) -> int:
         return len(self.elements)
 
 
-def subgroup_generated(n: int, gens=()) -> DeltaSubgroup:
-    """Smallest subgroup of (Z/nZ)* containing the generators and +-1."""
-    check_positive(n)
-    gens = sorted({g % n for g in gens})
-    for g in gens:
-        if gcd(g, n) != 1:
-            raise NonUnitGenerator(f"generator {g} shares a factor with {n}")
-    span, _ = _span(n, [normalize_residue(g, n) for g in (-1, *gens)])
-    return DeltaSubgroup(n, tuple(sorted(span)))
-
-
 def pm_one(n: int) -> DeltaSubgroup:
     """The subgroup {+-1}: the Delta giving X_1(N)."""
-    return subgroup_generated(n, ())
+    return DeltaSubgroup(n)
 
 
 def full_units(n: int) -> DeltaSubgroup:
     """All of (Z/nZ)*: the Delta giving X_0(N)."""
     if totient(n) > MAX_UNITS:  # before the O(N) listing
         raise UnitGroupTooLarge(f"(Z/{n}Z)* has more than {MAX_UNITS} units")
-    return DeltaSubgroup(n, tuple(units(n)))
+    return DeltaSubgroup(n, units(n))
 
 
 def delta_d(n: int, d: int) -> DeltaSubgroup:
     """Units congruent to +-1 mod N/e, where e = gcd(d, N/d).
 
     These are exactly the diamond operators fixing every cusp whose
-    denominator invariant is d.  Every lift of +-1 mod N/e is a unit, since
-    e^2 | N leaves every prime of N in N/e; so there are 2e of them once
-    N/e > 2, and a d with 2e past `MAX_UNITS` is refused before any is
+    denominator invariant is d.  With m = N/e, e^2 | N puts m^2 in NZ, so
+    (1 + m)^k = 1 + k*m mod N: the units = 1 mod m are the cyclic group
+    generated by 1 + m, and Delta_d = <-1, 1 + m>.  It has 2e elements
+    once m > 2, and a d with 2e past `MAX_UNITS` is refused before any is
     listed.
     """
     e = cofactor_gcd(n, d)
@@ -285,9 +268,7 @@ def delta_d(n: int, d: int) -> DeltaSubgroup:
         raise UnitGroupTooLarge(
             f"Delta_{d} of level {n} has {2 * e} elements, past {MAX_UNITS}"
         )
-    m = n // e
-    lifts = {normalize_residue(s + k * m, n) for k in range(e) for s in (1, -1)}
-    return DeltaSubgroup(n, tuple(lifts))
+    return DeltaSubgroup(n, (1 + n // e,))
 
 
 def projection_image_size(d: int, delta: DeltaSubgroup) -> int:
@@ -314,7 +295,8 @@ def unit_group_generators(n: int) -> list[int]:
     """A small generating set of (Z/nZ)* (with -1 adjoined), found greedily:
     each unit, in increasing order, not yet in the span of -1 and the
     units kept before it."""
-    # unbounded: cusp_orbits_x1 builds the X_1(N) atlas first, whose bound
-    # keeps phi(N) <= 5 * 10^4
-    _, kept = _span(n, [normalize_residue(-1, n), *units(n)], limit=None)
+    # bounded by phi(N), which no span passes: cusp_orbits_x1 builds the
+    # X_1(N) atlas first, whose bound keeps phi(N) <= 5 * 10^4
+    gens = units(n)  # refuses N < 1 before -1 is reduced mod N
+    _, kept = _span(n, [normalize_residue(-1, n), *gens], totient(n))
     return kept[1:]  # -1 comes first, and is kept unless it is 1 (N <= 2)

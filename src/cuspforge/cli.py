@@ -14,7 +14,7 @@ from itertools import islice
 from types import SimpleNamespace
 
 from . import __version__
-from .arith import check_positive, full_units, pm_one, ratio_text, subgroup_generated
+from .arith import DeltaSubgroup, check_positive, full_units, pm_one, ratio_text
 from .criteria import certify_x1_20, survey_x1, x0_verdict, x1_verdict
 from .cusps import GAMMA0, GAMMA1, atlas, atlas_delta, width
 from .errors import BadFlag, BadSpec, DomainError, NotPositive, UnknownCommand
@@ -36,7 +36,7 @@ def _delta_for(args, n: int):
         gens = [_decimal(t) for t in args.delta.split(",") if t.strip()]
         if None in gens:
             raise BadFlag(f"--delta takes comma-separated integers, got {args.delta!r}")
-        return subgroup_generated(n, gens)
+        return DeltaSubgroup(n, gens)
     return pm_one(n)
 
 

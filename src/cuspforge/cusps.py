@@ -160,9 +160,9 @@ def atlas_delta(delta) -> tuple[tuple[CuspClass, ...], ...]:
 
 
 def lift_to_coprime(n: int, x: int, y: int) -> tuple[int, int]:
-    """Integer pair (a, c) = (x, y) mod n with gcd(a, c) = 1 and c = y in 1..N."""
-    c = normalize_residue(y, n)
-    a = x % n
+    """Integer pair (a, c) = (x, y) mod n with gcd(a, c) = 1 and c = y in
+    1..N, read through `_reduced`: a pair that is not primitive has none."""
+    a, c, _ = _reduced(n, x, y)
     while gcd(a, c) != 1:
         a += n
     return a, c

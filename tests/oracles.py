@@ -258,23 +258,31 @@ def bf_is_closed(n, elements):
     return all(((a * b) % n or n) in elems for a in elems for b in elems)
 
 
+def bf_subgroup(n, elements):
+    """The closure of the residues under multiplication mod n, by search
+    from 1, as a sorted tuple of residues in 1..n."""
+    gens = {a % n or n for a in elements}
+    span, stack = {1 % n or n}, [1 % n or n]
+    while stack:
+        a = stack.pop()
+        for g in gens:
+            b = a * g % n or n
+            if b not in span:
+                span.add(b)
+                stack.append(b)
+    return tuple(sorted(span))
+
+
 def bf_unit_group_generators(n):
     """Greedy generators of (Z/nZ)*: each unit, in increasing order, that
     the span of -1 and the units kept so far misses, with the span built
     again by search after each new generator."""
     gens = []
-    span = {1 % n, -1 % n}
+    span = set(bf_subgroup(n, [-1]))
     for u in range(1, n):
         if gcd(u, n) == 1 and u not in span:
             gens.append(u)
-            span, stack = {1 % n}, [1 % n]
-            while stack:
-                a = stack.pop()
-                for g in (n - 1, *gens):
-                    b = a * g % n
-                    if b not in span:
-                        span.add(b)
-                        stack.append(b)
+            span = set(bf_subgroup(n, [-1, *gens]))
     return gens
 
 

@@ -20,7 +20,6 @@ from cuspforge.arith import (
     pm_one,
     projection_image_size,
     ratio_text,
-    subgroup_generated,
     totient,
     unit_group_generators,
     units,
@@ -40,6 +39,7 @@ from oracles import (
     bf_phi,
     bf_phi_table,
     bf_projection_image_size,
+    bf_subgroup,
     bf_unit_group_generators,
 )
 
@@ -85,15 +85,22 @@ def test_units_values():
     assert units(20) == [1, 3, 7, 9, 11, 13, 17, 19]
 
 
-def test_subgroup_generated_values():
-    assert subgroup_generated(20, ()).elements == (1, 19)
-    assert subgroup_generated(20, (9,)).elements == (1, 9, 11, 19)
-    assert subgroup_generated(13, (2,)).elements == tuple(units(13))
+def test_delta_subgroup_values():
+    assert DeltaSubgroup(20).elements == (1, 19)
+    assert DeltaSubgroup(20, (9,)).elements == (1, 9, 11, 19)
+    assert DeltaSubgroup(13, (2,)).elements == tuple(units(13))
+    # generators are read mod N, and any set generates: it need not be closed
+    assert DeltaSubgroup(20, (-11, 29, 1, 41)) == DeltaSubgroup(20, (9,))
+    assert DeltaSubgroup(20, (1, 3, 19)).elements == tuple(units(20))
+    assert DeltaSubgroup(1, (0, 5)).elements == (1,)
 
 
-def test_subgroup_generated_rejects_nonunit():
-    with pytest.raises(NonUnitGenerator):
-        subgroup_generated(20, (5,))
+def test_delta_subgroup_rejects_nonunit():
+    with pytest.raises(NonUnitGenerator, match="^generator 5 shares a factor with 20$"):
+        DeltaSubgroup(20, (5,))
+    # the least non-unit mod N is named, read mod N
+    with pytest.raises(NonUnitGenerator, match="^generator 0 shares a factor with 20$"):
+        DeltaSubgroup(20, (9, 25, 40))
 
 
 def test_subgroup_closure_and_negation():
@@ -101,7 +108,7 @@ def test_subgroup_closure_and_negation():
     for _ in range(60):
         n = rng.randrange(3, 120)
         gens = tuple(rng.choice(units(n)) for _ in range(rng.randrange(0, 3)))
-        sub = subgroup_generated(n, gens)
+        sub = DeltaSubgroup(n, gens)
         elems = set(sub.elements)
         assert 1 in elems and (n - 1 if n > 2 else 1) in elems
         for a in elems:
@@ -115,7 +122,7 @@ def test_lagrange_for_single_generator_subgroups():
     for n in range(1, 301):
         phi = totient(n)
         for g in units(n)[:6]:
-            assert phi % len(subgroup_generated(n, (g,))) == 0
+            assert phi % len(DeltaSubgroup(n, (g,))) == 0
 
 
 def test_delta_d_values():
@@ -149,12 +156,12 @@ def test_delta_d_contains_pm_one():
 
 def test_delta_d_keeps_every_lift_of_pm_one():
     # e^2 | N leaves every prime of N in m = N/e, so each lift of +-1 mod m
-    # is a unit (DeltaSubgroup refuses a non-unit) and none is dropped
-    for n in range(1, 301):
+    # is a unit, and the closed form <-1, 1 + m> is exactly those lifts
+    for n in range(1, 400):
         for d in divisors(n):
-            e = gcd(d, n // d)
-            m = n // e
-            assert len(delta_d(n, d)) == e * len({1 % m, -1 % m}), (n, d)
+            m = n // gcd(d, n // d)
+            lifts = {(s + k * m) % n or n for k in range(n // m) for s in (1, -1)}
+            assert delta_d(n, d).elements == tuple(sorted(lifts)), (n, d)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -187,7 +194,7 @@ def test_projection_monotone_under_inclusion():
     for _ in range(40):
         n = rng.randrange(4, 100)
         g = rng.choice(units(n))
-        small = subgroup_generated(n, (g,))
+        small = DeltaSubgroup(n, (g,))
         big = full_units(n)
         for d in divisors(n):
             assert projection_image_size(d, small) <= projection_image_size(d, big)
@@ -197,7 +204,7 @@ def test_projection_image_size_matches_set_oracle():
     # the kernel count against the set of reductions, at every divisor
     rng = random.Random(13)
     for n in range(1, 160):
-        groups = [pm_one(n), full_units(n), subgroup_generated(n, (rng.choice(units(n)),))]
+        groups = [pm_one(n), full_units(n), DeltaSubgroup(n, (rng.choice(units(n)),))]
         groups += [delta_d(n, d) for d in divisors(n)]
         for delta in groups:
             for d in divisors(n):
@@ -210,7 +217,7 @@ def test_projection_image_size_matches_set_oracle():
 def test_projection_image_size_matches_set_oracle_random_subgroups(data):
     n = data.draw(st.integers(1, 400))
     gens = data.draw(st.lists(st.sampled_from(units(n)), max_size=3))
-    delta = subgroup_generated(n, tuple(gens))
+    delta = DeltaSubgroup(n, tuple(gens))
     for d in divisors(n):
         assert projection_image_size(d, delta) == bf_projection_image_size(
             n, d, delta.elements
@@ -226,7 +233,7 @@ def test_trivial_levels_collapse():
 def test_unit_group_generators_generate():
     for n in range(1, 80):
         gens = unit_group_generators(n)
-        assert set(subgroup_generated(n, tuple(gens)).elements) == set(units(n))
+        assert set(DeltaSubgroup(n, tuple(gens)).elements) == set(units(n))
 
 
 def test_unit_group_generators_match_oracle():
@@ -234,34 +241,30 @@ def test_unit_group_generators_match_oracle():
         assert unit_group_generators(n) == bf_unit_group_generators(n), n
 
 
-def test_subgroup_validation_rejects_unclosed():
-    with pytest.raises(ValueError):
-        DeltaSubgroup(20, (1, 3, 19))
-    with pytest.raises(ValueError, match="must contain 1 and -1"):
-        DeltaSubgroup(20, (1, 9))
-    for elements in ((1, 19, 21), (0, 1, 19)):
-        with pytest.raises(NonUnitGenerator, match="is not a set of residues 1..20"):
-            DeltaSubgroup(20, elements)
-    with pytest.raises(NonUnitGenerator, match="2 is not a unit mod 20"):
-        DeltaSubgroup(20, (1, 2, 19))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_delta_subgroup_is_the_closure_of_its_generators(data):
+    # any units, read mod N from anywhere in -2N..2N, generate with -1 the
+    # subgroup that a search over products finds
+    n = data.draw(st.integers(1, 60))
+    unit = st.integers(-2 * n, 2 * n).filter(lambda a: gcd(a, n) == 1)
+    gens = data.draw(st.lists(unit, max_size=4))
+    assert DeltaSubgroup(n, gens).elements == bf_subgroup(n, [-1, *gens])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_delta_subgroup_accepts_exactly_closed_sets(data):
+    # a set of units with +-1 comes back unchanged exactly when it is closed
     n = data.draw(st.integers(1, 60))
     pm = {1 % n or n, -1 % n or n}
     elems = pm | data.draw(st.sets(st.sampled_from(units(n))))
     if data.draw(st.booleans()):
         # close the draw up to a subgroup, then perhaps toggle one unit
-        elems = set(subgroup_generated(n, tuple(elems)).elements)
+        elems = set(bf_subgroup(n, elems))
         elems ^= data.draw(st.sets(st.sampled_from(units(n)), max_size=1)) - pm
-    try:
-        DeltaSubgroup(n, tuple(elems))
-        accepted = True
-    except ValueError:
-        accepted = False
-    assert accepted == bf_is_closed(n, elems)
+    kept = DeltaSubgroup(n, elems).elements == tuple(sorted(elems))
+    assert kept == bf_is_closed(n, elems)
 
 
 def test_subgroup_equality_ignores_member_set():
@@ -270,8 +273,8 @@ def test_subgroup_equality_ignores_member_set():
 
 
 def test_subgroup_repr_round_trips():
-    assert repr(pm_one(5)) == "DeltaSubgroup(level=5, elements=(1, 4))"
-    d = subgroup_generated(720, (7,))
+    assert repr(pm_one(5)) == "DeltaSubgroup(level=5, gens=(1, 4))"
+    d = DeltaSubgroup(720, (7,))
     assert eval(repr(d)) == d
 
 
@@ -312,11 +315,11 @@ def test_span_bound_is_exact():
     # 160001 is prime and 20000 | 160000: the powers of g^8 for a primitive
     # root g form the subgroup of order 20000, and -1 = g^80000 lies in it
     p, g = 160001, sympy.primitive_root(160001)
-    assert len(subgroup_generated(p, (pow(g, 8, p),))) == MAX_UNITS == 20000
+    assert len(DeltaSubgroup(p, (pow(g, 8, p),))) == MAX_UNITS == 20000
     with pytest.raises(UnitGroupTooLarge):
-        subgroup_generated(p, (pow(g, 4, p),))
+        DeltaSubgroup(p, (pow(g, 4, p),))
     with pytest.raises(UnitGroupTooLarge):
-        subgroup_generated(1000003, (2,))
-    # the unit group's own generators are not bounded here
+        DeltaSubgroup(1000003, (2,))
+    # the unit group's own generators are bounded by phi(N) alone
     assert len(units(49999)) > MAX_UNITS
     assert len(unit_group_generators(49999)) >= 1

@@ -7,18 +7,23 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
+from functools import cache
 from itertools import takewhile
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from cuspforge.arith import MAX_LEVEL, MAX_UNITS, cusp_sum, x0_cusp_count
 from cuspforge.cli import _FORMS, _Table, _emit, _parse, run
-from cuspforge.errors import BadFlag
-from cuspforge.etaq import F_EXPONENTS
+from cuspforge.criteria import MAX_SURVEY
+from cuspforge.cusps import MAX_CUSP_SUM
+from cuspforge.errors import BadFlag, TruncationTooLarge
+from cuspforge.etaq import F_EXPONENTS, MAX_DIVISOR_PAIRS, MAX_TERMS, EtaQuotient, check_terms
 
-from oracles import ParserRefused, build_parser
+from oracles import ParserRefused, bf_phi_table, build_parser
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -432,6 +437,198 @@ def test_gamma0_atlas_needs_no_unit_group():
     result = _result(["cusps", "--level", "1000000", "--gamma0"])
     assert time.perf_counter() - t0 < 1
     assert len(result["cusps"]) == 1800
+
+
+# ---------------------------------------------------------------------------
+# Exit codes at the cost bounds: well-formed values drawn on both sides of
+# each bound exit 0, or exit 2 with an error that one of the form's bounds
+# names.  Time is left out: the refused-quickly tests above bound it.
+
+
+@cache
+def _phi_near_max_units():
+    """The levels whose phi is within 40 of MAX_UNITS (all below 1.2 * 10^5)."""
+    phi = bf_phi_table(120000)
+    return [n for n in range(1, 120001) if abs(phi[n] - MAX_UNITS) <= 40]
+
+
+@cache
+def _primes(lo, hi):
+    return list(sympy.primerange(lo, hi))
+
+
+def _near(bound, spread):
+    return st.integers(bound - spread, bound + spread)
+
+
+@st.composite
+def _near_cusp_sum(draw, x0=False):
+    """m p (X_1) or m p^2 (X_0), p a prime not dividing m, whose cusp count
+    is within a few percent of its bound."""
+    m = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12]))
+    count = x0_cusp_count(m) if x0 else cusp_sum(m) * 2
+    # X_1: cusp_sum(m p) = cusp_sum(m) * 2(p - 1); X_0: x0(m p^2) = x0(m)(p + 1)
+    p = MAX_CUSP_SUM // count
+    primes = [q for q in _primes(p - p // 30, p + p // 30) if m % q]
+    q = draw(st.sampled_from(primes))
+    return m * q * q if x0 else m * q
+
+
+@st.composite
+def _span_near_max_units(draw):
+    """(p, h): p = k S + 1 prime and h of order S in (Z/pZ)*, S even and
+    within 40 of MAX_UNITS, so that <-1, h> has exactly S elements."""
+    size = 2 * draw(_near(MAX_UNITS // 2, 20))
+    p = next(k * size + 1 for k in range(1, 100) if sympy.isprime(k * size + 1))
+    return p, pow(sympy.primitive_root(p), (p - 1) // size, p)
+
+
+@st.composite
+def _delta_flag(draw, n, h=None):
+    """--delta with up to two integers, units or not, beside h and its
+    powers when h is given (so that the span stays <-1, h>)."""
+    extra = st.sampled_from([0, 1, -1, n, n - 1, n + 1, 2 * n])
+    if h is None:
+        extra |= st.integers(-n, 2 * n)
+    else:
+        extra |= st.integers(0, n).map(lambda k: pow(h, k, n))
+    gens = ([] if h is None else [h]) + draw(st.lists(extra, max_size=2))
+    return ["--delta=" + ",".join(map(str, draw(st.permutations(gens))))]
+
+
+@st.composite
+def _level_form_argv(draw, command):
+    """genus, cusps or orbits at a level near MAX_LEVEL, MAX_UNITS or
+    MAX_CUSP_SUM."""
+    group = [] if command == "orbits" else ["--gamma1", "--gamma0", "--delta"]
+    flag = draw(st.sampled_from(group)) if group else None
+    near = draw(st.sampled_from(["level", "units", "cusps"]))
+    h = None
+    if near == "level":
+        n = draw(_near(MAX_LEVEL, 100))
+    elif near == "units" and flag == "--delta":
+        n, h = draw(_span_near_max_units())
+    elif near == "units":
+        n = draw(st.sampled_from(_phi_near_max_units()))
+    else:
+        n = draw(_near_cusp_sum(x0=flag == "--gamma0"))
+    argv = [command, "--level", str(n)]
+    if flag == "--delta":
+        return argv + draw(_delta_flag(n, h))
+    return argv + ([flag] if flag else [])
+
+
+@st.composite
+def _verdict_x1_argv(draw):
+    """(N, d) with N = s^2 t near MAX_LEVEL and d = s, so e = s > 1."""
+    s = draw(st.integers(2, 10**6))
+    t = draw(_near(MAX_LEVEL // (s * s), 2).filter(lambda t: t >= 1))
+    return ["verdict", "x1", "--level", str(s * s * t), "--d", str(s)]
+
+
+@st.composite
+def _verdict_x0_argv(draw):
+    """A prime p and M with p^2 M near MAX_LEVEL."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 97, 999983, 1000003]))
+    m = draw(_near(MAX_LEVEL // (p * p), 2).filter(lambda m: m >= 1))
+    return ["verdict", "x0", "--p", str(p), "--m", str(m)]
+
+
+@st.composite
+def _survey_argv(draw):
+    m = draw(_near(MAX_SURVEY, 3))
+    form = draw(st.sampled_from([[], ["--format", "tsv"], ["--format", "json"]]))
+    jobs = draw(st.sampled_from([[], ["--jobs", "1"], ["--jobs", "2"]]))
+    return ["survey", "x1", "--max", str(m), *form, *jobs]
+
+
+def _terms_edge(quotient):
+    """The most terms that check_terms accepts for the quotient."""
+    lo, hi = 1, MAX_TERMS + 1  # check_terms accepts lo and refuses hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            check_terms(quotient, mid)
+            lo = mid
+        except TruncationTooLarge:
+            hi = mid
+    return lo
+
+
+@st.composite
+def _eta_series_argv(draw):
+    """E_r at level N with --terms within 2 of the most it accepts: the
+    work bound at small N, the terms bound at large N."""
+    n = draw(st.sampled_from([2, 3, 20, 1000, 10**5, 10**6]))
+    r = draw(st.integers(1, n - 1))
+    edge = _terms_edge(EtaQuotient.make(n, {r: 1}))
+    terms = draw(_near(edge, 2).filter(lambda t: t >= 1))
+    return ["eta", "series", "--level", str(n), "--r", str(r), "--terms", str(terms)]
+
+
+@st.composite
+def _eta_div_argv(draw):
+    """A spec that is a function on X_1(N), and the --terms flag if any: the
+    trivial quotient at a level near MAX_LEVEL or MAX_CUSP_SUM, or blocks
+    E_r^(12N), whose orders are whole, near MAX_DIVISOR_PAIRS or with
+    --terms near the expansion bounds."""
+    near = draw(st.sampled_from(["level", "cusps", "pairs", "terms"]))
+    exponents, terms = {}, None
+    if near == "level":
+        n = draw(_near(MAX_LEVEL, 100))
+    elif near == "cusps":
+        n = draw(_near_cusp_sum())
+    elif near == "pairs":
+        n = draw(st.sampled_from([9973, 20011, 49999]))
+        blocks = draw(_near(MAX_DIVISOR_PAIRS // (cusp_sum(n) // 2), 1))
+        exponents = {r: 12 * n for r in range(1, blocks + 1)}
+    else:
+        n = draw(st.sampled_from([2, 20, 97, 1000]))
+        rs = draw(st.lists(st.integers(1, n // 2), min_size=0, max_size=3, unique=True))
+        exponents = {r: 12 * n * draw(st.sampled_from([-1, 1])) for r in rs}
+        edge = _terms_edge(EtaQuotient.make(n, exponents))
+        terms = draw(_near(edge, 2).filter(lambda t: t >= 1))
+    spec = {"level": n, "exponents": {str(r): k for r, k in exponents.items()}}
+    return spec, [] if terms is None else ["--terms", str(terms)]
+
+
+# per form: its argvs around the bounds, and the errors its bounds raise
+UNIT_ERRORS = {"UnitGroupTooLarge", "NonUnitGenerator"}
+BOUND_ARGVS = {
+    ("genus",): (_level_form_argv("genus"), {"LevelTooLarge", *UNIT_ERRORS}),
+    ("cusps",): (_level_form_argv("cusps"), {"LevelTooLarge", "AtlasTooLarge", *UNIT_ERRORS}),
+    ("orbits",): (_level_form_argv("orbits"), {"LevelTooLarge", "AtlasTooLarge"}),
+    ("verdict", "x1"): (_verdict_x1_argv(), {"LevelTooLarge"}),
+    ("verdict", "x0"): (_verdict_x0_argv(), {"LevelTooLarge"}),
+    ("survey", "x1"): (_survey_argv(), {"SurveyTooLarge"}),
+    ("eta", "series"): (_eta_series_argv(), {"TruncationTooLarge"}),
+    ("eta", "div"): (
+        _eta_div_argv(),
+        {"LevelTooLarge", "AtlasTooLarge", "DivisorTooLarge", "TruncationTooLarge"},
+    ),
+    ("certify", "x1-20"): (st.just(["certify", "x1-20"]), set()),
+}
+
+
+def test_bound_argvs_cover_every_form():
+    assert BOUND_ARGVS.keys() == _FORMS.keys()
+
+
+@pytest.mark.parametrize("form", sorted(BOUND_ARGVS), ids=" ".join)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cost_bounds_exit_0_or_2_with_a_bound_error(form, data, tmp_path_factory):
+    # exit 1 is a broken invariant: none may hide behind a cost bound
+    draws, errors = BOUND_ARGVS[form]
+    argv = data.draw(draws)
+    if form == ("eta", "div"):
+        spec, terms = argv
+        path = tmp_path_factory.mktemp("spec") / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = ["eta", "div", "--spec", str(path), *terms]
+    code, text = _run(argv)
+    if code:
+        assert code == 2 and json.loads(text)["error"]["type"] in errors, (argv, text)
 
 
 def test_module_entry_point():

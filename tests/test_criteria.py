@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cuspforge.arith import (
     MAX_LEVEL,
+    DeltaSubgroup,
     cofactor_gcd,
     delta_d,
     divisors,
@@ -15,7 +16,7 @@ from cuspforge.arith import (
     irregular_e,
     pm_one,
     ratio_text,
-    subgroup_generated,
+    unit_group_generators,
     units,
 )
 from cuspforge import criteria
@@ -71,7 +72,10 @@ from oracles import (
         (cofactor_gcd, (0, 4), NotPositive),
         (delta_d, (0, 4), NotPositive),
         (pm_one, (0,), NotPositive),
-        (subgroup_generated, (0, ()), NotPositive),
+        (DeltaSubgroup, (0, ()), NotPositive),
+        (DeltaSubgroup, (-5, (1,)), NotPositive),
+        (unit_group_generators, (0,), NotPositive),
+        (unit_group_generators, (-7,), NotPositive),
         (factorize, (0,), NotPositive),
         (units, (-3,), NotPositive),
         (canonicalize_x1, (0, 1, 1), NotPositive),

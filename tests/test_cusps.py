@@ -1,9 +1,13 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,12 +27,12 @@ from cuspforge.cusps import (
     width,
 )
 from cuspforge.arith import (
+    DeltaSubgroup,
     cusp_sum,
     delta_d,
     divisors,
     pm_one,
     projection_image_size,
-    subgroup_generated,
     units,
     x0_cusp_count,
 )
@@ -200,6 +204,29 @@ def test_x0_image_is_the_class_of_a_lift():
             assert canonicalize_x0(n, c.x, c.y) == canonicalize_x0(n, *lift)
 
 
+@pytest.mark.parametrize(
+    "args, error",
+    [((4, 2, 2), "NotPrimitive"), ((0, 1, 1), "NotPositive"), ((-7, 7, 7), "NotPositive")],
+)
+def test_lift_to_coprime_refuses_what_has_no_lift(args, error):
+    # every lift of a pair that is not primitive shares its factor, so a
+    # search for a coprime one would never end: the call runs in a child
+    # process, where a hang fails the test at the timeout
+    code = (
+        "from cuspforge.cusps import lift_to_coprime\n"
+        f"try:\n    lift_to_coprime{args}\n"
+        "except Exception as exc:\n    print(type(exc).__name__)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, error + "\n", "")
+
+
 def test_atlas_x1_cost_bound():
     assert cusp_sum(1000000) == 10800000
     for n in (1000000, 99991):
@@ -275,7 +302,7 @@ def test_atlas_delta_follows_the_bucket_model(data):
     # members, L = N/e
     n = data.draw(st.integers(1, 300))
     gens = data.draw(st.lists(st.sampled_from(units(n)), max_size=3))
-    delta = subgroup_generated(n, tuple(gens))
+    delta = DeltaSubgroup(n, tuple(gens))
     orbits = atlas_delta(delta)
     assert len(orbits) == genus_delta(delta).nu_inf
     for o in orbits:
@@ -291,7 +318,7 @@ def test_atlas_delta_builds_no_class(monkeypatch):
     # 47^2 with Delta = <-1, 48> (94 elements, 48 = 1 mod 47), every cusp
     # with d = 47 was once canonicalized 94 times
     n = 47 * 47
-    delta, classes = subgroup_generated(n, (48,)), atlas(n, GAMMA1)
+    delta, classes = DeltaSubgroup(n, (48,)), atlas(n, GAMMA1)
 
     def refused(*args):
         raise AssertionError(f"canonicalize_x1{args} called")
@@ -310,7 +337,7 @@ def test_atlas_delta_matches_the_orbit_scan(data):
     # members against the scan: the X_1 classes merged under (a*x, a^-1*y)
     n = data.draw(st.integers(1, 500))
     gens = data.draw(st.lists(st.sampled_from(units(n)), max_size=3))
-    delta = subgroup_generated(n, tuple(gens))
+    delta = DeltaSubgroup(n, tuple(gens))
     x1_orbits, index = bf_x1_orbits(n)
     found = [{index[c.x, c.y % n] for c in o} for o in atlas_delta(delta)]
     assert sum(map(len, found)) == len(x1_orbits)

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspforge.arith import (
+    DeltaSubgroup,
     cusp_sum,
     delta_d,
     divisors,
     full_units,
     pm_one,
-    subgroup_generated,
     totient,
     units,
     x0_cusp_count,
@@ -77,7 +77,7 @@ def test_g1_against_independent_formula():
 def _single_generator_subgroups(n):
     seen = set()
     for g in units(n):
-        sub = subgroup_generated(n, (g,))
+        sub = DeltaSubgroup(n, (g,))
         if sub.elements not in seen:
             seen.add(sub.elements)
             yield sub
@@ -158,14 +158,14 @@ def test_genus_integrality_single_generator_subgroups():
             if key in seen:
                 continue
             seen.add(key)
-            profile = genus_delta(subgroup_generated(n, (g,)))
+            profile = genus_delta(DeltaSubgroup(n, (g,)))
             assert profile.g >= 0  # NonIntegralGenus would raise first
 
 
 def test_genus_monotone_under_nesting():
     for n in (16, 20, 24, 36, 40, 60):
         for g in units(n):
-            sub = subgroup_generated(n, (g,))
+            sub = DeltaSubgroup(n, (g,))
             assert g1(n) >= genus_delta(sub).g >= g0(n)
 
 
@@ -177,7 +177,7 @@ def test_profile_internal_identity():
 def _random_delta(data, lo, hi):
     n = data.draw(st.integers(lo, hi))
     gens = data.draw(st.lists(st.sampled_from(units(n)), max_size=2))
-    return n, gens, subgroup_generated(n, gens)
+    return n, gens, DeltaSubgroup(n, gens)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -229,7 +229,7 @@ def test_cover_fibres_sum_to_the_degree_on_x_delta(data):
     # X_1(N) -> X_Delta(N) and X_Delta(N) -> X_{Delta<a>}(N), the fibres
     # read off the diamond orbits of atlas_delta
     n, gens, delta = _random_delta(data, 1, 120)
-    bigger = subgroup_generated(n, [*gens, data.draw(st.sampled_from(units(n)))])
+    bigger = DeltaSubgroup(n, [*gens, data.draw(st.sampled_from(units(n)))])
     for small, big in ((pm_one(n), delta), (delta, bigger)):
         below = {c: orbit[0] for orbit in atlas_delta(big) for c in orbit}
         image = {orbit[0]: below[orbit[0]] for orbit in atlas_delta(small)}

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from cuspforge.arith import delta_d, factorize, subgroup_generated
+from cuspforge.arith import DeltaSubgroup, delta_d, factorize
 from cuspforge.cusps import GAMMA1, atlas
 from cuspforge.genus import genus_delta
 
@@ -225,7 +225,7 @@ def test_no_module_imports_future():
 
 
 def test_genus_counts_are_ints():
-    p = genus_delta(subgroup_generated(720, (7,)))
+    p = genus_delta(DeltaSubgroup(720, (7,)))
     assert [type(v) for v in p[1:]] == [int] * 5
 
 

@@ -1,10 +1,10 @@
 """The package's records are frozen values.
 
-The plain records are NamedTuples; `DeltaSubgroup`, which checks its
-elements when built, is a slot class whose fields are set once.  Either
-way no attribute can be set or deleted, cusp classes sort as their field
-tuples, and a `DeltaSubgroup` compares and hashes by level and elements
-only.  The package imports no `dataclasses`.
+The plain records are NamedTuples; `DeltaSubgroup`, which spans its
+elements from its generators when built, is a slot class whose fields
+are set once.  Either way no attribute can be set or deleted, cusp
+classes sort as their field tuples, and a `DeltaSubgroup` compares and
+hashes by level and elements only.  The package imports no `dataclasses`.
 """
 
 import importlib

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspforge.arith import delta_d, divisors, subgroup_generated, units
+from cuspforge.arith import DeltaSubgroup, delta_d, divisors, units
 from cuspforge.cusps import (
     GAMMA0,
     GAMMA1,
@@ -33,14 +33,14 @@ def _orbit_of(c, delta):
 def _fixed(n, a):
     """The X_1(N) cusps that the diamond [a] fixes, in atlas order: the
     singleton orbits of <+-1, a>, as [-1] fixes every cusp."""
-    return [o[0] for o in atlas_delta(subgroup_generated(n, (a,))) if len(o) == 1]
+    return [o[0] for o in atlas_delta(DeltaSubgroup(n, (a,))) if len(o) == 1]
 
 
 def test_act_diamond_examples():
     # [3] moves (1 : 10) to (3 : 10); [9] fixes it, as 9 lies in Delta_10
     s = canonicalize_x1(20, 1, 10)
-    assert canonicalize_x1(20, 3, 10) in _orbit_of(s, subgroup_generated(20, (3,)))
-    assert _orbit_of(s, subgroup_generated(20, (9,))) == (s,)
+    assert canonicalize_x1(20, 3, 10) in _orbit_of(s, DeltaSubgroup(20, (3,)))
+    assert _orbit_of(s, DeltaSubgroup(20, (9,))) == (s,)
 
 
 def test_diamond_fixes_d_cusps_iff_in_delta_d():
@@ -48,7 +48,7 @@ def test_diamond_fixes_d_cusps_iff_in_delta_d():
     # of <+-1, a> are all singletons exactly when a lies in Delta_d
     for n in range(2, 101):
         for a in units(n):
-            orbits = atlas_delta(subgroup_generated(n, (a,)))
+            orbits = atlas_delta(DeltaSubgroup(n, (a,)))
             for d in divisors(n):
                 fixes_all = all(len(o) == 1 for o in orbits if o[0].d == d)
                 assert fixes_all == (a in delta_d(n, d).members)
