@@ -37,10 +37,12 @@ from .errors import (
 MAX_LEVEL = 10**12
 
 # Cost bound of (Z/NZ)* in phi(N), checked before the units are listed.
-# `genus --level N --gamma0` costs about phi(N) times the divisor count of
-# N: on a 2-vCPU host with CPython 3.11 it took 0.08 s and 18 MB as a whole
-# process, 28 ms of it in `cli.run` (medians of 5), at N = 92400 (phi
-# 19200, 120 divisors), the worst level within the bound.
+# `genus --level N --gamma0` costs O(N + phi(N)): the gcd scan of 1..N in
+# `units(N)`, about half of the time, then spanning and sorting the phi(N)
+# units.  At N = 94710, the largest level within the bound, and at 92400
+# (phi 19200 each) it took 27-40 ms in `cli.run` (11 runs each) on a
+# 2-vCPU host with CPython 3.11; at 92400, 0.11 s and 18 MB as a whole
+# process (medians of 7).
 # `DeltaSubgroup` holds every subgroup it spans to the same size.
 MAX_UNITS = 2 * 10**4
 
@@ -274,8 +276,18 @@ def delta_d(n: int, d: int) -> DeltaSubgroup:
 def projection_image_size(d: int, delta: DeltaSubgroup) -> int:
     """|pi_d(Delta)|, the size of the image of Delta in (Z/LZ)*, where
     L = lcm(d, N/d) = N/e, e = gcd(d, N/d) and N = delta.level: |Delta|
-    over |Delta meet {1 + j*L : 0 <= j < e}|, the kernel of reduction
-    mod L (each 1 + j*L is a unit, since L has every prime of N).
+    over t = |Delta meet K_d|, where K_d = {1 + j*L : 0 <= j < e} is the
+    kernel of reduction mod L (each 1 + j*L is a unit, since L has every
+    prime of N).
+
+    t is read off the prime powers p^a || e in sum(a) <= log2(e)
+    membership tests.  Since e^2 | N, L^2 lies in NZ, so (1 + L)^j =
+    1 + j*L mod N: K_d is cyclic of order e, generated by 1 + L, and
+    Delta meet K_d is its one subgroup of order t | e.  For each p^a || e
+    and 1 <= b <= a, the element 1 + (e/p^b)*L = 1 + N/p^b (already in
+    1..N) has order p^b, so it lies in that subgroup exactly when p^b | t.
+    The p-part of t is therefore p to the number of such b with
+    1 + N/p^b in Delta.
 
     The cusps of X_Delta(N) rest on it.  The X_1(N) cusps with invariant
     d are the unit pairs (x mod d, y/d mod N/d) up to a common sign, and
@@ -286,9 +298,10 @@ def projection_image_size(d: int, delta: DeltaSubgroup) -> int:
     phi(d) phi(N/d) = phi(L) phi(e).
     """
     n = delta.level
-    e = cofactor_gcd(n, d)
-    m = n // e
-    return len(delta) // sum((1 + j * m) in delta.members for j in range(e))
+    t = 1
+    for p, a in factorize(cofactor_gcd(n, d)):
+        t *= p ** sum(1 + n // p**b in delta.members for b in range(1, a + 1))
+    return len(delta) // t
 
 
 def unit_group_generators(n: int) -> list[int]:

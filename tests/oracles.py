@@ -293,6 +293,16 @@ def bf_projection_image_size(n, d, elements):
     return len({a % m or m for a in elements})
 
 
+def bf_kernel_size(n, d, members):
+    """|Delta meet K_d| by scan: how many of the e = gcd(d, n/d) lifts
+    1 + j*L of 1 mod L = n/e, 0 <= j < e, lie in the member set (residues
+    in 1..n).  The package counted the kernel this way before it read the
+    count off the primes of e."""
+    e = gcd(d, n // d)
+    m = n // e
+    return sum((1 + j * m) in members for j in range(e))
+
+
 def bf_genus_profile(n, elements):
     """(mu, nu2, nu3, nu_inf, g) of X_Delta(n) for the subgroup with these
     residues, as four Fraction sums with its own primes and totients."""

@@ -36,6 +36,7 @@ from oracles import (
     bf_divisors,
     bf_factorizations,
     bf_is_closed,
+    bf_kernel_size,
     bf_phi,
     bf_phi_table,
     bf_projection_image_size,
@@ -200,28 +201,45 @@ def test_projection_monotone_under_inclusion():
             assert projection_image_size(d, small) <= projection_image_size(d, big)
 
 
+def check_projection_against_oracles(d, delta):
+    # the closed form against the set of reductions and against |Delta|
+    # over the kernel count by scan
+    n = delta.level
+    expected = bf_projection_image_size(n, d, delta.elements)
+    assert len(delta) // bf_kernel_size(n, d, delta.members) == expected, (n, d)
+    assert projection_image_size(d, delta) == expected, (n, d, delta)
+
+
 def test_projection_image_size_matches_set_oracle():
-    # the kernel count against the set of reductions, at every divisor
     rng = random.Random(13)
     for n in range(1, 160):
         groups = [pm_one(n), full_units(n), DeltaSubgroup(n, (rng.choice(units(n)),))]
         groups += [delta_d(n, d) for d in divisors(n)]
         for delta in groups:
             for d in divisors(n):
-                expected = bf_projection_image_size(n, d, delta.elements)
-                assert projection_image_size(d, delta) == expected, (n, d, delta)
+                check_projection_against_oracles(d, delta)
 
 
+@st.composite
+def subgroups_with_divisors(draw):
+    n = draw(st.integers(1, 400))
+    gens = draw(st.lists(st.sampled_from(units(n)), max_size=3))
+    return DeltaSubgroup(n, tuple(gens)), divisors(n)
+
+
+# Levels with e = gcd(d, N/d) far past the random draws: N = 997920^2 and
+# 10^12 = 1000000^2, at d = sqrt(N) where e = d.  Delta_d is refused past
+# e = 10^4 (2e > MAX_UNITS), so its examples take the largest e within that.
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.data())
-def test_projection_image_size_matches_set_oracle_random_subgroups(data):
-    n = data.draw(st.integers(1, 400))
-    gens = data.draw(st.lists(st.sampled_from(units(n)), max_size=3))
-    delta = DeltaSubgroup(n, tuple(gens))
-    for d in divisors(n):
-        assert projection_image_size(d, delta) == bf_projection_image_size(
-            n, d, delta.elements
-        )
+@given(subgroups_with_divisors())
+@example((pm_one(997920**2), (997920, 9504)))
+@example((delta_d(997920**2, 9504), (997920, 9504)))
+@example((pm_one(10**12), (10**6, 10**4)))
+@example((delta_d(10**12, 10**4), (10**6, 10**4)))
+def test_projection_image_size_matches_set_oracle_random_subgroups(case):
+    delta, ds = case
+    for d in ds:
+        check_projection_against_oracles(d, delta)
 
 
 def test_trivial_levels_collapse():

@@ -430,6 +430,15 @@ def test_largest_prime_level_is_factored():
     assert result["nu_inf"] == 999999999988
 
 
+def test_large_square_level_genus_is_fast():
+    # 995844326400 = 997920^2: e = gcd(d, N/d) sums to about 1.2 * 10^7 over
+    # its 2673 divisors, and scanning every kernel lift took about 1.2 s
+    start = time.perf_counter()
+    code, text = _run(["genus", "--level", "995844326400", "--gamma1"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 0, text
+
+
 def test_gamma0_atlas_needs_no_unit_group():
     # (Z/10^6 Z)* is past the unit bound, but X_0(10^6) has only
     # 12 * 150 = 1800 cusps, and the atlas never lists the units

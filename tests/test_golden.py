@@ -89,6 +89,9 @@ GOLDEN = {
         "2b5aeb2e897125495d570ed79bbe685e37a17c83b3e3d66d5127708c6f5a5668",
     "orbits --level 49999":
         "0b055f3a2416c81c72ea85f0656f8385f1ca83b55d4b2c1388c844a61da62b87",
+    # a genus whose kernel counts reach e = 997920, at N = 997920^2
+    "genus --level 995844326400 --gamma1":
+        "1aee2576e3810104b43f1a2415a9e1e25a874528ecf4708fd0040e499f5fee45",
 }
 
 
