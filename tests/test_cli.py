@@ -432,7 +432,7 @@ def test_largest_prime_level_is_factored():
 
 def test_large_square_level_genus_is_fast():
     # 995844326400 = 997920^2: e = gcd(d, N/d) sums to about 1.2 * 10^7 over
-    # its 2673 divisors, and scanning every kernel lift took about 1.2 s
+    # its 2673 divisors, and scanning every kernel lift took over 1 s
     start = time.perf_counter()
     code, text = _run(["genus", "--level", "995844326400", "--gamma1"])
     assert time.perf_counter() - start < 0.5
