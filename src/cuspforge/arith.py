@@ -3,8 +3,8 @@ subgroups of (Z/NZ)*.
 
 `factorize` works by trial division up to `MAX_LEVEL`.  Everything else
 that depends on N only through its primes is read off a factorization:
-totients, divisors and the cusp counts `cusp_sum` and `x0_cusp_count`
-(closed forms per prime power).
+totients, divisors, the units (a sieve) and the cusp counts `cusp_sum`
+and `x0_cusp_count` (closed forms per prime power).
 
 `check_positive` is the one check that a level is at least 1, and
 `check_level` the one check of the factorization bound.  `cofactor_gcd`
@@ -19,6 +19,7 @@ numerator over a known denominator, and `ratio_text` writes it.
 """
 
 from functools import lru_cache
+from itertools import compress
 from math import gcd, prod
 
 from .errors import (
@@ -37,12 +38,10 @@ from .errors import (
 MAX_LEVEL = 10**12
 
 # Cost bound of (Z/NZ)* in phi(N), checked before the units are listed.
-# `genus --level N --gamma0` costs O(N + phi(N)): the gcd scan of 1..N in
-# `units(N)`, about half of the time, then spanning and sorting the phi(N)
-# units.  At N = 94710, the largest level within the bound, and at 92400
-# (phi 19200 each) it took 27-40 ms in `cli.run` (11 runs each) on a
-# 2-vCPU host with CPython 3.11; at 92400, 0.11 s and 18 MB as a whole
-# process (medians of 7).
+# `genus --level N --gamma0` sieves 1..N in `units(N)`, then spans and sorts
+# the phi(N) units.  At 94710, the largest level within the bound, and at
+# 92400 (phi 19200 each) it took 17 ms in `cli.run` and 68 ms and 18 MB as
+# a process (medians, 2-vCPU host, CPython 3.11).
 # `DeltaSubgroup` holds every subgroup it spans to the same size.
 MAX_UNITS = 2 * 10**4
 
@@ -155,9 +154,12 @@ def divisors(n: int) -> list[int]:
 
 
 def units(n: int) -> list[int]:
-    """The units of Z/nZ as residues in 1..n; [1] for n = 1."""
-    check_positive(n)
-    return [a for a in range(1, n + 1) if gcd(a, n) == 1]
+    """The units of Z/nZ in 1..n, ascending: 1..n less each prime's multiples."""
+    primes = factorize(n)  # refuses n < 1 before anything is allocated
+    alive = bytearray(b"\0" + b"\1" * n)
+    for p, _ in primes:
+        alive[p::p] = bytes(n // p)
+    return list(compress(range(n + 1), alive))
 
 
 def is_prime(n: int) -> bool:

@@ -17,6 +17,7 @@ from .arith import (
     cusp_sum,
     divisors,
     normalize_residue,
+    units,
     x0_cusp_count,
 )
 from .errors import AtlasTooLarge, NotPrimitive
@@ -79,8 +80,7 @@ def _class_x0(n: int, x0: int, d: int) -> CuspClass:
     """Build the Gamma_0 class from the datum x0 mod e; the stored x is
     the smallest positive lift of x0 that is coprime to d."""
     e = gcd(d, n // d)
-    x0 %= e
-    rep = x0 if x0 > 0 else e
+    rep = normalize_residue(x0, e)
     while gcd(rep, d) != 1:
         rep += e
     return CuspClass(n, GAMMA0, d, d, rep, e, e > 1)
@@ -102,8 +102,9 @@ def atlas(n: int, group: str = GAMMA1) -> tuple[CuspClass, ...]:
     """Complete duplicate-free cusp atlas of X_1(N) or X_0(N), sorted.
 
     The Gamma_1 atlas lists the fixed points of `canonicalize_x1` in order:
-    d | N ascending, y = d*u (u a unit mod N/d) with y <= -y mod N, then the
-    units x mod d, only those with x <= -x mod d when y = -y mod N.
+    d | N ascending, y = d*u for u in `units(N/d)` with y <= -y mod N, then
+    x in `units(d)` mod d, only those with x <= -x mod d when y = -y mod N.
+    Since -y = d*(-u) mod N, y <= -y mod N reads u <= -u, both mod N/d.
     """
     check_positive(n)
     cusps = []
@@ -112,19 +113,16 @@ def atlas(n: int, group: str = GAMMA1) -> tuple[CuspClass, ...]:
             raise AtlasTooLarge(f"X_1({n}) has more than {MAX_CUSP_SUM // 2} cusps")
         for d in divisors(n):
             m, e = n // d, gcd(d, n // d)
-            xs = [x for x in range(d) if gcd(x, d) == 1]
-            half = [x for x in xs if x <= (-x) % d]
-            for y in range(d, n + 1, d):
-                y_neg = normalize_residue(-y, n)
-                if gcd(y // d, m) == 1 and y <= y_neg:
-                    row = xs if y < y_neg else half
-                    cusps += [CuspClass(n, GAMMA1, d, y, x, e, e > 1) for x in row]
+            xs = [x % d for x in units(d)]
+            for u in units(m):
+                if u % m <= -u % m:
+                    row = xs if u % m < -u % m else [x for x in xs if x <= -x % d]
+                    cusps += [CuspClass(n, GAMMA1, d, d * u, x, e, e > 1) for x in row]
     elif group == GAMMA0:
         if x0_cusp_count(n) > MAX_CUSP_SUM:
             raise AtlasTooLarge(f"X_0({n}) has more than {MAX_CUSP_SUM} cusps")
         for d in divisors(n):
-            e = gcd(d, n // d)
-            cusps += sorted(_class_x0(n, x, d) for x in range(e) if gcd(x, e) == 1)
+            cusps += sorted(_class_x0(n, x, d) for x in units(gcd(d, n // d)))
     else:
         raise ValueError(f"unknown group tag {group!r}")
     return tuple(cusps)

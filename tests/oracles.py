@@ -36,6 +36,12 @@ def bf_phi(n):
     return sum(1 for a in range(1, n + 1) if gcd(a, n) == 1)
 
 
+def bf_units(n):
+    """The units of Z/nZ in 1..n by one gcd per residue: the package's
+    former `arith.units`, which the sieve off the factorization replaced."""
+    return [a for a in range(1, n + 1) if gcd(a, n) == 1]
+
+
 @cache
 def bf_phi_table(limit):
     """[0, phi(1), ..., phi(limit)] by Euler's sieve: phi(m) loses

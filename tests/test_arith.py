@@ -29,6 +29,7 @@ from cuspforge.errors import (
     LevelTooLarge,
     NonUnitGenerator,
     NotADivisor,
+    NotPositive,
     UnitGroupTooLarge,
 )
 
@@ -42,6 +43,7 @@ from oracles import (
     bf_projection_image_size,
     bf_subgroup,
     bf_unit_group_generators,
+    bf_units,
 )
 
 
@@ -84,6 +86,22 @@ def test_units_values():
     assert units(1) == [1]
     assert units(8) == [1, 3, 5, 7]
     assert units(20) == [1, 3, 7, 9, 11, 13, 17, 19]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3 * 10**4))
+@example(1)
+@example(2)
+@example(4)
+@example(2003)
+@example(92400)
+@example(94710)  # the largest level whose phi is within MAX_UNITS
+def test_units_sieve_matches_gcd_scan(n):
+    assert units(n) == bf_units(n)
+    # unit_group_generators relies on this refusal of N < 1
+    for bad in (0, -5):
+        with pytest.raises(NotPositive):
+            units(bad)
 
 
 def test_delta_subgroup_values():

@@ -10,7 +10,7 @@ test file imports is used there, apart from the package's re-exports;
 every public function, class and method of the package is named
 somewhere in it outside its own definition, re-exported or not; and
 every error class is raised somewhere in it.  Only `cli` turns records
-into JSON or TSV.
+into JSON or TSV, and every list of units comes from `arith.units`.
 The arithmetic is exact: no module divides with `/` or touches a float,
 and none imports `fractions`: a rational is an integer numerator over a
 known denominator, and `arith.ratio_text` writes it.  None imports
@@ -132,6 +132,24 @@ def test_irregular_check_has_one_home():
                     if isinstance(node, ast.Raise) and "NotIrregular" in ast.dump(node):
                         sites.append(f"{module}.{fn.name}")
     assert sites == ["arith.irregular_e"]
+
+
+def test_unit_list_has_one_home():
+    # every list of units comes from arith.units, a sieve off the
+    # factorization: no comprehension in the package filters a range of
+    # residues by gcd
+    sites = []
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.comprehension) and _named(node.iter)["range"]:
+                for cond in node.ifs:
+                    if any(
+                        isinstance(c, ast.Call) and _named(c.func)["gcd"]
+                        for c in ast.walk(cond)
+                    ):
+                        sites.append(f"{module}: {ast.unparse(cond)}")
+    assert sites == []
 
 
 def test_cover_step_has_one_home():
