@@ -6,11 +6,12 @@ that depends on N only through its primes is read off a factorization:
 totients, divisors, the units (a sieve) and the cusp counts `cusp_sum`
 and `x0_cusp_count` (closed forms per prime power).
 
-`check_positive` is the one check that a level is at least 1, and
-`check_level` the one check of the factorization bound.  `cofactor_gcd`
-is the one check that d divides N: every function of (N, d) calls it and
-reads e = gcd(d, N/d) off it, and `irregular_e` adds the one check that
-e > 1 for those that need an irregular bucket.
+`check_positive` is the one check that an integer (a level, a worker
+count or a number of terms) is at least 1, and `check_level` the one
+check of the factorization bound.  `cofactor_gcd` is the one check that d
+divides N: every function of (N, d) calls it and reads e = gcd(d, N/d)
+off it, and `irregular_e` adds the one check that e > 1 for those that
+need an irregular bucket.
 
 Residues are normalized to 1..N, so the trivial groups mod 1 and mod 2
 collapse to {1} and no downstream formula needs a special case.  Everything
@@ -45,6 +46,13 @@ MAX_LEVEL = 10**12
 # `DeltaSubgroup` holds every subgroup it spans to the same size.
 MAX_UNITS = 2 * 10**4
 
+# Largest n whose units `units` lists, checked before its sieve allocates
+# one byte per residue in 1..n.  The CLI passes it at most 99991 (the x0's
+# of `cusps --level 9998200081 --gamma0`).  At 999983, the largest prime
+# within the bound, it took 40 ms and 40 MB (median, 2-vCPU host, CPython
+# 3.11); at 10^6 itself 35 ms.
+MAX_SIEVE = 10**6
+
 
 def normalize_residue(a: int, n: int) -> int:
     """Reduce a into 1..n (the residue 0 is stored as n)."""
@@ -60,10 +68,11 @@ def ratio_text(num: int, den: int) -> str:
     return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
-def check_positive(n: int) -> None:
-    """Refuse a level below 1."""
+def check_positive(n: int, name: str = "level") -> None:
+    """Refuse n below 1, with NotPositive naming n as `name`: the one
+    at-least-1 check, of a level, `--jobs` or `--terms`."""
     if n < 1:
-        raise NotPositive(f"level must be at least 1, got {n}")
+        raise NotPositive(f"{name} must be at least 1, got {n}")
 
 
 def check_level(n: int) -> None:
@@ -154,10 +163,14 @@ def divisors(n: int) -> list[int]:
 
 
 def units(n: int) -> list[int]:
-    """The units of Z/nZ in 1..n, ascending: 1..n less each prime's multiples."""
-    primes = factorize(n)  # refuses n < 1 before anything is allocated
+    """The units of Z/nZ in 1..n, ascending: 1..n less each prime's
+    multiples.  n below 1 or past MAX_SIEVE is refused before anything is
+    allocated or factored."""
+    check_positive(n)
+    if n > MAX_SIEVE:
+        raise UnitGroupTooLarge(f"the units mod {n} would sieve {n} residues, past {MAX_SIEVE}")
     alive = bytearray(b"\0" + b"\1" * n)
-    for p, _ in primes:
+    for p, _ in factorize(n):
         alive[p::p] = bytes(n // p)
     return list(compress(range(n + 1), alive))
 
@@ -310,8 +323,8 @@ def unit_group_generators(n: int) -> list[int]:
     """A small generating set of (Z/nZ)* (with -1 adjoined), found greedily:
     each unit, in increasing order, not yet in the span of -1 and the
     units kept before it."""
-    # bounded by phi(N), which no span passes: cusp_orbits_x1 builds the
-    # X_1(N) atlas first, whose bound keeps phi(N) <= 5 * 10^4
+    # `units` refuses N past MAX_SIEVE before it allocates, and the span is
+    # bounded by phi(N), which no span passes
     gens = units(n)  # refuses N < 1 before -1 is reduced mod N
     _, kept = _span(n, [normalize_residue(-1, n), *gens], totient(n))
     return kept[1:]  # -1 comes first, and is kept unless it is 1 (N <= 2)

@@ -17,7 +17,7 @@ from . import __version__
 from .arith import DeltaSubgroup, check_positive, full_units, pm_one, ratio_text
 from .criteria import certify_x1_20, survey_x1, x0_verdict, x1_verdict
 from .cusps import GAMMA0, GAMMA1, atlas, atlas_delta, width
-from .errors import BadFlag, BadSpec, DomainError, NotPositive, UnknownCommand
+from .errors import BadFlag, BadSpec, DomainError
 from .etaq import EtaQuotient, check_terms, divisor, eta_series
 from .genus import genus_delta
 from .symmetry import cusp_orbits_x1
@@ -100,8 +100,8 @@ def _orbits(args) -> dict:
 
 
 def _survey_x1(args) -> dict | str:
-    if args.jobs is not None and args.jobs < 1:
-        raise NotPositive(f"jobs must be at least 1, got {args.jobs}")
+    if args.jobs is not None:
+        check_positive(args.jobs, "jobs")
     report = survey_x1(args.max)
     if args.format == "tsv":
         rows = [f"{n}\t{d}\t{status}\t{rule}\n" for n, d, status, rule in report.rows]
@@ -190,12 +190,12 @@ def _parse(argv) -> SimpleNamespace | None:
     right; None once -h or --help is read.
 
     A flag is --name value or --name=value, and the last one given wins.
-    A separate value that starts with - must be a negative integer.  The
-    first token refused raises BadFlag; a missing flag, or one the form
-    does not take, is refused after the last token.
+    A separate value that starts with - must be a negative integer.  An
+    empty argv, or the first token refused, raises BadFlag; a missing
+    flag, or one the form does not take, is refused after the last token.
     """
     if not argv:
-        raise UnknownCommand("no command given; see --help")
+        raise BadFlag("no command given; see --help")
     command, tokens = argv[0], iter(argv[1:])
     if command in _HELP:
         return None

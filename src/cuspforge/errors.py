@@ -1,8 +1,10 @@
-"""Domain errors raised on violated preconditions.
+"""Domain errors raised on violated preconditions, one class per
+precondition.
 
-All of these derive from DomainError so the CLI can map them to exit
-code 2 with a structured payload; anything else escaping a command is
-an internal bug (exit 1).
+Every class here derives from DomainError, so the CLI maps it to exit
+code 2 with a structured payload.  A broken invariant is a plain
+RuntimeError, and anything else escaping a command is an internal bug
+too (exit 1).
 """
 
 
@@ -34,10 +36,6 @@ class LevelMismatch(DomainError):
     pass
 
 
-class BadGenus(DomainError):
-    pass
-
-
 class GenusTooSmall(DomainError):
     pass
 
@@ -47,10 +45,6 @@ class NotPrime(DomainError):
 
 
 class RCongruentZero(DomainError):
-    pass
-
-
-class TruncationTooSmall(DomainError):
     pass
 
 
@@ -83,16 +77,13 @@ class InconsistentGapCount(DomainError):
     pass
 
 
-class UnknownCommand(DomainError):
-    pass
-
-
 class BadFlag(DomainError):
-    pass
+    """An argv the parser refuses, the empty argv included."""
 
 
 class NotPositive(DomainError):
-    """A level or worker count below 1."""
+    """A level, worker count or number of terms below 1, refused by
+    `arith.check_positive` alone."""
 
 
 class BadSpec(DomainError):
@@ -104,12 +95,3 @@ class BadSpec(DomainError):
 class NotAFunction(DomainError):
     """An eta quotient whose divisor has a non-integral order or nonzero
     degree, so it is not a function on X_1(N)."""
-
-
-class NonIntegralGenus(RuntimeError):
-    """Genus formula returned a non-integer: implementation bug, not bad input."""
-
-
-class NonzeroDegree(RuntimeError):
-    """A quotient the package builds as a function (the level-20
-    certificate's F and G) is not one: the order formula is broken."""

@@ -46,7 +46,6 @@ from .errors import (
     NotAFunction,
     RCongruentZero,
     TruncationTooLarge,
-    TruncationTooSmall,
 )
 
 # Cost bounds of one expansion.  Work counts the updates of the `_power`
@@ -148,8 +147,7 @@ def _passes(q: EtaQuotient, terms: int | None):
     n = q.level
     if terms is None:
         terms = 10 * n
-    if terms < 1:
-        raise TruncationTooSmall("need at least one term")
+    check_positive(terms, "terms")
     if terms > MAX_TERMS:
         raise TruncationTooLarge(f"{terms} terms exceed the cost bound {MAX_TERMS}")
     m = (terms - 1) // n + 1  # |k_r| passes over T for theta_r, |K| over m for P

@@ -42,7 +42,6 @@ from .arith import (
     x0_cusp_count,
 )
 from .cusps import GAMMA0
-from .errors import NonIntegralGenus
 
 
 class GenusProfile(NamedTuple):
@@ -63,7 +62,7 @@ def _genus(multiple: int, k: int, name: str) -> int:
     """g from the integer k g; a remainder or a negative g raises."""
     g, rem = divmod(multiple, k)
     if rem or g < 0:
-        raise NonIntegralGenus(f"{k} {name} = {multiple}")
+        raise RuntimeError(f"{k} {name} = {multiple}")
     return g
 
 

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 import sympy
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 
 from cuspforge.arith import (
     MAX_LEVEL,
+    MAX_SIEVE,
     MAX_UNITS,
     DeltaSubgroup,
     cusp_sum,
@@ -102,6 +107,33 @@ def test_units_sieve_matches_gcd_scan(n):
     for bad in (0, -5):
         with pytest.raises(NotPositive):
             units(bad)
+
+
+def test_units_refuses_past_the_sieve_bound():
+    # quick: refused before the sieve allocates a byte per residue (about
+    # 1 TB at 999999999989, the largest prime within MAX_LEVEL) and before
+    # factorize trial-divides.  The refusals run in a child whose address
+    # space is capped, so a sieve that allocates first fails there with
+    # MemoryError, and whose factorize is unset, so one that factors first
+    # fails with TypeError
+    assert len(units(MAX_SIEVE)) == totient(MAX_SIEVE)
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from cuspforge import arith\n"
+        "arith.factorize = None\n"
+        "for n in (arith.MAX_SIEVE + 1, 999999999989):\n"
+        "    try:\n        arith.units(n)\n"
+        "    except Exception as exc:\n        print(type(exc).__name__)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "UnitGroupTooLarge\n" * 2, "")
 
 
 def test_delta_subgroup_values():

@@ -228,8 +228,14 @@ def test_missing_required_flag():
 
 
 def test_unknown_command():
-    code, text = _run(["frobnicate"])
-    assert code == 2
+    # every argv the parser refuses, the empty one included, is a BadFlag
+    for argv, message in (
+        ([], "no command given; see --help"),
+        (["frobnicate"], "unknown command 'frobnicate'; see --help"),
+    ):
+        code, text = _run(argv)
+        assert code == 2
+        assert json.loads(text) == {"error": {"type": "BadFlag", "message": message}}
 
 
 @pytest.mark.parametrize(
@@ -248,8 +254,8 @@ def test_unknown_command():
         (["survey", "x1", "--max", "40", "--jobs", "0"], None, "NotPositive"),
         (["survey", "x1", "--max", "40", "--jobs", "-3"], None, "NotPositive"),
         (["eta", "div", "--spec", "spec.json"], '{"level": 20, "exponents": {"1": 1}}', "NotAFunction"),
-        (["eta", "div", "--spec", "spec.json", "--terms", "0"], '{"level": 20, "exponents": {}}', "TruncationTooSmall"),
-        (["eta", "div", "--spec", "spec.json", "--terms", "-3"], '{"level": 20, "exponents": {}}', "TruncationTooSmall"),
+        (["eta", "div", "--spec", "spec.json", "--terms", "0"], '{"level": 20, "exponents": {}}', "NotPositive"),
+        (["eta", "div", "--spec", "spec.json", "--terms", "-3"], '{"level": 20, "exponents": {}}', "NotPositive"),
         # flags the chosen form does not take, and abbreviations
         (["verdict", "x1", "--level", "20", "--d", "2", "--p", "3"], None, "BadFlag"),
         (["verdict", "x0", "--p", "2", "--m", "16", "--level", "64"], None, "BadFlag"),

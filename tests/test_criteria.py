@@ -36,7 +36,6 @@ from cuspforge.criteria import (
     x1_verdict,
 )
 from cuspforge.errors import (
-    BadGenus,
     GenusTooSmall,
     DomainError,
     InconsistentGapCount,
@@ -95,7 +94,7 @@ def test_schoeneberg_examples():
     assert not schoeneberg(3, 2, 1)  # the level-20 failure forcing the certificate
     assert schoeneberg(5, 2, 1)
     assert schoeneberg(2, 2, 0)
-    with pytest.raises(BadGenus):
+    with pytest.raises(GenusTooSmall, match="^need genus >= 2, got 1$"):
         schoeneberg(1, 2, 0)
     for m, g_bar in ((1, 0), (2, -1)):
         with pytest.raises(DomainError, match="need m >= 2 and g_bar >= 0"):

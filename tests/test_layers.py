@@ -9,7 +9,7 @@ no cycle is hidden inside a function body.  Every name a module or a
 test file imports is used there, apart from the package's re-exports;
 every public function, class and method of the package is named
 somewhere in it outside its own definition, re-exported or not; and
-every error class is raised somewhere in it.  Only `cli` turns records
+every error class is a `DomainError` raised somewhere in it.  Only `cli` turns records
 into JSON or TSV, and every list of units comes from `arith.units`.
 The arithmetic is exact: no module divides with `/` or touches a float,
 and none imports `fractions`: a rational is an integer numerator over a
@@ -121,6 +121,20 @@ def test_divisor_check_has_one_home():
     assert sites == ["arith.cofactor_gcd"]
 
 
+def test_positivity_check_has_one_home():
+    # every level, worker count and number of terms below 1 is refused by
+    # arith.check_positive
+    sites = []
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Raise) and "NotPositive" in ast.dump(node):
+                        sites.append(f"{module}.{fn.name}")
+    assert sites == ["arith.check_positive"]
+
+
 def test_irregular_check_has_one_home():
     # every function that needs e = gcd(d, N/d) > 1 asks arith.irregular_e
     sites = []
@@ -217,7 +231,7 @@ def test_no_true_division_or_float(module):
         assert not (isinstance(node, ast.Name) and node.id == "float"), f"{where} uses float"
 
 
-def test_only_etaq_imports_fractions():
+def test_no_module_imports_fractions():
     importers = set()
     for module in MODULES:
         for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
@@ -325,6 +339,39 @@ def test_every_error_is_raised():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(getattr(exc, "id", None))
     assert errors - raised == set(), f"never raised: {sorted(errors - raised)}"
+
+
+def test_every_error_is_a_refusal():
+    # errors.py holds the refusals of bad input, which the CLI exits 2 on;
+    # a broken invariant is a plain RuntimeError, raised where it is checked
+    errors = importlib.import_module("cuspforge.errors")
+    classes = [
+        obj
+        for obj in vars(errors).values()
+        if isinstance(obj, type) and obj.__module__ == errors.__name__
+    ]
+    assert len(classes) > 1
+    others = [c.__name__ for c in classes if not issubclass(c, errors.DomainError)]
+    assert not others, f"not a DomainError: {others}"
+
+
+def test_exit_codes_name_only_errors():
+    # the errors README's exit-code paragraph names in backticks are
+    # classes of errors.py, or the two types exit 1 prints, so a deleted
+    # error cannot stay documented there
+    text = README.read_text()
+    start, end = text.index("Exit codes:"), text.index("Output is deterministic.")
+    assert start < end
+    spans = re.findall(r"`([^`]*)`", text[start:end])
+    named = {m for span in spans for m in re.findall(r"\b[A-Z]\w*[A-Z]\w*", span)}
+    errors = {
+        node.name
+        for node in ast.parse((PACKAGE / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+    }
+    assert "NotPositive" in named
+    stale = sorted(named - errors - {"OSError", "RuntimeError"})
+    assert not stale, f"in README's exit codes but not in errors.py: {stale}"
 
 
 def _library_api() -> str:
