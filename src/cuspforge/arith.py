@@ -13,6 +13,10 @@ divides N: every function of (N, d) calls it and reads e = gcd(d, N/d)
 off it, and `irregular_e` adds the one check that e > 1 for those that
 need an irregular bucket.
 
+Every subgroup the verdicts build is Delta_L = {a : a = +-1 mod L}, L | N
+(Diamond-Shurman, GTM 228, 3.1): `full_units` is L = 1, `pm_one` L = N and
+`delta_d` L = N/e, held by L alone with closed forms; others are spanned.
+
 Residues are normalized to 1..N, so the trivial groups mod 1 and mod 2
 collapse to {1} and no downstream formula needs a special case.  Everything
 here is integer arithmetic; no floats.  An exact rational is an integer
@@ -38,12 +42,11 @@ from .errors import (
 # 3.11 (0.31 s at the largest prime below 10^13).
 MAX_LEVEL = 10**12
 
-# Cost bound of (Z/NZ)* in phi(N), checked before the units are listed.
-# `genus --level N --gamma0` sieves 1..N in `units(N)`, then spans and sorts
-# the phi(N) units.  At 94710, the largest level within the bound, and at
-# 92400 (phi 19200 each) it took 17 ms in `cli.run` and 68 ms and 18 MB as
-# a process (medians, 2-vCPU host, CPython 3.11).
-# `DeltaSubgroup` holds every subgroup it spans to the same size.
+# Cost bound on the elements a subgroup of (Z/NZ)* lists, checked before
+# any is listed.  `genus --level N --gamma0` prints the phi(N) units.  At
+# 94710, the largest level within the bound, and at 92400 (phi 19200 each)
+# it took 7 and 9 ms in `cli.run` and 92 ms and 17 MB as a process
+# (medians, 2-vCPU host, CPython 3.11).  A span is held to the same size.
 MAX_UNITS = 2 * 10**4
 
 # Largest n whose units `units` lists, checked before its sieve allocates
@@ -215,27 +218,24 @@ def _span(n: int, gens, limit: int) -> tuple[list[int], list[int]]:
 
 
 class DeltaSubgroup:
-    """The subgroup of (Z/NZ)* generated by -1 and gens, with sorted
-    element tuple.
+    """A subgroup of (Z/NZ)* containing -1.  `DeltaSubgroup(N, gens)` spans
+    -1 and gens mod N (see `_span`) and keeps the elements; `_congruence`
+    holds Delta_L by L alone and lists `elements` on first read.  `len` and
+    `in` never list.  Equality reads the level, the order and membership,
+    the hash the level and the order.  The slots are read-only once set."""
 
-    The generators are read mod N and spanned once (see `_span`), which
-    refuses a non-unit and a span past `MAX_UNITS` elements: every instance
-    is a subgroup containing -1 by construction.  Equality and hash use the
-    level and the elements only; `members` is the same set, kept for
-    membership tests.  The slots are set once in __init__ through
-    object.__setattr__ and are read-only afterwards.
-    """
-
-    __slots__ = ("level", "elements", "members")
+    __slots__ = ("level", "_modulus", "_order", "_members", "_elements")
 
     def __init__(self, level: int, gens=()):
         n = level
         check_positive(n)
         gens = [normalize_residue(g, n) for g in (-1, *sorted({g % n for g in gens}))]
         span, _ = _span(n, gens, MAX_UNITS)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "elements", tuple(sorted(span)))
-        object.__setattr__(self, "members", frozenset(span))
+        self._fill(level, None, len(span), frozenset(span), tuple(sorted(span)))
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -243,49 +243,83 @@ class DeltaSubgroup:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    @property
+    def elements(self) -> tuple[int, ...]:
+        """Ascending; a congruence group lists them on first read, and
+        refuses past `MAX_UNITS`."""
+        if self._elements is not None:
+            return self._elements
+        n, m, order = self.level, self._modulus, self._order
+        if order > MAX_UNITS:
+            group = f"(Z/{n}Z)*" if order == totient(n) else f"Delta_{m} of level {n}"
+            raise UnitGroupTooLarge(f"{group} has more than {MAX_UNITS} units")
+        if m > 2 and all(m % p == 0 for p, _ in factorize(n)):  # +-1 + k*m are units
+            listed = tuple(a for k in range(0, n, m) for a in (k + 1, k + m - 1))
+        else:
+            listed = tuple(a for a in units(n) if a % m in (1, m - 1))
+        object.__setattr__(self, "_elements", listed)
+        return listed
+
+    def __contains__(self, a: int) -> bool:
+        m = self._modulus
+        if m is None:
+            return a in self._members
+        return gcd(a, self.level) == 1 and a % m in (1, m - 1)
+
     def __eq__(self, other):
         if type(other) is not DeltaSubgroup:
             return NotImplemented
-        return self.level == other.level and self.elements == other.elements
+        if (self.level, self._order) != (other.level, other._order):
+            return False
+        if self._modulus is None or other._modulus is None:
+            spanned, rest = (self, other) if self._modulus is None else (other, self)
+            return all(a in rest for a in spanned._elements)  # at most MAX_UNITS
+        return _congruence_within(self._modulus, other._modulus)
 
     def __hash__(self) -> int:
-        return hash((self.level, self.elements))
+        return hash((self.level, self._order))
 
     def __repr__(self) -> str:
+        if self._order > MAX_UNITS:  # a congruence group past the listing bound
+            return f"<DeltaSubgroup of level {self.level}: +-1 mod {self._modulus}>"
         return f"DeltaSubgroup(level={self.level!r}, gens={self.elements!r})"
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self._order
+
+
+def _congruence(n: int, m: int) -> DeltaSubgroup:
+    """Delta_m = {a in (Z/nZ)* : a = +-1 mod m}, m | n.  Reduction mod m is
+    phi(n)/phi(m) to one onto (Z/mZ)*, so |Delta_m| = phi(n)/phi(m), twice
+    that once +1 != -1 mod m (m > 2): all units exactly when phi(m) <= 2."""
+    check_positive(n)
+    group = object.__new__(DeltaSubgroup)
+    group._fill(n, m, totient(n) // totient(m) * (1 + (m > 2)), None, None)
+    return group
+
+
+def _congruence_within(k: int, m: int) -> bool:
+    """Delta_k inside Delta_m, k, m | N: Delta_k maps onto the units = +-1
+    mod g = gcd(k, m) of (Z/mZ)*, which hold +-1 mod m, so it lies in
+    Delta_m exactly when phi(m) c(g) = phi(g) c(m), c(x) = 1 + (x > 2)."""
+    g = gcd(k, m)
+    return totient(m) * (1 + (g > 2)) == totient(g) * (1 + (m > 2))
 
 
 def pm_one(n: int) -> DeltaSubgroup:
-    """The subgroup {+-1}: the Delta giving X_1(N)."""
-    return DeltaSubgroup(n)
+    """{+-1} = Delta_N: the Delta giving X_1(N)."""
+    return _congruence(n, n)
 
 
 def full_units(n: int) -> DeltaSubgroup:
-    """All of (Z/nZ)*: the Delta giving X_0(N)."""
-    if totient(n) > MAX_UNITS:  # before the O(N) listing
-        raise UnitGroupTooLarge(f"(Z/{n}Z)* has more than {MAX_UNITS} units")
-    return DeltaSubgroup(n, units(n))
+    """All of (Z/nZ)* = Delta_1: the Delta giving X_0(N)."""
+    return _congruence(n, 1)
 
 
 def delta_d(n: int, d: int) -> DeltaSubgroup:
-    """Units congruent to +-1 mod N/e, where e = gcd(d, N/d).
-
-    These are exactly the diamond operators fixing every cusp whose
-    denominator invariant is d.  With m = N/e, e^2 | N puts m^2 in NZ, so
-    (1 + m)^k = 1 + k*m mod N: the units = 1 mod m are the cyclic group
-    generated by 1 + m, and Delta_d = <-1, 1 + m>.  It has 2e elements
-    once m > 2, and a d with 2e past `MAX_UNITS` is refused before any is
-    listed.
-    """
-    e = cofactor_gcd(n, d)
-    if 2 * e > MAX_UNITS:
-        raise UnitGroupTooLarge(
-            f"Delta_{d} of level {n} has {2 * e} elements, past {MAX_UNITS}"
-        )
-    return DeltaSubgroup(n, (1 + n // e,))
+    """Delta_{N/e}, e = gcd(d, N/d): the diamond operators fixing every
+    cusp whose denominator invariant is d, 2e of them once N/e > 2."""
+    return _congruence(n, n // cofactor_gcd(n, d))
 
 
 def projection_image_size(d: int, delta: DeltaSubgroup) -> int:
@@ -315,7 +349,7 @@ def projection_image_size(d: int, delta: DeltaSubgroup) -> int:
     n = delta.level
     t = 1
     for p, a in factorize(cofactor_gcd(n, d)):
-        t *= p ** sum(1 + n // p**b in delta.members for b in range(1, a + 1))
+        t *= p ** sum(1 + n // p**b in delta for b in range(1, a + 1))
     return len(delta) // t
 
 

@@ -77,6 +77,10 @@ class InconsistentGapCount(DomainError):
     pass
 
 
+class GenusTooLarge(DomainError):
+    """A gap sequence asked for at a genus past the cost bound."""
+
+
 class BadFlag(DomainError):
     """An argv the parser refuses, the empty argv included."""
 

@@ -24,9 +24,11 @@ unless 9 | N; the second holds for N >= 5, and X_1(N) has genus 0 below
 that.  Both read one factorization of N.  The tests hold both to
 `genus_delta` at Delta = all units and Delta = {+-1}.
 
-`cover` reads a cover of curves (N, group), the group `GAMMA0` or a
-`DeltaSubgroup` of level N, off the same closed forms: its degree is the
-ratio of the indices mu, its ramification index that of the cusp widths.
+On Delta_L (`arith._congruence`) nu2 and nu3 are `g0`'s if phi(L) <= 2
+(all units), else 0: b = +-1 mod L gives b^2 + 1 = 2, b^2 - b + 1 in
+{1, 3} mod L.  `cover` reads curves (N, Delta), X_0(N) being
+(N, full_units(N)): its degree is the ratio of the indices mu, its
+ramification index that of the cusp widths.
 """
 
 from math import gcd, prod
@@ -41,7 +43,6 @@ from .arith import (
     totient,
     x0_cusp_count,
 )
-from .cusps import GAMMA0
 
 
 class GenusProfile(NamedTuple):
@@ -71,14 +72,17 @@ def genus_delta(delta: DeltaSubgroup) -> GenusProfile:
     n = delta.level
     index = totient(n) // len(delta)  # [U : Delta]
     mu_ = _psi(n) * index
-    nu2_ = index * sum(1 for b in delta.elements if (b * b + 1) % n == 0)
-    nu3_ = index * sum(1 for b in delta.elements if (b * b - b + 1) % n == 0)
+    if delta._modulus is None:  # a span: count the roots in it
+        nu2_ = index * sum(1 for b in delta.elements if (b * b + 1) % n == 0)
+        nu3_ = index * sum(1 for b in delta.elements if (b * b - b + 1) % n == 0)
+    else:  # Delta_L: all units, or no root
+        nu2_, nu3_ = _elliptic_counts(n) if index == 1 else (0, 0)
     nu_inf_ = sum(
         totient(d) * totient(n // d) // projection_image_size(d, delta)
         for d in divisors(n)
     )
     twelve_g = 12 + mu_ - 3 * nu2_ - 4 * nu3_ - 6 * nu_inf_
-    g = _genus(twelve_g, 12, f"g({n}, {delta.elements})")
+    g = _genus(twelve_g, 12, f"g({n}, |Delta| = {len(delta)})")
     return GenusProfile(delta, mu_, nu2_, nu3_, nu_inf_, g)
 
 
@@ -90,32 +94,35 @@ def g1(n: int) -> int:
     return _genus(24 + index - 6 * cusp_sum(n), 24, f"g1({n})")
 
 
-def g0(n: int) -> int:
-    """Genus of X_0(N), closed form."""
+def _elliptic_counts(n: int) -> tuple[int, int]:
+    """nu2 and nu3 of X_0(N): the roots of b^2 + 1 and b^2 - b + 1 mod N."""
     nu2_, nu3_ = 1, 1
     for p, a in factorize(n):
         # 1 + (-1/p) and 1 + (-3/p); 4 | N and 9 | N leave no elliptic points
         nu2_ *= (a == 1) if p == 2 else 2 * (p % 4 == 1)
         nu3_ *= (a == 1) if p == 3 else 2 * (p % 3 == 1)
+    return nu2_, nu3_
+
+
+def g0(n: int) -> int:
+    """Genus of X_0(N), closed form."""
+    nu2_, nu3_ = _elliptic_counts(n)
     twelve_g = 12 + _psi(n) - 3 * nu2_ - 4 * nu3_ - 6 * x0_cusp_count(n)
     return _genus(twelve_g, 12, f"g0({n})")
 
 
 def _index_and_width(curve, d: int) -> tuple[int, int]:
-    """mu of the curve (N, group), and the width of its cusps with
-    invariant d: (N/d) / k with k = |Delta| / |pi_d(Delta)|, or e on
-    X_0(N)."""
-    n, group = curve
-    if group == GAMMA0:
-        return _psi(n), n // d // gcd(d, n // d)
-    k = len(group) // projection_image_size(d, group)
-    return _psi(n) * (totient(n) // len(group)), n // d // k
+    """mu of the curve (N, Delta), and the width of its cusps with
+    invariant d: (N/d) / k with k = |Delta| / |pi_d(Delta)|."""
+    n, delta = curve
+    k = len(delta) // projection_image_size(d, delta)
+    return _psi(n) * (totient(n) // len(delta)), n // d // k
 
 
 def cover(up, down, d: int) -> tuple[int, int]:
     """The degree of X_up -> X_down, and its ramification index at the
     cusps of X_up with invariant d, which lie over those with invariant
-    gcd(d, N') of X_down, N' its level.  Each curve is a pair (N, group);
+    gcd(d, N') of X_down, N' its level.  Each curve is a pair (N, Delta);
     the cover is not checked, so N' | N and Delta mod N' inside Delta'
     are the caller's to keep."""
     mu_up, width_up = _index_and_width(up, d)

@@ -42,6 +42,14 @@ def bf_units(n):
     return [a for a in range(1, n + 1) if gcd(a, n) == 1]
 
 
+def bf_congruence_units(n, m):
+    """The units of Z/nZ in 1..n that are +-1 mod m, by one gcd per
+    residue: the subgroup Delta_m that the package holds by m alone."""
+    return [
+        a for a in range(1, n + 1) if gcd(a, n) == 1 and ((a - 1) % m == 0 or (a + 1) % m == 0)
+    ]
+
+
 @cache
 def bf_phi_table(limit):
     """[0, phi(1), ..., phi(limit)] by Euler's sieve: phi(m) loses

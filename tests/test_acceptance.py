@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd
 
-from cuspforge.arith import delta_d, divisors, pm_one, totient
+from cuspforge.arith import delta_d, divisors, full_units, pm_one, totient
 from cuspforge.criteria import (
     NOT_WEIERSTRASS,
     UNKNOWN,
@@ -176,7 +176,8 @@ def test_criterion_8_total_ramification():
             if m % p == 0:
                 for x in range(1, p):
                     c = canonicalize_x0(p * p * m, x, p)
-                    degree, ramification = cover((c.level, GAMMA0), (p * m, GAMMA0), c.d)
+                    up, down = (c.level, full_units(c.level)), (p * m, full_units(p * m))
+                    degree, ramification = cover(up, down, c.d)
                     assert ramification == degree == p, (p, m, x)
                 towers += 1
             m += p

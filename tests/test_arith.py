@@ -188,12 +188,16 @@ def test_delta_d_rejects_nondivisor():
 
 
 def test_delta_d_size_bound_is_exact_and_refused_fast():
-    # Delta_d has 2e elements once N/e > 2: e = 10^4 sits on the bound
-    assert len(delta_d(10**8, 10**4)) == MAX_UNITS
+    # Delta_d has 2e elements once N/e > 2, and lists none until `elements`
+    # is read: e = 10^4 sits on the bound, and past it only the listing is
+    # refused
+    assert len(delta_d(10**8, 10**4).elements) == MAX_UNITS
     start = time.perf_counter()
     for n, d in ((10001**2, 10001), (10**10, 10**5)):
+        delta = delta_d(n, d)
+        assert len(delta) == 2 * d
         with pytest.raises(UnitGroupTooLarge):
-            delta_d(n, d)
+            delta.elements
     # listing the second's 2 * 10^5 lifts, unbounded, takes about 0.66 s
     assert time.perf_counter() - start < 0.1
 
@@ -256,7 +260,7 @@ def check_projection_against_oracles(d, delta):
     # over the kernel count by scan
     n = delta.level
     expected = bf_projection_image_size(n, d, delta.elements)
-    assert len(delta) // bf_kernel_size(n, d, delta.members) == expected, (n, d)
+    assert len(delta) // bf_kernel_size(n, d, set(delta.elements)) == expected, (n, d)
     assert projection_image_size(d, delta) == expected, (n, d, delta)
 
 
@@ -278,8 +282,9 @@ def subgroups_with_divisors(draw):
 
 
 # Levels with e = gcd(d, N/d) far past the random draws: N = 997920^2 and
-# 10^12 = 1000000^2, at d = sqrt(N) where e = d.  Delta_d is refused past
-# e = 10^4 (2e > MAX_UNITS), so its examples take the largest e within that.
+# 10^12 = 1000000^2, at d = sqrt(N) where e = d.  The set oracles list
+# Delta_d's 2e elements, so its examples take the largest e within
+# MAX_UNITS.
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(subgroups_with_divisors())
 @example((pm_one(997920**2), (997920, 9504)))
@@ -337,13 +342,26 @@ def test_delta_subgroup_accepts_exactly_closed_sets(data):
 
 def test_subgroup_equality_ignores_member_set():
     a, b = DeltaSubgroup(20, (1, 9, 11, 19)), delta_d(20, 2)
-    assert a == b and hash(a) == hash(b) and a.members == {1, 9, 11, 19}
+    assert a == b and hash(a) == hash(b) and set(b.elements) == {1, 9, 11, 19}
 
 
 def test_subgroup_repr_round_trips():
     assert repr(pm_one(5)) == "DeltaSubgroup(level=5, gens=(1, 4))"
     d = DeltaSubgroup(720, (7,))
     assert eval(repr(d)) == d
+
+
+def test_congruence_group_past_the_listing_bound():
+    # held, measured and printed without a list; only `elements` refuses
+    big, kernel = full_units(10**12), delta_d(10**12, 10**6)
+    assert (len(big), len(kernel)) == (totient(10**12), 2 * 10**6)
+    assert 999999999999 in big and 10**6 + 1 in kernel and 3 not in kernel
+    assert repr(big) == "<DeltaSubgroup of level 1000000000000: +-1 mod 1>"
+    assert big != kernel and kernel == delta_d(10**12, 10**6) and big == full_units(10**12)
+    with pytest.raises(UnitGroupTooLarge, match=r"^\(Z/1000000000000Z\)\* has more "):
+        big.elements
+    with pytest.raises(UnitGroupTooLarge, match="^Delta_1000000 of level 1000000000000 has"):
+        kernel.elements
 
 
 def test_factorize_totient_divisors_against_sympy():

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
 import sympy
@@ -22,6 +26,7 @@ from cuspforge.arith import (
 from cuspforge import criteria
 from cuspforge.criteria import (
     LEMMA_CUSP_LEVEL,
+    MAX_GAP_GENUS,
     MAX_SURVEY,
     NOT_WEIERSTRASS,
     RULE_FRICKE,
@@ -36,6 +41,7 @@ from cuspforge.criteria import (
     x1_verdict,
 )
 from cuspforge.errors import (
+    GenusTooLarge,
     GenusTooSmall,
     DomainError,
     InconsistentGapCount,
@@ -306,6 +312,36 @@ def test_gap_sequence_counts_and_range():
     for nongaps in ({0, 3}, set()):
         with pytest.raises(DomainError, match="non-gaps must be positive"):
             gap_sequence_from_nongaps(nongaps, 2)
+
+
+def test_gap_sequence_genus_bound_is_exact_and_refused_first():
+    # on the bound the closure runs (one non-gap past 2g - 1 closes nothing,
+    # so too many gaps remain); one past it is refused
+    with pytest.raises(InconsistentGapCount):
+        gap_sequence_from_nongaps({2 * MAX_GAP_GENUS + 1}, MAX_GAP_GENUS)
+    with pytest.raises(GenusTooLarge):
+        gap_sequence_from_nongaps({1}, MAX_GAP_GENUS + 1)
+    # quick: refused before the non-gaps are read or the closure allocates
+    # (a set of 10^12 non-gaps, then 2 * 10^9 flags).  The refusal runs in a
+    # child whose address space is capped, so a closure that allocates
+    # first fails there with MemoryError
+    code = (
+        "import resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from cuspforge.criteria import gap_sequence_from_nongaps\n"
+        "start = time.perf_counter()\n"
+        "try:\n    gap_sequence_from_nongaps(range(1, 10**12), 10**9)\n"
+        "except Exception as exc:\n    print(type(exc).__name__)\n"
+        "print(time.perf_counter() - start < 0.1)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "GenusTooLarge\nTrue\n", "")
 
 
 def test_gap_complement_is_a_numerical_semigroup():

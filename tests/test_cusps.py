@@ -416,14 +416,16 @@ def test_ramification_x0_tower():
     # X_0(p^2 M) -> X_0(pM), p | M, has degree p and is totally ramified
     # at the cusps with d = p
     for p, m in ((2, 2), (3, 3), (2, 4)):
-        assert cover((p * p * m, GAMMA0), (p * m, GAMMA0), p) == (p, p)
+        up, down = (p * p * m, full_units(p * p * m)), (p * m, full_units(p * m))
+        assert cover(up, down, p) == (p, p)
 
 
 def test_ramification_x0_tower_matches_scan_oracle():
     cases = 0
     for p in (2, 3, 5, 7, 11, 13):
         for m in range(p, 2000 // (p * p) + 1, p):
-            degree, ramification = cover((p * p * m, GAMMA0), (p * m, GAMMA0), p)
+            up, down = (p * p * m, full_units(p * p * m)), (p * m, full_units(p * m))
+            degree, ramification = cover(up, down, p)
             for x in [x for x in range(1, 3 * p) if x % p] + [p * m + 1]:
                 assert degree // ramification == bf_ramification_x0_tower(p, m, x)
                 cases += 1

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from cuspforge.arith import (
     DeltaSubgroup,
+    _congruence,
+    _congruence_within,
     cusp_sum,
     delta_d,
     divisors,
@@ -26,7 +28,7 @@ from cuspforge.cusps import (
 )
 from cuspforge.genus import cover, g0, g1, genus_delta
 
-from oracles import bf_g1, bf_genus_profile, bf_width_delta
+from oracles import bf_congruence_units, bf_g1, bf_genus_profile, bf_width_delta
 
 
 def test_mu_values():
@@ -97,6 +99,55 @@ def test_closed_forms_match_genus_delta():
     for n in range(1, 3001):
         assert g1(n) == genus_delta(pm_one(n)).g, n
         assert g0(n) == genus_delta(full_units(n)).g, n
+
+
+@pytest.mark.parametrize("n", [10**12, 997920**2, 963761198400, 999983 * 999979])
+def test_closed_forms_match_genus_delta_at_large_levels(n):
+    # all units and {+-1} as Delta_1 and Delta_N, at levels whose phi(N)
+    # is far past MAX_UNITS
+    assert g0(n) == genus_delta(full_units(n)).g
+    assert g1(n) == genus_delta(pm_one(n)).g
+
+
+def test_genus_delta_lists_no_congruence_group(monkeypatch):
+    # nu2 and nu3 of Delta_L are closed forms, and the invariant message
+    # reads N and |Delta|: X_0(10^12) never lists its 4 * 10^11 units
+    def refuse(self):
+        raise AssertionError("elements listed")
+
+    monkeypatch.setattr(DeltaSubgroup, "elements", property(refuse))
+    assert genus_delta(full_units(10**12)).g == 149999100001
+
+
+def test_congruence_family_matches_its_listed_span():
+    # Delta_L, held by L alone, against the span of the units = +-1 mod L
+    # that a scan lists, for every L | N <= 400: the order, membership of
+    # every residue, the genus profile, equality both ways, the hash, and
+    # then the elements, listed on that first read
+    for n in range(1, 401):
+        residues = range(1, n + 1)
+        for m in divisors(n):
+            group, listed = _congruence(n, m), DeltaSubgroup(n, bf_congruence_units(n, m))
+            assert len(group) == len(listed), (n, m)
+            assert [a in group for a in residues] == [a in listed for a in residues], (n, m)
+            assert genus_delta(group) == genus_delta(listed), (n, m)
+            assert group == listed and listed == group, (n, m)
+            assert hash(group) == hash(listed), (n, m)
+            assert group.elements == listed.elements, (n, m)
+    # a span of the same order as Delta_8 mod 24, with other members
+    span, group = DeltaSubgroup(24, (5,)), _congruence(24, 8)
+    assert len(span) == len(group) and span != group and group != span
+
+
+def test_congruence_containment_rule_matches_the_listed_sets():
+    # Delta_L inside Delta_M, and Delta_L == Delta_M, against the sets a
+    # scan lists, for every pair L, M | N <= 300
+    for n in range(1, 301):
+        sets = {m: set(bf_congruence_units(n, m)) for m in divisors(n)}
+        for l, small in sets.items():
+            for m, big in sets.items():
+                assert _congruence_within(l, m) == (small <= big), (n, l, m)
+                assert (_congruence(n, l) == _congruence(n, m)) == (small == big), (n, l, m)
 
 
 @pytest.mark.parametrize(
@@ -184,11 +235,11 @@ def _random_delta(data, lo, hi):
 def test_cover_widths_match_scan_oracle(data):
     # a cusp's ramification over X(1) = X_0(1) is its width
     n, _, delta = _random_delta(data, 5, 160)
-    every_unit = set(units(n))
+    every_unit, x_one = set(units(n)), (1, full_units(1))
     for c in atlas(n, GAMMA1):
-        _, width = cover((n, delta), (1, GAMMA0), c.d)
-        assert width == bf_width_delta(n, delta.members, c.x, c.y), (n, delta, c)
-        _, width = cover((n, GAMMA0), (1, GAMMA0), c.d)
+        _, width = cover((n, delta), x_one, c.d)
+        assert width == bf_width_delta(n, set(delta.elements), c.x, c.y), (n, delta, c)
+        _, width = cover((n, full_units(n)), x_one, c.d)
         assert width == bf_width_delta(n, every_unit, c.x, c.y), (n, c)
 
 
@@ -210,7 +261,8 @@ def test_cover_fibres_sum_to_the_degree_on_x0():
         cusps = atlas(n, GAMMA0)
         for n_down in divisors(n):
             image = {c: canonicalize_x0(n_down, c.x, c.y) for c in cusps}
-            _check_fibres((n, GAMMA0), (n_down, GAMMA0), image, atlas(n_down, GAMMA0))
+            up, down = (n, full_units(n)), (n_down, full_units(n_down))
+            _check_fibres(up, down, image, atlas(n_down, GAMMA0))
             covers += 1
     assert covers == 1767  # sum of the divisor counts of N <= 300
 
@@ -219,7 +271,7 @@ def test_cover_fibres_sum_to_the_degree_from_x1_to_x0():
     # mixes the two kinds of curve, and meets the X_1(4) edge at N = 4
     for n in range(1, 201):
         image = {c: canonicalize_x0(n, c.x, c.y) for c in atlas(n, GAMMA1)}
-        _check_fibres((n, pm_one(n)), (n, GAMMA0), image, atlas(n, GAMMA0))
+        _check_fibres((n, pm_one(n)), (n, full_units(n)), image, atlas(n, GAMMA0))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -1,9 +1,10 @@
 """Golden outputs: sha256 of the CLI's stdout for fixed commands.
 
 The digests were recorded before the cusp-width closed form, the module
-re-layering, the integer genus core, the dense eta kernel and the direct
-X_1 atlas with orbits read off X_0(N); any change to what these commands
-print is a regression, not a reason to re-record.
+re-layering, the integer genus core, the dense eta kernel, the direct
+X_1 atlas with orbits read off X_0(N) and the congruence form of Delta;
+any change to what these commands print is a regression, not a reason to
+re-record.
 """
 
 import hashlib
@@ -92,6 +93,13 @@ GOLDEN = {
     # a genus whose kernel counts reach e = 997920, at N = 997920^2
     "genus --level 995844326400 --gamma1":
         "1aee2576e3810104b43f1a2415a9e1e25a874528ecf4708fd0040e499f5fee45",
+    # the X_0(p^2 M) -> X_0(pM) cover at N = 9973^3, whose phi(N) is far
+    # past the unit-listing bound, and the largest level that lists its
+    # units (247 KB of output)
+    "verdict x0 --p 9973 --m 9973":
+        "8eae0ae348ca9e3a31402afc31b8eb884052d116b583d501fd61fe6ee8b4083a",
+    "genus --level 94710 --gamma0":
+        "fad5e3cf22bb7ac0d56a6506a7c853f2274528492af64102bed307b324eaa027",
 }
 
 

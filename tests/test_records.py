@@ -1,10 +1,12 @@
 """The package's records are frozen values.
 
 The plain records are NamedTuples; `DeltaSubgroup`, which spans its
-elements from its generators when built, is a slot class whose fields
-are set once.  Either way no attribute can be set or deleted, cusp
-classes sort as their field tuples, and a `DeltaSubgroup` compares and
-hashes by level and elements only.  The package imports no `dataclasses`.
+elements from its generators or holds a congruence group by its modulus,
+is a slot class whose fields are set once (a congruence group's elements
+on first read).  Either way no attribute can be set or deleted, cusp
+classes sort as their field tuples, and a `DeltaSubgroup` compares by
+level, order and membership and hashes by level and order, whichever
+form it has.  The package imports no `dataclasses`.
 """
 
 import importlib
@@ -92,6 +94,20 @@ def test_delta_subgroup_identity_ignores_member_set():
     assert a == b and hash(a) == hash(b)
     assert a != DeltaSubgroup(20, (1, 19)) and a != (20, (1, 9, 11, 19))
     assert genus_delta(a) == genus_delta(b)
+
+
+def test_both_delta_forms_are_frozen():
+    # a span, and a congruence group before and after its one late slot,
+    # the element tuple, is set on first read
+    listed = pm_one(21)
+    assert listed.elements == (1, 20)
+    for group in (DeltaSubgroup(20, (3,)), pm_one(20), listed):
+        for name in (*type(group).__slots__, "elements"):
+            with pytest.raises(AttributeError):
+                setattr(group, name, None)
+            with pytest.raises(AttributeError):
+                delattr(group, name)
+    assert listed.elements == (1, 20)
 
 
 def test_import_loads_no_dataclasses():

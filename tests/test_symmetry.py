@@ -51,7 +51,7 @@ def test_diamond_fixes_d_cusps_iff_in_delta_d():
             orbits = atlas_delta(DeltaSubgroup(n, (a,)))
             for d in divisors(n):
                 fixes_all = all(len(o) == 1 for o in orbits if o[0].d == d)
-                assert fixes_all == (a in delta_d(n, d).members)
+                assert fixes_all == (a in delta_d(n, d))
 
 
 def test_fixed_cusps_examples():
